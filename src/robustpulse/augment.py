@@ -8,7 +8,9 @@ This module owns the multi-index bookkeeping (ordering, routing maps,
 nilpotent routing matrices) and the block-level generator actions.
 
 Block layout: an augmented state is a (N, d, d) complex array whose k-th
-slice is the coefficient block of the k-th multi-index.  Multi-indices
+slice is the coefficient block of the k-th multi-index.  A batch of
+independent states carries a leading axis, (S, N, d, d); every generator
+action here routes on axis -3 and accepts either shape.  Multi-indices
 are sorted by decreasing base-(n+1) value with the first uncertainty as
 the most significant digit, so the zero order (the physical density
 matrix) is always the last block.
@@ -140,11 +142,14 @@ def expected_size(m: int, n: int) -> int:
 
 
 def initial_state(mset: MultiIndexSet, rho0: np.ndarray) -> np.ndarray:
-    """Augmented initial state: zero everywhere, rho0 in the zero-order block."""
+    """Augmented initial state: zero everywhere, rho0 in the zero-order block.
+
+    A stack of densities (S, d, d) gives a batch of states (S, N, d, d).
+    """
     rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
-    blocks = np.zeros((mset.size, d, d), dtype=complex)
-    blocks[mset.zero_index] = rho0
+    d = rho0.shape[-1]
+    blocks = np.zeros(rho0.shape[:-2] + (mset.size, d, d), dtype=complex)
+    blocks[..., mset.zero_index, :, :] = rho0
     return blocks
 
 
@@ -263,13 +268,13 @@ def assemble_supermatrix(
 
 
 def state_to_vec(blocks: np.ndarray) -> np.ndarray:
-    """Stack per-block column-vectorisations into one long vector."""
-    n, d, _ = blocks.shape
-    return blocks.swapaxes(1, 2).reshape(n * d * d)
+    """Stack per-block column-vectorisations into one long vector (one
+    per state of a batch)."""
+    return blocks.swapaxes(-1, -2).reshape(blocks.shape[:-3] + (-1,))
 
 
 def vec_to_state(v: np.ndarray, n_blocks: int, d: int) -> np.ndarray:
     """Inverse of :func:`state_to_vec`."""
     return np.ascontiguousarray(
-        v.reshape(n_blocks, d, d).swapaxes(1, 2)
+        v.reshape(v.shape[:-1] + (n_blocks, d, d)).swapaxes(-1, -2)
     )

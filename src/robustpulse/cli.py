@@ -132,7 +132,7 @@ _config_opt = click.option(
 _out_opt = click.option("--out", default=None, help="Output directory (default from config).")
 _seed_opt = click.option("--seed", default=None, type=int, help="Override the run seed.")
 _workers_opt = click.option("--workers", default=1, type=int, show_default=True,
-                            help="Thread count for independent samples/states.")
+                            help="Thread count for independent noise samples.")
 
 
 @click.group()
@@ -212,31 +212,33 @@ def simulate(config_path, out, seed):
 @_config_opt
 @_out_opt
 @_seed_opt
-@_workers_opt
 @click.option("--verbose", is_flag=True, help="Progress lines on stderr.")
 @_guard
-def optimize(config_path, out, seed, workers, verbose):
+def optimize(config_path, out, seed, verbose):
     """Optimise the configured control task and write the pulse + report."""
     cfg = load_config(config_path)
     model = build_model(cfg)
     mset = build_mset(cfg, model)
     grid0 = build_grid(cfg, model, seed=seed)
-    ocfg = optimizer_config(cfg, workers=workers)
+    ocfg = optimizer_config(cfg)
     ocfg.verbose = verbose
 
-    t_start = time.perf_counter()
     if cfg.task.kind == "gate":
         gobj = build_gate_objective(cfg, mset, model.dim)
+    else:
+        sobj = build_state_objective(cfg, mset, model.dim)
+
+    # the optimizer's exclusive phase timers cover this interval
+    t_start = time.perf_counter()
+    if cfg.task.kind == "gate":
         report_opt = run_gate_synthesis(
             model, mset, grid0, gobj, ocfg,
             method=cfg.optimizer.method, backend=cfg.optimizer.backend,
         )
+    elif cfg.optimizer.method == "stgrape":
+        report_opt = run_stgrape(model, mset, grid0, sobj, ocfg)
     else:
-        sobj = build_state_objective(cfg, mset, model.dim)
-        if cfg.optimizer.method == "stgrape":
-            report_opt = run_stgrape(model, mset, grid0, sobj, ocfg)
-        else:
-            report_opt = run_grape(model, mset, grid0, sobj, ocfg, backend=cfg.optimizer.backend)
+        report_opt = run_grape(model, mset, grid0, sobj, ocfg, backend=cfg.optimizer.backend)
     total = time.perf_counter() - t_start
 
     best_grid = grid0.with_amplitudes(report_opt.best_control)
@@ -335,7 +337,7 @@ def sweep(config_path, out, seed, workers, pulse_path):
 def time_backend_step(model, mset, grid, backend, repeats: int = 5, plan=None) -> list:
     """Per-step wall times (seconds) of repeated full propagations."""
     state0 = initial_state(mset, np.eye(model.dim, dtype=complex) / model.dim)
-    propagate_final(backend, model, mset, grid, state0, plan=plan)  # warm-up / JIT
+    propagate_final(backend, model, mset, grid, state0, plan=plan)  # warm-up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -354,8 +356,7 @@ def time_backend_step(model, mset, grid, backend, repeats: int = 5, plan=None) -
 @click.option("--repeats", default=5, show_default=True, type=int, help="Timed repetitions.")
 @_guard
 def benchmark(config_path, out, qubits, order, steps, repeats):
-    """Time each propagation backend per step, with the compiled kernels
-    and with the plain-array fallback."""
+    """Time each propagation backend per step."""
     cfg = load_config(config_path) if config_path else RunConfig()
     try:
         qubit_list = [int(q) for q in qubits.split(",") if q.strip()]
@@ -364,46 +365,36 @@ def benchmark(config_path, out, qubits, order, steps, repeats):
     if not qubit_list or any(q < 1 for q in qubit_list):
         raise ConfigError("--qubits", "qubit counts must be positive integers")
 
-    modes = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-    saved_mode = kernels.kernel_mode()
     rows = []
-    try:
-        for n_q in qubit_list:
-            model = build_spin_chain(
-                n_q, jxy_mhz=cfg.system.jxy_mhz, t1_us=cfg.system.t1_us, t2_us=cfg.system.t2_us
+    for n_q in qubit_list:
+        model = build_spin_chain(
+            n_q, jxy_mhz=cfg.system.jxy_mhz, t1_us=cfg.system.t1_us, t2_us=cfg.system.t2_us
+        )
+        model = attach_uncertainties(model, "edges")
+        mset = MultiIndexSet(len(model.uncertainties), order)
+        bound = mhz_to_radns(cfg.control.max_mhz)
+        grid = random_grid(len(model.controls), steps, cfg.control.dt_ns, -bound, bound, seed=11)
+        d_aug = mset.size * model.dim**2
+        for backend in BACKENDS:
+            plan = make_trotter_plan(model, grid.dt) if backend == "trotter" else None
+            try:
+                times = time_backend_step(model, mset, grid, backend, repeats, plan=plan)
+            except CapExceeded:
+                continue
+            rows.append({
+                "backend": backend,
+                "kernels": "-" if backend == "expm" else kernels.kernel_mode(),
+                "n_qubits": n_q,
+                "order": order,
+                "n_blocks": mset.size,
+                "d_aug": d_aug,
+                "median_ns": statistics.median(times) * 1e9,
+                "mean_ns": statistics.fmean(times) * 1e9,
+            })
+            click.echo(
+                f"n_q={n_q} {backend:7s} median {statistics.median(times) * 1e3:9.3f} ms/step",
+                err=True,
             )
-            model = attach_uncertainties(model, "edges")
-            mset = MultiIndexSet(len(model.uncertainties), order)
-            bound = mhz_to_radns(cfg.control.max_mhz)
-            grid = random_grid(len(model.controls), steps, cfg.control.dt_ns, -bound, bound, seed=11)
-            d_aug = mset.size * model.dim**2
-            for backend in BACKENDS:
-                backend_modes = ["-"] if backend == "expm" else modes
-                for mode in backend_modes:
-                    if mode != "-":
-                        kernels.set_kernel_mode(mode)
-                    plan = make_trotter_plan(model, grid.dt) if backend == "trotter" else None
-                    try:
-                        times = time_backend_step(model, mset, grid, backend, repeats, plan=plan)
-                    except CapExceeded:
-                        continue
-                    rows.append({
-                        "backend": backend,
-                        "kernels": mode,
-                        "n_qubits": n_q,
-                        "order": order,
-                        "n_blocks": mset.size,
-                        "d_aug": d_aug,
-                        "median_ns": statistics.median(times) * 1e9,
-                        "mean_ns": statistics.fmean(times) * 1e9,
-                    })
-                    click.echo(
-                        f"n_q={n_q} {backend:7s} kernels={mode:5s} "
-                        f"median {statistics.median(times) * 1e3:9.3f} ms/step",
-                        err=True,
-                    )
-    finally:
-        kernels.set_kernel_mode(saved_mode)
 
     out_path = _out_dir(cfg, out)
     bench_csv = out_path / "benchmark.csv"

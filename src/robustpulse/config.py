@@ -314,11 +314,10 @@ def build_noise_distribution(cfg: RunConfig, model: OpenSystemModel, seed: int |
     )
 
 
-def optimizer_config(cfg: RunConfig, workers: int = 1) -> OptimizerConfig:
+def optimizer_config(cfg: RunConfig) -> OptimizerConfig:
     return OptimizerConfig(
         max_iters=cfg.optimizer.max_iters,
         grad_tol=cfg.optimizer.grad_tol,
         lbfgs_memory=cfg.optimizer.memory,
         monitor_interval=cfg.optimizer.monitor_interval,
-        workers=workers,
     )

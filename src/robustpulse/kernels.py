@@ -1,44 +1,19 @@
-"""Hot per-block kernels with a numba fast path and a pure-numpy fallback.
+"""Hot per-block kernels, written as numpy broadcasts.
 
-Every propagation backend loops over stacks of d x d complex blocks
-(shape (N, d, d)).  The numba path JIT-compiles those loops; the numpy
-path expresses the same arithmetic with broadcasting.  Selection:
-
-* env var ``ROBUSTPULSE_KERNELS`` = ``auto`` (default), ``numba`` or
-  ``numpy``, read at import;
-* :func:`set_kernel_mode` overrides at runtime (used by the benchmark
-  command to time both paths).
-
-Both paths produce results equal to within normal floating-point
-reassociation (no fastmath), and the test suite compares them directly.
+Every propagation backend works on stacks of d x d complex blocks: one
+augmented state has shape (N, d, d), and a batch of independent states
+(the input states of a gate objective) adds a leading axis, (S, N, d, d).
+Each kernel is a per-block linear map or a pairing summed over all
+blocks, so it accepts either shape: the d x d blocks are the last two
+axes, and the block index, which routing indexes, is axis -3.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 __all__ = [
-    "HAS_NUMBA",
     "kernel_mode",
-    "set_kernel_mode",
     "conjugate_blocks",
     "routed_commutator",
     "collapse_blocks",
@@ -47,160 +22,15 @@ __all__ = [
     "control_pairing",
 ]
 
-_numba_kwargs = {"cache": True, "nogil": True}
-
-_MODE = os.environ.get("ROBUSTPULSE_KERNELS", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"ROBUSTPULSE_KERNELS must be auto|numba|numpy, got {_MODE!r}")
-if _MODE == "numba" and not HAS_NUMBA:
-    raise RuntimeError("ROBUSTPULSE_KERNELS=numba but numba is not importable")
-
 
 def kernel_mode() -> str:
-    """Effective mode: 'numba' or 'numpy'."""
-    if _MODE == "numpy":
-        return "numpy"
-    if _MODE == "numba":
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Force 'numba', 'numpy' or 'auto'. Used by benchmarks and tests."""
-    global _MODE
-    mode = mode.strip().lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"kernel mode must be auto|numba|numpy, got {mode!r}")
-    if mode == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba kernels requested but numba is not importable")
-    _MODE = mode
-
-
-# ---------------------------------------------------------------- numba path
-
-
-@njit(**_numba_kwargs)
-def _nb_conjugate(u, udag, blocks):
-    n = blocks.shape[0]
-    out = np.empty_like(blocks)
-    for k in range(n):
-        out[k] = u @ (blocks[k] @ udag)
-    return out
-
-
-@njit(**_numba_kwargs)
-def _nb_routed_commutator(blocks, e, dst, src, prefactor):
-    out = np.zeros_like(blocks)
-    for i in range(dst.shape[0]):
-        s = blocks[src[i]]
-        out[dst[i]] = prefactor * (e @ s - s @ e)
-    return out
-
-
-@njit(**_numba_kwargs)
-def _nb_collapse(ops, ops_other, gammas, blocks):
-    n = blocks.shape[0]
-    out = np.zeros_like(blocks)
-    for k in range(n):
-        for i in range(ops.shape[0]):
-            out[k] += gammas[i] * (ops[i] @ (blocks[k] @ ops_other[i]))
-    return out
-
-
-@njit(**_numba_kwargs)
-def _nb_lindblad_rhs(h, cs, csd, cdc, gammas, blocks, sign):
-    n = blocks.shape[0]
-    out = np.empty_like(blocks)
-    for k in range(n):
-        b = blocks[k]
-        acc = sign * (-1j) * (h @ b - b @ h)
-        for i in range(cs.shape[0]):
-            if sign > 0:
-                jump = cs[i] @ (b @ csd[i])
-            else:
-                jump = csd[i] @ (b @ cs[i])
-            acc = acc + gammas[i] * (jump - 0.5 * (cdc[i] @ b + b @ cdc[i]))
-        out[k] = acc
-    return out
-
-
-@njit(**_numba_kwargs)
-def _nb_pair_trace(a_blocks, b_blocks):
-    total = 0.0 + 0.0j
-    n = a_blocks.shape[0]
-    d = a_blocks.shape[1]
-    for k in range(n):
-        for r in range(d):
-            for c in range(d):
-                total += np.conj(a_blocks[k, r, c]) * b_blocks[k, r, c]
-    return total
-
-
-@njit(**_numba_kwargs)
-def _nb_control_pairing(o_blocks, rho_blocks, hc):
-    total = 0.0 + 0.0j
-    n = o_blocks.shape[0]
-    d = o_blocks.shape[1]
-    for k in range(n):
-        m = hc @ rho_blocks[k] - rho_blocks[k] @ hc
-        for r in range(d):
-            for c in range(d):
-                total += np.conj(o_blocks[k, r, c]) * m[r, c]
-    return total
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def _np_conjugate(u, udag, blocks):
-    return np.matmul(u, np.matmul(blocks, udag))
-
-
-def _np_routed_commutator(blocks, e, dst, src, prefactor):
-    out = np.zeros_like(blocks)
-    if dst.shape[0]:
-        s = blocks[src]
-        out[dst] = prefactor * (np.matmul(e, s) - np.matmul(s, e))
-    return out
-
-
-def _np_collapse(ops, ops_other, gammas, blocks):
-    out = np.zeros_like(blocks)
-    for i in range(ops.shape[0]):
-        out += gammas[i] * np.matmul(ops[i], np.matmul(blocks, ops_other[i]))
-    return out
-
-
-def _np_lindblad_rhs(h, cs, csd, cdc, gammas, blocks, sign):
-    out = sign * (-1j) * (np.matmul(h, blocks) - np.matmul(blocks, h))
-    for i in range(cs.shape[0]):
-        if sign > 0:
-            jump = np.matmul(cs[i], np.matmul(blocks, csd[i]))
-        else:
-            jump = np.matmul(csd[i], np.matmul(blocks, cs[i]))
-        out += gammas[i] * (
-            jump - 0.5 * (np.matmul(cdc[i], blocks) + np.matmul(blocks, cdc[i]))
-        )
-    return out
-
-
-def _np_pair_trace(a_blocks, b_blocks):
-    return complex(np.sum(np.conj(a_blocks) * b_blocks))
-
-
-def _np_control_pairing(o_blocks, rho_blocks, hc):
-    m = np.matmul(hc, rho_blocks) - np.matmul(rho_blocks, hc)
-    return complex(np.sum(np.conj(o_blocks) * m))
-
-
-# ------------------------------------------------------------------ dispatch
+    """The kernel implementation in use; there is one, plain numpy."""
+    return "numpy"
 
 
 def conjugate_blocks(u: np.ndarray, udag: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """u @ block @ udag for every block."""
-    if kernel_mode() == "numba":
-        return _nb_conjugate(u, udag, blocks)
-    return _np_conjugate(u, udag, blocks)
+    return np.matmul(u, np.matmul(blocks, udag))
 
 
 def routed_commutator(
@@ -210,10 +40,13 @@ def routed_commutator(
     src: np.ndarray,
     prefactor: complex,
 ) -> np.ndarray:
-    """out[dst[i]] = prefactor * [e, blocks[src[i]]]; zero elsewhere."""
-    if kernel_mode() == "numba":
-        return _nb_routed_commutator(blocks, e, dst, src, complex(prefactor))
-    return _np_routed_commutator(blocks, e, dst, src, complex(prefactor))
+    """out[..., dst[i], :, :] = prefactor * [e, blocks[..., src[i], :, :]];
+    zero elsewhere."""
+    out = np.zeros_like(blocks)
+    if dst.shape[0]:
+        s = blocks[..., src, :, :]
+        out[..., dst, :, :] = complex(prefactor) * (np.matmul(e, s) - np.matmul(s, e))
+    return out
 
 
 def collapse_blocks(
@@ -222,10 +55,19 @@ def collapse_blocks(
     gammas: np.ndarray,
     blocks: np.ndarray,
 ) -> np.ndarray:
-    """sum_i gamma_i * ops_i @ block @ ops_other_i for every block."""
-    if kernel_mode() == "numba":
-        return _nb_collapse(ops, ops_other, gammas, blocks)
-    return _np_collapse(ops, ops_other, gammas, blocks)
+    """sum_i gamma_i * ops_i @ block @ ops_other_i for every block.
+
+    Two products for all i at once: the K operators laid side by side give
+    block @ [g_1 o'_1 | ... | g_K o'_K] (d x Kd), and [o_1 | ... | o_K]
+    (d x Kd) against those K results stacked vertically sums over i in its
+    contraction.
+    """
+    k, d, _ = ops.shape
+    lead = blocks.shape[:-2]
+    right = (gammas[:, None, None] * ops_other).transpose(1, 0, 2).reshape(d, k * d)
+    left = ops.transpose(1, 0, 2).reshape(d, k * d)
+    stacked = np.matmul(blocks, right).reshape(*lead, d, k, d).swapaxes(-3, -2)
+    return np.matmul(left, stacked.reshape(*lead, k * d, d))
 
 
 def lindblad_rhs_blocks(
@@ -243,22 +85,28 @@ def lindblad_rhs_blocks(
     Adjoint: +i[h, b] + sum_i gamma_i (c^dag b c - (cdc b + b cdc)/2).
     """
     sign = -1.0 if adjoint else 1.0
-    if kernel_mode() == "numba":
-        return _nb_lindblad_rhs(h, cs, csd, cdc, gammas, blocks, sign)
-    return _np_lindblad_rhs(h, cs, csd, cdc, gammas, blocks, sign)
+    out = sign * (-1j) * (np.matmul(h, blocks) - np.matmul(blocks, h))
+    for i in range(cs.shape[0]):
+        if adjoint:
+            jump = np.matmul(csd[i], np.matmul(blocks, cs[i]))
+        else:
+            jump = np.matmul(cs[i], np.matmul(blocks, csd[i]))
+        out += gammas[i] * (
+            jump - 0.5 * (np.matmul(cdc[i], blocks) + np.matmul(blocks, cdc[i]))
+        )
+    return out
 
 
 def pair_trace(a_blocks: np.ndarray, b_blocks: np.ndarray) -> complex:
-    """Hilbert-Schmidt pairing sum_k tr(a_k^dag b_k)."""
-    if kernel_mode() == "numba":
-        return complex(_nb_pair_trace(a_blocks, b_blocks))
-    return _np_pair_trace(a_blocks, b_blocks)
+    """Hilbert-Schmidt pairing sum_k tr(a_k^dag b_k), over every block of
+    every state."""
+    return complex(np.vdot(a_blocks, b_blocks))
 
 
 def control_pairing(
     o_blocks: np.ndarray, rho_blocks: np.ndarray, hc: np.ndarray
 ) -> complex:
-    """sum_k tr(o_k^dag [hc, rho_k]); the control gradient is its Im part."""
-    if kernel_mode() == "numba":
-        return complex(_nb_control_pairing(o_blocks, rho_blocks, hc))
-    return _np_control_pairing(o_blocks, rho_blocks, hc)
+    """sum_k tr(o_k^dag [hc, rho_k]) over every block of every state; the
+    control gradient is its Im part."""
+    m = np.matmul(hc, rho_blocks) - np.matmul(rho_blocks, hc)
+    return complex(np.vdot(o_blocks, m))

@@ -4,7 +4,10 @@ Two gradient routes: the first-order route pairs co-states and states
 around each step under an exact backend (expm or RK4), while the
 splitting route differentiates the Trotter step's two control factors
 exactly via the product rule, making the gradient of the splitting
-objective exact to machine precision.
+objective exact to machine precision.  Both routes take a state
+objective or a gate objective; a gate objective's input states are
+propagated as one batch, with the weights folded into the terminal
+co-states so that one backward sweep gives the weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
 ``monitor_interval`` iterations the true objective is evaluated with an
@@ -19,8 +22,9 @@ projected path.
 from __future__ import annotations
 
 import sys
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .objective import (
     GateObjective,
     RobustStateObjective,
     costate_J,
-    gate_costates,
     gate_objective,
     ground_state,
     robust_J,
@@ -73,7 +76,6 @@ class OptimizerConfig:
     ceiling_tol: float | None = 1e-9
     cap: int = DEFAULT_SUPERMATRIX_CAP
     ode_substeps: int | None = None
-    workers: int = 1
     verbose: bool = False
 
 
@@ -172,18 +174,68 @@ def lbfgs_bounded_step(
 # ----------------------------------------------------------- gradient routes
 
 
-def _initial_density(obj: RobustStateObjective, dim: int) -> np.ndarray:
-    """The objective's initial state, defaulting to |0...0><0...0|."""
-    return obj.rho0 if obj.rho0 is not None else ground_state(dim)
+class _Timers:
+    """Exclusive phase clock: every interval is booked to exactly one phase.
+
+    Entering a phase pauses the enclosing one, so an evaluation inside the
+    line search counts as ``forward`` and not also as ``linesearch``.
+    Time outside every phase (plan building, L-BFGS bookkeeping) is
+    ``other``, so the phases sum to the time since the clock started.
+    """
+
+    PHASES = ("forward", "backward", "linesearch", "monitor", "other")
+
+    def __init__(self):
+        self.data = dict.fromkeys(self.PHASES, 0.0)
+        self._stack = ["other"]
+        self._mark = perf_counter()
+
+    def _book(self) -> None:
+        now = perf_counter()
+        self.data[self._stack[-1]] += now - self._mark
+        self._mark = now
+
+    @contextmanager
+    def phase(self, name: str):
+        self._book()
+        self._stack.append(name)
+        try:
+            yield
+        finally:
+            self._book()
+            self._stack.pop()
+
+    def stop(self) -> dict:
+        """Book the running interval and return the phase totals."""
+        self._book()
+        return dict(self.data)
 
 
-def _expm_propagators(
-    model: OpenSystemModel, mset: MultiIndexSet, grid: ControlGrid, cap: int
-) -> list:
-    return [
-        step_propagator_expm(model, mset, grid.amplitudes[:, k], grid.dt, cap=cap)
-        for k in range(grid.n_steps)
-    ]
+def _initial_batch(obj, mset: MultiIndexSet, dim: int) -> np.ndarray:
+    """Augmented initial states (S, N, d, d): a gate objective's input
+    states, or a state objective's one state (default |0...0><0...0|)."""
+    if isinstance(obj, GateObjective):
+        rho0s = obj.state0s
+    else:
+        rho0s = [obj.rho0 if obj.rho0 is not None else ground_state(dim)]
+    return initial_state(mset, np.stack(rho0s))
+
+
+def _value(finals: np.ndarray, obj) -> float:
+    """Objective value of a batch of terminal states."""
+    if isinstance(obj, GateObjective):
+        return gate_objective(finals, obj)
+    return robust_J(finals[0], obj)
+
+
+def _terminal_costates(finals: np.ndarray, obj) -> np.ndarray:
+    """Terminal co-states of the batch, each scaled by its state's weight,
+    so one backward sweep yields the weighted gradient."""
+    if isinstance(obj, GateObjective):
+        return np.stack([
+            w * costate_J(f, o) for w, f, o in zip(obj.weights, finals, obj.per_state)
+        ])
+    return costate_J(finals[0], obj)[None]
 
 
 def _pair_gradient(
@@ -192,7 +244,8 @@ def _pair_gradient(
     fwd_states: np.ndarray,
     bwd_states: np.ndarray,
 ) -> np.ndarray:
-    """First-order gradient: dt * Im sum_b tr(O_b(t_{k+1})^dag [H_c, rho_b(t_{k+1})])."""
+    """First-order gradient: dt * Im sum_b tr(O_b(t_{k+1})^dag [H_c, rho_b(t_{k+1})]),
+    summed over the blocks of every state in the batch."""
     n_c, n_t = grid.n_channels, grid.n_steps
     grad = np.zeros((n_c, n_t))
     for k in range(n_t):
@@ -209,26 +262,54 @@ def grape_gradient(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     grid: ControlGrid,
-    obj: RobustStateObjective,
+    obj: RobustStateObjective | GateObjective,
     backend: str = "expm",
     cap: int = DEFAULT_SUPERMATRIX_CAP,
     substeps: int | None = None,
+    timers: _Timers | None = None,
 ):
     """First-order objective gradient under an exact backend.
 
-    Returns (J, gradient) with gradient shaped (n_channels, n_steps).
-    The gradient's error relative to finite differences of J shrinks
-    linearly with dt.
+    ``obj`` is a state objective or a gate objective, whose input states
+    are propagated as one batch.  Returns (J, gradient) with gradient
+    shaped (n_channels, n_steps).  The gradient's error relative to finite
+    differences of J shrinks linearly with dt.  ``timers`` books the
+    forward and backward sweeps.
     """
     if backend not in ("expm", "ode"):
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
-    state0 = initial_state(mset, _initial_density(obj, model.dim))
-    fwd = propagate_forward(backend, model, mset, grid, state0, cap=cap, substeps=substeps)
-    j_val = robust_J(fwd.final, obj)
-    bwd = propagate_backward(
-        backend, model, mset, grid, costate_J(fwd.final, obj), cap=cap, substeps=substeps
-    )
-    return j_val, _pair_gradient(model, grid, fwd.states, bwd.states)
+    clock = timers or _Timers()
+    n_t = grid.n_steps
+    with clock.phase("forward"):
+        state0 = _initial_batch(obj, mset, model.dim)
+        if backend == "expm":
+            # one exponential per step, shared by the forward and adjoint sweeps
+            props = [
+                step_propagator_expm(model, mset, grid.amplitudes[:, k], grid.dt, cap=cap)
+                for k in range(n_t)
+            ]
+            fwd = np.empty((n_t + 1,) + state0.shape, dtype=complex)
+            fwd[0] = state0
+            for k in range(n_t):
+                fwd[k + 1] = apply_supermatrix(props[k], fwd[k])
+        else:
+            fwd = propagate_forward(
+                backend, model, mset, grid, state0, cap=cap, substeps=substeps
+            ).states
+        j_val = _value(fwd[-1], obj)
+    with clock.phase("backward"):
+        costate_T = _terminal_costates(fwd[-1], obj)
+        if backend == "expm":
+            bwd = np.empty_like(fwd)
+            bwd[n_t] = costate_T
+            for k in range(n_t - 1, -1, -1):
+                bwd[k] = apply_supermatrix(props[k].conj().T, bwd[k + 1])
+        else:
+            bwd = propagate_backward(
+                backend, model, mset, grid, costate_T, cap=cap, substeps=substeps
+            ).states
+        grad = _pair_gradient(model, grid, fwd, bwd)
+    return j_val, grad
 
 
 def stgrape_gradient(
@@ -236,227 +317,98 @@ def stgrape_gradient(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     grid: ControlGrid,
-    obj: RobustStateObjective,
+    obj: RobustStateObjective | GateObjective,
+    timers: _Timers | None = None,
 ):
     """Exact gradient of the splitting-propagated objective.
 
-    Returns (J_hat, gradient); the gradient matches central finite
-    differences of the splitting objective to roundoff.
+    ``obj`` is a state objective or a gate objective, whose input states
+    are propagated as one batch.  Returns (J_hat, gradient); the gradient
+    matches central finite differences of the splitting objective to
+    roundoff.  ``timers`` books the forward and backward sweeps.
     """
-    state0 = initial_state(mset, _initial_density(obj, model.dim))
-    fwd = propagate_forward(
-        "trotter", model, mset, grid, state0, plan=plan, record_ctl=True
-    )
-    j_hat = robust_J(fwd.final, obj)
-    grad = trotter_backward_with_gradient(
-        plan, model, mset, grid, fwd, costate_J(fwd.final, obj)
-    )
+    clock = timers or _Timers()
+    with clock.phase("forward"):
+        state0 = _initial_batch(obj, mset, model.dim)
+        fwd = propagate_forward(
+            "trotter", model, mset, grid, state0, plan=plan, record_ctl=True
+        )
+        j_hat = _value(fwd.final, obj)
+    with clock.phase("backward"):
+        grad = trotter_backward_with_gradient(
+            plan, model, mset, grid, fwd, _terminal_costates(fwd.final, obj)
+        )
     return j_hat, grad
 
 
 # --------------------------------------------------------------- run drivers
 
 
-class _Timers:
-    def __init__(self):
-        self.data = {"forward": 0.0, "backward": 0.0, "linesearch": 0.0, "monitor": 0.0}
+class _GateTask:
+    """Evaluation plumbing for the optimisation loop.
 
-    def add(self, key, t0):
-        self.data[key] += time.perf_counter() - t0
-
-
-class _StateTask:
-    """Evaluation plumbing for a single-state objective."""
+    Every input state of the objective (the d+1 or three states of a gate
+    objective) is propagated in one batched pass.
+    """
 
     def __init__(self, model, mset, grid0, obj, cfg, method, backend):
+        self.timers = _Timers()
         self.model, self.mset, self.grid0 = model, mset, grid0
         self.obj, self.cfg = obj, cfg
         self.method, self.backend = method, backend
         self.plan = (
             make_trotter_plan(model, grid0.dt) if method == "stgrape" else None
         )
-        self.timers = _Timers()
+        self.state0 = _initial_batch(obj, mset, model.dim)
 
     def _grid(self, x):
         return self.grid0.with_amplitudes(x.reshape(self.grid0.amplitudes.shape))
 
+    def _final(self, grid, backend):
+        return propagate_final(
+            backend, self.model, self.mset, grid, self.state0,
+            plan=self.plan, substeps=self.cfg.ode_substeps, cap=self.cfg.cap,
+        )
+
     def evaluate(self, x) -> float:
-        t0 = time.perf_counter()
-        grid = self._grid(x)
-        state0 = initial_state(self.mset, _initial_density(self.obj, self.model.dim))
-        if self.method == "stgrape":
-            final = propagate_final(
-                "trotter", self.model, self.mset, grid, state0, plan=self.plan
-            )
-        else:
-            final = propagate_final(
-                self.backend, self.model, self.mset, grid, state0,
-                cap=self.cfg.cap, substeps=self.cfg.ode_substeps,
-            )
-        self.timers.add("forward", t0)
-        return robust_J(final, self.obj)
+        with self.timers.phase("forward"):
+            backend = "trotter" if self.method == "stgrape" else self.backend
+            return _value(self._final(self._grid(x), backend), self.obj)
 
     def eval_grad(self, x):
         grid = self._grid(x)
         if self.method == "stgrape":
-            t0 = time.perf_counter()
-            state0 = initial_state(self.mset, _initial_density(self.obj, self.model.dim))
-            fwd = propagate_forward(
-                "trotter", self.model, self.mset, grid, state0,
-                plan=self.plan, record_ctl=True,
+            j_val, grad = stgrape_gradient(
+                self.plan, self.model, self.mset, grid, self.obj, timers=self.timers
             )
-            j_val = robust_J(fwd.final, self.obj)
-            self.timers.add("forward", t0)
-            t0 = time.perf_counter()
-            grad = trotter_backward_with_gradient(
-                self.plan, self.model, self.mset, grid, fwd,
-                costate_J(fwd.final, self.obj),
-            )
-            self.timers.add("backward", t0)
         else:
-            t0 = time.perf_counter()
             j_val, grad = grape_gradient(
-                self.model, self.mset, grid, self.obj,
-                backend=self.backend, cap=self.cfg.cap, substeps=self.cfg.ode_substeps,
+                self.model, self.mset, grid, self.obj, backend=self.backend,
+                cap=self.cfg.cap, substeps=self.cfg.ode_substeps, timers=self.timers,
             )
-            self.timers.add("backward", t0)
         return j_val, grad.ravel()
 
     def true_objective(self, x) -> float:
         """Exact-backend evaluation (monitor and final reporting)."""
-        t0 = time.perf_counter()
-        grid = self._grid(x)
-        state0 = initial_state(self.mset, _initial_density(self.obj, self.model.dim))
-        try:
-            final = propagate_final(
-                "expm", self.model, self.mset, grid, state0, cap=self.cfg.cap
-            )
-        except CapExceeded:
-            final = propagate_final(
-                "ode", self.model, self.mset, grid, state0, substeps=self.cfg.ode_substeps
-            )
-        self.timers.add("monitor", t0)
-        return robust_J(final, self.obj)
+        with self.timers.phase("monitor"):
+            grid = self._grid(x)
+            try:
+                final = self._final(grid, "expm")
+            except CapExceeded:
+                final = self._final(grid, "ode")
+            return _value(final, self.obj)
 
 
-class _GateTask:
-    """Evaluation plumbing for the weighted multi-state gate objective."""
+class _StateTask(_GateTask):
+    """A single-state objective: the gate task's code with a batch of one.
 
-    def __init__(self, model, mset, grid0, gobj, cfg, method, backend):
-        self.model, self.mset, self.grid0 = model, mset, grid0
-        self.gobj, self.cfg = gobj, cfg
-        self.method, self.backend = method, backend
-        self.plan = (
-            make_trotter_plan(model, grid0.dt) if method == "stgrape" else None
-        )
-        self.timers = _Timers()
+    The methods are bound here as well, because perfbench/tracer.py
+    patches them in each task class's own namespace.
+    """
 
-    def _grid(self, x):
-        return self.grid0.with_amplitudes(x.reshape(self.grid0.amplitudes.shape))
-
-    def _finals(self, grid, backend, cap=None):
-        """Terminal states for every basis state, sharing per-step work."""
-        state0s = [initial_state(self.mset, r) for r in self.gobj.state0s]
-        if backend == "expm":
-            props = _expm_propagators(
-                self.model, self.mset, grid, self.cfg.cap if cap is None else cap
-            )
-            finals = []
-            for s0 in state0s:
-                b = s0
-                for s in props:
-                    b = apply_supermatrix(s, b)
-                finals.append(b)
-            return finals
-        return [
-            propagate_final(
-                backend, self.model, self.mset, grid, s0,
-                plan=self.plan, substeps=self.cfg.ode_substeps,
-            )
-            for s0 in state0s
-        ]
-
-    def evaluate(self, x) -> float:
-        t0 = time.perf_counter()
-        grid = self._grid(x)
-        backend = "trotter" if self.method == "stgrape" else self.backend
-        finals = self._finals(grid, backend)
-        self.timers.add("forward", t0)
-        return gate_objective(finals, self.gobj)
-
-    def eval_grad(self, x):
-        grid = self._grid(x)
-        n_c, n_t = grid.n_channels, grid.n_steps
-        grad = np.zeros((n_c, n_t))
-        j_total = 0.0
-        if self.method == "stgrape":
-            for w, rho0, obj in zip(
-                self.gobj.weights, self.gobj.state0s, self.gobj.per_state
-            ):
-                t0 = time.perf_counter()
-                fwd = propagate_forward(
-                    "trotter", self.model, self.mset, grid,
-                    initial_state(self.mset, rho0), plan=self.plan, record_ctl=True,
-                )
-                j_total += w * robust_J(fwd.final, obj)
-                self.timers.add("forward", t0)
-                t0 = time.perf_counter()
-                grad += w * trotter_backward_with_gradient(
-                    self.plan, self.model, self.mset, grid, fwd,
-                    costate_J(fwd.final, obj),
-                )
-                self.timers.add("backward", t0)
-            return j_total, grad.ravel()
-        # exact route shares the per-step propagators across basis states
-        t0 = time.perf_counter()
-        if self.backend == "expm":
-            props = _expm_propagators(self.model, self.mset, grid, self.cfg.cap)
-            props_dag = [s.conj().T for s in props]
-        self.timers.add("forward", t0)
-        for w, rho0, obj in zip(
-            self.gobj.weights, self.gobj.state0s, self.gobj.per_state
-        ):
-            t0 = time.perf_counter()
-            s0 = initial_state(self.mset, rho0)
-            if self.backend == "expm":
-                n_aug = np.empty((n_t + 1,) + s0.shape, dtype=complex)
-                n_aug[0] = s0
-                for k in range(n_t):
-                    n_aug[k + 1] = apply_supermatrix(props[k], n_aug[k])
-                fwd_states = n_aug
-            else:
-                fwd_states = propagate_forward(
-                    self.backend, self.model, self.mset, grid, s0,
-                    substeps=self.cfg.ode_substeps,
-                ).states
-            j_total += w * robust_J(fwd_states[-1], obj)
-            self.timers.add("forward", t0)
-            t0 = time.perf_counter()
-            cst = costate_J(fwd_states[-1], obj)
-            if self.backend == "expm":
-                b_aug = np.empty_like(fwd_states)
-                b_aug[n_t] = cst
-                for k in range(n_t - 1, -1, -1):
-                    b_aug[k] = apply_supermatrix(props_dag[k], b_aug[k + 1])
-                bwd_states = b_aug
-            else:
-                bwd_states = propagate_backward(
-                    self.backend, self.model, self.mset, grid, cst,
-                    substeps=self.cfg.ode_substeps,
-                ).states
-            grad += w * _pair_gradient(self.model, grid, fwd_states, bwd_states)
-            self.timers.add("backward", t0)
-        return j_total, grad.ravel()
-
-    def true_objective(self, x) -> float:
-        t0 = time.perf_counter()
-        grid = self._grid(x)
-        try:
-            finals = self._finals(grid, "expm")
-        except CapExceeded:
-            finals = self._finals(grid, "ode")
-        self.timers.add("monitor", t0)
-        return gate_objective(finals, self.gobj)
+    evaluate = _GateTask.evaluate
+    eval_grad = _GateTask.eval_grad
+    true_objective = _GateTask.true_objective
 
 
 def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: bool):
@@ -493,25 +445,24 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
             stop_reason = "converged"
             break
         it += 1
-        t0 = time.perf_counter()
         f = lambda xn: -task.evaluate(xn)
-        x_new, _ = lbfgs_bounded_step(
-            history, -grad, x, lo, hi, f=f, f0=-j_val,
-            c1=cfg.armijo_c1, factor=cfg.backtrack_factor,
-            max_backtracks=cfg.max_backtracks,
-        )
-        if x_new is None:
-            # quasi-Newton step failed the line search: projected gradient
-            alpha = cfg.fallback_step / max(np.max(np.abs(grad)), 1e-30)
-            for _ in range(cfg.max_backtracks):
-                x_try = np.clip(x + alpha * grad, lo, hi)
-                if -task.evaluate(x_try) <= -j_val + cfg.armijo_c1 * np.dot(
-                    -grad, x_try - x
-                ):
-                    x_new = x_try
-                    break
-                alpha *= cfg.backtrack_factor
-        task.timers.add("linesearch", t0)
+        with task.timers.phase("linesearch"):
+            x_new, _ = lbfgs_bounded_step(
+                history, -grad, x, lo, hi, f=f, f0=-j_val,
+                c1=cfg.armijo_c1, factor=cfg.backtrack_factor,
+                max_backtracks=cfg.max_backtracks,
+            )
+            if x_new is None:
+                # quasi-Newton step failed the line search: projected gradient
+                alpha = cfg.fallback_step / max(np.max(np.abs(grad)), 1e-30)
+                for _ in range(cfg.max_backtracks):
+                    x_try = np.clip(x + alpha * grad, lo, hi)
+                    if -task.evaluate(x_try) <= -j_val + cfg.armijo_c1 * np.dot(
+                        -grad, x_try - x
+                    ):
+                        x_new = x_try
+                        break
+                    alpha *= cfg.backtrack_factor
         if x_new is None or np.allclose(x_new, x):
             stop_reason = "converged"
             break
@@ -547,7 +498,7 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
         best_J=float(best_j),
         stop_reason=stop_reason,
         grad_norm=grad_norm,
-        wall_time=dict(task.timers.data),
+        wall_time=task.timers.stop(),
     )
 
 

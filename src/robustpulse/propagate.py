@@ -12,6 +12,11 @@ piecewise-constant control step:
 All backends expose exact Hilbert-Schmidt adjoints so co-states can be
 propagated backwards, and the Trotter backend additionally supports an
 exact control-gradient sweep based on two cached intra-step states.
+
+Every step and propagation loop takes one augmented state (N, d, d) or a
+batch of independent states (S, N, d, d) with the same controls; the
+batch shares each step's factors (and, for ``expm``, each step's
+exponential) across its states.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .augment import (
     state_to_vec,
     vec_to_state,
 )
-from .linalg import expm, kron
+from .linalg import expm
 from .model import ControlGrid, OpenSystemModel
 
 __all__ = [
@@ -66,7 +71,8 @@ _RK4_STEP_TARGET = 0.025
 class StepCache:
     """Recorded states at every grid time, plus Trotter intra-step states.
 
-    ``states[k]`` is the (N, d, d) block state at t_k for k = 0..N_T.
+    ``states[k]`` is the block state at t_k for k = 0..N_T, shaped
+    (N, d, d) or, for a batch, (S, N, d, d).
     For the Trotter backend with gradient recording, ``pre_ctl[k]`` and
     ``mid_ctl[k]`` hold the state immediately before the first and the
     second control factor of step k.
@@ -104,9 +110,6 @@ class TrotterPlan:
     u_eff: np.ndarray
     u_eff_dag: np.ndarray
     groups: list
-    collapse_mode: str = "blocks"
-    collapse_super: np.ndarray | None = None  # truncated e^{C dt/2} matrix
-    collapse_super_dag: np.ndarray | None = None
 
     @property
     def n_groups(self) -> int:
@@ -139,7 +142,6 @@ def _group_diagonalizer(ops, rng: np.random.Generator) -> np.ndarray:
 def make_trotter_plan(
     model: OpenSystemModel,
     dt: float,
-    collapse_mode: str = "blocks",
     seed: int = 1234,
 ) -> TrotterPlan:
     """Build the step-independent Trotter factors for ``model`` at ``dt``.
@@ -150,8 +152,6 @@ def make_trotter_plan(
     discovered greedily and diagonalizers come from the eigenbasis of a
     random linear combination.
     """
-    if collapse_mode not in ("blocks", "vectorized"):
-        raise ValueError(f"collapse_mode must be blocks|vectorized, got {collapse_mode!r}")
     d = model.dim
     rng = np.random.default_rng(seed)
 
@@ -197,22 +197,12 @@ def make_trotter_plan(
         h_eff -= 0.5j * gamma * cdc
     u_eff = expm(-1.0j * dt * h_eff)
 
-    plan = TrotterPlan(
+    return TrotterPlan(
         dt=float(dt),
         u_eff=np.ascontiguousarray(u_eff),
         u_eff_dag=np.ascontiguousarray(u_eff.conj().T),
         groups=groups,
-        collapse_mode=collapse_mode,
     )
-    if collapse_mode == "vectorized":
-        k_super = np.zeros((d * d, d * d), dtype=complex)
-        for c, gamma in model.lindblads:
-            k_super += gamma * kron(np.conj(c), c)
-        half = 0.5 * dt
-        m = np.eye(d * d, dtype=complex) + half * k_super + 0.5 * half**2 * (k_super @ k_super)
-        plan.collapse_super = m
-        plan.collapse_super_dag = m.conj().T
-    return plan
 
 
 # ------------------------------------------------------------ factor actions
@@ -248,12 +238,6 @@ def _collapse_half(
     """Truncated half-step collapse channel: 1 + (dt/2) C + (dt/2)^2 C^2 / 2."""
     if model.rates.size == 0:
         return blocks
-    if plan.collapse_mode == "vectorized":
-        m = plan.collapse_super_dag if adjoint else plan.collapse_super
-        n_b, d, _ = blocks.shape
-        flat = blocks.swapaxes(1, 2).reshape(n_b, d * d)
-        out = flat @ m.T
-        return np.ascontiguousarray(out.reshape(n_b, d, d).swapaxes(1, 2))
     half = 0.5 * plan.dt
     if adjoint:
         ops, other = model.collapse_dag_stack, model.collapse_stack
@@ -362,8 +346,10 @@ def step_propagator_expm(
 
 
 def apply_supermatrix(s: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    n_b, d, _ = blocks.shape
-    return vec_to_state(s @ state_to_vec(blocks), n_b, d)
+    """s @ vec(state): one matrix-vector product for a single state, one
+    matrix product for a batch."""
+    n_b, d, _ = blocks.shape[-3:]
+    return vec_to_state((s @ state_to_vec(blocks).T).T, n_b, d)
 
 
 def step_expm(
@@ -615,7 +601,10 @@ def trotter_backward_with_gradient(
     Uses the product rule over the two control factors of every step;
     the forward cache must have been built with ``record_ctl=True``.
     Returns gradient array of shape (n_channels, n_steps) for the
-    objective whose terminal derivative is ``costate_T``.
+    objective whose terminal derivative is ``costate_T``.  For a batch,
+    ``costate_T`` holds one co-state per state and the pairings sum over
+    the batch, so weights folded into the co-states give the weighted
+    gradient in one sweep.
     """
     if fwd.pre_ctl is None or fwd.mid_ctl is None:
         raise ValueError("forward cache lacks intra-step control states")

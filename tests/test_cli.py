@@ -143,6 +143,26 @@ def test_optimize_outputs_are_reproducible(tmp_path, runner):
     assert report["checkpoints"][0]["iteration"] == 0
 
 
+def test_optimize_phases_sum_to_total(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    timings = yaml.safe_load((out / "timings.yaml").read_text())
+    phases = timings["phases_s"]
+    assert set(phases) == {"forward", "backward", "linesearch", "monitor", "other"}
+    # each interval booked once: the phases fill the run without overlap
+    total = timings["total_s"]
+    assert total - 5e-3 <= sum(phases.values()) <= total + 1e-9
+
+
+def test_optimize_has_no_workers_option(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--workers", "2"])
+    assert res.exit_code == 2
+    assert "--workers" in res.output
+
+
 def test_optimize_seed_override_changes_start(tmp_path, runner):
     cfg = _write(tmp_path, "c.yaml", STATE_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,123 +1,135 @@
-"""The compiled kernels and the plain-array fallbacks must agree."""
+"""Each numpy kernel against an explicit per-block Python loop, on random
+complex blocks, for one augmented state (N, d, d) and for a batch of
+states (S, N, d, d)."""
 
 import numpy as np
 import pytest
 
 from robustpulse import kernels
-from robustpulse.model import build_spin_chain
+
+from conftest import random_hermitian
+
+SHAPES = [(5,), (4, 5)]  # one state of 5 blocks, or a batch of 4 such states
+D = 3
 
 
-pytestmark = pytest.mark.skipif(
-    not kernels.HAS_NUMBA, reason="compiled kernels unavailable"
-)
+def _random(rng, *shape):
+    return np.ascontiguousarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@pytest.fixture
-def restore_mode():
-    saved = kernels.kernel_mode()
-    yield
-    kernels.set_kernel_mode(saved)
+def _per_block(fn, *stacks):
+    """fn applied to every d x d block of equally shaped stacks."""
+    lead = stacks[0].shape[:-2]
+    out = np.empty(stacks[0].shape, dtype=complex)
+    for idx in np.ndindex(*lead):
+        out[idx] = fn(*(s[idx] for s in stacks))
+    return out
 
 
-def _random_blocks(rng, n, d):
-    return np.ascontiguousarray(
-        rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    )
+def _collapse_ops(rng, k=3):
+    ops = _random(rng, k, D, D)
+    return ops, np.ascontiguousarray(np.conj(ops.swapaxes(1, 2))), rng.uniform(0.1, 1.0, k)
 
 
-def _both_modes(fn, restore=None):
-    kernels.set_kernel_mode("numpy")
-    a = fn()
-    kernels.set_kernel_mode("numba")
-    b = fn()
-    return a, b
-
-
-def test_mode_flag_roundtrip(restore_mode):
-    kernels.set_kernel_mode("numpy")
+def test_kernel_mode_is_numpy():
     assert kernels.kernel_mode() == "numpy"
-    kernels.set_kernel_mode("numba")
-    assert kernels.kernel_mode() == "numba"
-    with pytest.raises(ValueError):
-        kernels.set_kernel_mode("gpu")
 
 
-def test_conjugate_blocks_agree(restore_mode):
+@pytest.mark.parametrize("lead", SHAPES)
+def test_conjugate_blocks(lead):
     rng = np.random.default_rng(1)
-    blocks = _random_blocks(rng, 5, 4)
-    u = np.ascontiguousarray(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    blocks = _random(rng, *lead, D, D)
+    u = _random(rng, D, D)
     udag = np.ascontiguousarray(u.conj().T)
-    a, b = _both_modes(lambda: kernels.conjugate_blocks(u, udag, blocks))
-    assert np.max(np.abs(a - b)) < 1e-12
-    assert np.max(np.abs(a[2] - u @ blocks[2] @ udag)) < 1e-12
+    got = kernels.conjugate_blocks(u, udag, blocks)
+    want = _per_block(lambda b: u @ b @ udag, blocks)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_routed_commutator_agree(restore_mode):
+@pytest.mark.parametrize("lead", SHAPES)
+def test_routed_commutator_routes_on_block_axis(lead):
     rng = np.random.default_rng(2)
-    blocks = _random_blocks(rng, 6, 3)
-    e = np.ascontiguousarray(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    dst = np.array([0, 2, 4], dtype=np.int64)
-    src = np.array([1, 3, 5], dtype=np.int64)
-    a, b = _both_modes(lambda: kernels.routed_commutator(blocks, e, dst, src, -1.0j))
-    assert np.max(np.abs(a - b)) < 1e-12
-    assert np.max(np.abs(a[0] - (-1j) * (e @ blocks[1] - blocks[1] @ e))) < 1e-12
-    assert np.all(a[1] == 0)
+    blocks = _random(rng, *lead, D, D)
+    e = _random(rng, D, D)
+    dst = np.array([0, 2, 3], dtype=np.int64)
+    src = np.array([1, 4, 0], dtype=np.int64)
+    got = kernels.routed_commutator(blocks, e, dst, src, -1.0j)
+    want = np.zeros_like(blocks)
+    for state in np.ndindex(*lead[:-1]):
+        for k_dst, k_src in zip(dst, src):
+            b = blocks[state][k_src]
+            want[state][k_dst] = -1.0j * (e @ b - b @ e)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.all(got[..., [1, 4], :, :] == 0)
 
 
-def test_collapse_blocks_agree(restore_mode):
-    model = build_spin_chain(2)
+def test_routed_commutator_without_routes_is_zero():
     rng = np.random.default_rng(3)
-    blocks = _random_blocks(rng, 4, 4)
-    a, b = _both_modes(
-        lambda: kernels.collapse_blocks(
-            model.collapse_stack, model.collapse_dag_stack, model.rates, blocks
-        )
-    )
-    assert np.max(np.abs(a - b)) < 1e-12
+    blocks = _random(rng, 2, 3, D, D)
+    empty = np.zeros(0, dtype=np.int64)
+    out = kernels.routed_commutator(blocks, _random(rng, D, D), empty, empty, 1.0j)
+    assert out.shape == blocks.shape and not np.any(out)
 
 
-def test_lindblad_rhs_agree_both_directions(restore_mode):
-    model = build_spin_chain(2)
+@pytest.mark.parametrize("lead", SHAPES)
+def test_collapse_blocks(lead):
     rng = np.random.default_rng(4)
-    blocks = _random_blocks(rng, 3, 4)
-    h = np.ascontiguousarray(model.hamiltonian(rng.standard_normal(4) * 0.1))
-    for adjoint in (False, True):
-        a, b = _both_modes(
-            lambda: kernels.lindblad_rhs_blocks(
-                h,
-                model.collapse_stack,
-                model.collapse_dag_stack,
-                model.collapse_cdc_stack,
-                model.rates,
-                blocks,
-                adjoint=adjoint,
-            )
-        )
-        assert np.max(np.abs(a - b)) < 1e-12, f"adjoint={adjoint}"
+    blocks = _random(rng, *lead, D, D)
+    ops, ops_dag, gammas = _collapse_ops(rng)
+    got = kernels.collapse_blocks(ops, ops_dag, gammas, blocks)
+    want = _per_block(
+        lambda b: sum(g * c @ b @ cd for g, c, cd in zip(gammas, ops, ops_dag)), blocks
+    )
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_pair_trace_agree(restore_mode):
+@pytest.mark.parametrize("lead", SHAPES)
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_lindblad_rhs_blocks(lead, adjoint):
     rng = np.random.default_rng(5)
-    x = _random_blocks(rng, 4, 3)
-    y = _random_blocks(rng, 4, 3)
-    a, b = _both_modes(lambda: kernels.pair_trace(x, y))
-    assert abs(a - b) < 1e-12
-    want = sum(np.trace(x[k].conj().T @ y[k]) for k in range(4))
-    assert abs(a - want) < 1e-12
+    blocks = _random(rng, *lead, D, D)
+    ops, ops_dag, gammas = _collapse_ops(rng)
+    cdc = np.ascontiguousarray(ops_dag @ ops)
+    h = random_hermitian(D, rng)
+
+    def longhand(b):
+        sign = -1.0 if adjoint else 1.0
+        acc = sign * (-1j) * (h @ b - b @ h)
+        for g, c, cd, k in zip(gammas, ops, ops_dag, cdc):
+            jump = cd @ b @ c if adjoint else c @ b @ cd
+            acc = acc + g * (jump - 0.5 * (k @ b + b @ k))
+        return acc
+
+    got = kernels.lindblad_rhs_blocks(h, ops, ops_dag, cdc, gammas, blocks, adjoint=adjoint)
+    assert np.max(np.abs(got - _per_block(longhand, blocks))) < 1e-12
 
 
-def test_control_pairing_agree(restore_mode):
+def test_lindblad_rhs_without_collapse_is_commutator():
     rng = np.random.default_rng(6)
-    o = _random_blocks(rng, 3, 4)
-    s = _random_blocks(rng, 3, 4)
-    hc = np.ascontiguousarray(
-        (lambda m: (m + m.conj().T) / 2)(
-            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        )
-    )
-    a, b = _both_modes(lambda: kernels.control_pairing(o, s, hc))
-    assert abs(a - b) < 1e-12
+    blocks = _random(rng, 2, 3, D, D)
+    h = random_hermitian(D, rng)
+    none = np.zeros((0, D, D), dtype=complex)
+    got = kernels.lindblad_rhs_blocks(h, none, none, none, np.zeros(0), blocks)
+    want = _per_block(lambda b: -1j * (h @ b - b @ h), blocks)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("lead", SHAPES)
+def test_pair_trace(lead):
+    rng = np.random.default_rng(7)
+    a = _random(rng, *lead, D, D)
+    b = _random(rng, *lead, D, D)
+    want = sum(np.trace(a[idx].conj().T @ b[idx]) for idx in np.ndindex(*lead))
+    assert abs(kernels.pair_trace(a, b) - want) < 1e-12
+
+
+@pytest.mark.parametrize("lead", SHAPES)
+def test_control_pairing_sums_over_batch(lead):
+    rng = np.random.default_rng(8)
+    o = _random(rng, *lead, D, D)
+    s = _random(rng, *lead, D, D)
+    hc = random_hermitian(D, rng)
     want = sum(
-        np.trace(o[k].conj().T @ (hc @ s[k] - s[k] @ hc)) for k in range(3)
+        np.trace(o[idx].conj().T @ (hc @ s[idx] - s[idx] @ hc)) for idx in np.ndindex(*lead)
     )
-    assert abs(a - want) < 1e-12
+    assert abs(kernels.control_pairing(o, s, hc) - want) < 1e-12

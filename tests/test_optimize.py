@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import small_grid
+from conftest import random_hermitian, small_grid
+from robustpulse import optimize
 from robustpulse.augment import MultiIndexSet, initial_state
-from robustpulse.model import ControlGrid, build_spin_chain, random_grid
+from robustpulse.model import ControlGrid, OpenSystemModel, build_spin_chain, random_grid
 from robustpulse.objective import (
     RobustStateObjective,
     ground_state,
@@ -14,7 +15,9 @@ from robustpulse.objective import (
 from robustpulse.optimize import (
     LbfgsHistory,
     OptimizerConfig,
+    _GateTask,
     _optimize_loop,
+    _StateTask,
     _Timers,
     grape_gradient,
     lbfgs_bounded_step,
@@ -198,6 +201,76 @@ class TestGradients:
             grape_gradient(model, mset, grid, obj, backend="trotter")
 
 
+def _random_gate_problem(seed=41):
+    """Random 3-level model with m = 2 uncertainties at order n = 2 and no
+    builder grouping hints: of its three controls only the first two
+    commute, so the splitting plan groups them greedily into a pair and a
+    single.  The target is a random unitary."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    h = random_hermitian(d, rng)
+    controls = [h, 0.3 * h @ h, random_hermitian(d, rng)]
+    model = OpenSystemModel(
+        dim=d,
+        drift=0.2 * random_hermitian(d, rng),
+        controls=controls,
+        lindblads=[(rng.standard_normal((d, d)) * 0.3, 0.02), (np.diag([0.0, 1.0, 0.5]), 0.01)],
+        uncertainties=[0.1 * random_hermitian(d, rng) for _ in range(2)],
+    )
+    mset = MultiIndexSet(2, 2)
+    grid = random_grid(3, 6, 0.3, -0.4, 0.4, seed=seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gobj = make_gate_objective(mset, u, lam=0.3, weights=rng.uniform(0.5, 1.5, d + 1))
+    return model, mset, grid, gobj
+
+
+def _single_state_objectives(gobj):
+    """One state objective per input state of the gate objective."""
+    return [
+        RobustStateObjective(target=o.target, lam=o.lam, rho0=rho)
+        for rho, o in zip(gobj.state0s, gobj.per_state)
+    ]
+
+
+class TestBatchedGate:
+    @pytest.mark.parametrize("method,backend", [
+        ("stgrape", "trotter"), ("grape", "expm"), ("grape", "ode"),
+    ])
+    def test_batch_equals_weighted_sum_of_single_states(self, method, backend):
+        model, mset, grid, gobj = _random_gate_problem()
+        plan = make_trotter_plan(model, grid.dt)
+        assert sorted(len(g.channels) for g in plan.groups) == [1, 2]
+
+        def run(obj):
+            if method == "stgrape":
+                return stgrape_gradient(plan, model, mset, grid, obj)
+            return grape_gradient(model, mset, grid, obj, backend=backend)
+
+        j_batch, g_batch = run(gobj)
+        j_sum, g_sum = 0.0, np.zeros_like(g_batch)
+        for w, obj in zip(gobj.weights, _single_state_objectives(gobj)):
+            j, g = run(obj)
+            j_sum += w * j
+            g_sum += w * g
+        assert abs(j_batch - j_sum) < 1e-12
+        assert np.max(np.abs(g_batch - g_sum)) < 1e-12 * max(1.0, np.max(np.abs(g_sum)))
+
+        # the task's evaluations agree with the single-state tasks too
+        cfg = OptimizerConfig()
+        x = grid.amplitudes.ravel()
+        gate = _GateTask(model, mset, grid, gobj, cfg, method, backend)
+        singles = [
+            _StateTask(model, mset, grid, obj, cfg, method, backend)
+            for obj in _single_state_objectives(gobj)
+        ]
+        for name in ("evaluate", "true_objective"):
+            want = sum(w * getattr(t, name)(x) for w, t in zip(gobj.weights, singles))
+            assert abs(getattr(gate, name)(x) - want) < 1e-12, name
+        j_task, g_task = gate.eval_grad(x)
+        assert abs(j_task - j_batch) < 1e-12
+        assert np.max(np.abs(g_task - g_batch.ravel())) < 1e-12 * max(1.0, np.max(np.abs(g_sum)))
+
+
 class TestRunDrivers:
     def test_run_grape_improves_monotonically(self):
         model, mset, grid, obj = _state_problem()
@@ -265,6 +338,39 @@ class TestRunDrivers:
         assert report.backend == "trotter"
         with pytest.raises(ValueError):
             run_gate_synthesis(model, mset, grid, gobj, cfg, method="bfgs")
+
+    @pytest.mark.parametrize("backend", ["expm", "ode"])
+    def test_gate_synthesis_grape_smoke(self, backend):
+        model = build_spin_chain(1)
+        mset = MultiIndexSet(0, 0)
+        grid = small_grid(model, n_steps=6, dt=0.5, seed=9)
+        u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        gobj = make_gate_objective(mset, u)
+        cfg = OptimizerConfig(max_iters=8)
+        report = run_gate_synthesis(
+            model, mset, grid, gobj, cfg, method="grape", backend=backend
+        )
+        assert report.method == "grape" and report.backend == backend
+        assert report.checkpoints == []
+        assert np.all(np.diff(report.iterations) > 0)
+        assert report.best_J == report.iterations[-1] > report.iterations[0]
+        assert report.stop_reason in ("converged", "max_iters")
+        assert report.best_control.shape == grid.amplitudes.shape
+
+
+class TestPhaseTimers:
+    def test_nested_phase_is_booked_once(self, monkeypatch):
+        ticks = iter([0.0, 1.0, 3.0, 6.0, 10.0, 15.0])
+        monkeypatch.setattr(optimize, "perf_counter", lambda: next(ticks))
+        timers = _Timers()  # t = 0
+        with timers.phase("linesearch"):  # 0-1 other
+            with timers.phase("forward"):  # 1-3 linesearch
+                pass  # 3-6 forward
+        # 6-10 linesearch, 10-15 other
+        phases = timers.stop()
+        assert phases == {
+            "forward": 3.0, "backward": 0.0, "linesearch": 6.0, "monitor": 0.0, "other": 6.0,
+        }
 
 
 class _ScriptedTask:

@@ -338,3 +338,34 @@ def test_unknown_backend_rejected(one_qubit):
     s0 = initial_state(MultiIndexSet(1, 0), np.eye(2, dtype=complex) / 2)
     with pytest.raises(ValueError, match="backend"):
         propagate_final("magic", one_qubit, MultiIndexSet(1, 0), grid, s0)
+
+
+def test_batch_axis_matches_single_states(two_qubit):
+    """A leading state axis gives each state's own step, for every backend
+    and direction, and the propagation loops keep it."""
+    mset = MultiIndexSet(2, 1)
+    rng = np.random.default_rng(30)
+    amps = rng.standard_normal(4) * 0.3
+    batch = _random_blocks(rng, 3 * mset.size, 4).reshape(3, mset.size, 4, 4)
+    plan = make_trotter_plan(two_qubit, 0.5)
+    steps = {
+        "trotter": lambda b: step_trotter(plan, two_qubit, mset, b, amps),
+        "trotter adjoint": lambda b: step_trotter_adjoint(plan, two_qubit, mset, b, amps),
+        "expm": lambda b: step_expm(two_qubit, mset, b, amps, 0.5),
+        "expm adjoint": lambda b: step_expm(two_qubit, mset, b, amps, 0.5, adjoint=True),
+        "ode": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, substeps=4),
+        "ode adjoint": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, substeps=4, adjoint=True),
+    }
+    for name, step in steps.items():
+        got = step(batch)
+        want = np.stack([step(b) for b in batch])
+        assert got.shape == batch.shape, name
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+    grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=31)
+    fwd = propagate_forward("trotter", two_qubit, mset, grid, batch, plan=plan, record_ctl=True)
+    assert fwd.states.shape == (4,) + batch.shape
+    assert fwd.pre_ctl.shape == fwd.mid_ctl.shape == (3,) + batch.shape
+    for s in range(3):
+        alone = propagate_final("trotter", two_qubit, mset, grid, batch[s], plan=plan)
+        assert np.max(np.abs(fwd.final[s] - alone)) < 1e-12 * max(1.0, np.max(np.abs(alone)))
