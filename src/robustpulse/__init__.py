@@ -14,7 +14,6 @@ from .augment import (
     MultiIndexSet,
     assemble_supermatrix,
     enumerate_orders,
-    expected_size,
     initial_state,
     quadrature_norm,
 )
@@ -33,7 +32,6 @@ from .objective import (
     GateObjective,
     RobustStateObjective,
     avg_gate_fidelity,
-    avg_J_tilde,
     gate_objective,
     ground_state,
     make_gate_objective,
@@ -78,12 +76,10 @@ __all__ = [
     "TrotterPlan",
     "assemble_supermatrix",
     "attach_uncertainties",
-    "avg_J_tilde",
     "avg_gate_fidelity",
     "build_spin_chain",
     "delta_st",
     "enumerate_orders",
-    "expected_size",
     "gate_objective",
     "grape_gradient",
     "ground_state",

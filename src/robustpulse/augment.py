@@ -19,12 +19,11 @@ matrix) is always the last block.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from . import kernels
-from .linalg import kron, vec
+from .linalg import kron
 from .model import OpenSystemModel
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "enumerate_orders",
     "MultiIndexSet",
     "initial_state",
-    "hs_inner",
     "quadrature_norm",
     "apply_L",
     "apply_L_adjoint",
@@ -50,7 +48,7 @@ DEFAULT_SUPERMATRIX_CAP = 20000
 
 
 class CapExceeded(ValueError):
-    """Supermatrix dimension N*d^2 exceeds the configured cap."""
+    """Supermatrix dimension N*d^2 exceeds DEFAULT_SUPERMATRIX_CAP."""
 
 
 def enumerate_orders(m: int, n: int) -> list:
@@ -107,15 +105,6 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return self.size
 
-    def lower(self, j: int, k: int):
-        """Index of orders[k] - e_j, or None if p_j = 0."""
-        p = self.orders[k]
-        if p[j] == 0:
-            return None
-        q = list(p)
-        q[j] -= 1
-        return self.index[tuple(q)]
-
     def routing(self, j: int):
         """(dst, src) index arrays for uncertainty j."""
         return self._dst[j], self._src[j]
@@ -127,18 +116,9 @@ class MultiIndexSet:
         r[dst, src] = 1.0
         return r
 
-    def count_driven(self, j: int) -> int:
-        """Number of blocks with p_j >= 1 (equals n/(m+n) * N)."""
-        return int(self._dst[j].size)
-
     @property
     def zero_index(self) -> int:
         return self.size - 1
-
-
-def expected_size(m: int, n: int) -> int:
-    """Closed-form block count (m+n)! / (m! n!)."""
-    return math.comb(m + n, n)
 
 
 def initial_state(mset: MultiIndexSet, rho0: np.ndarray) -> np.ndarray:
@@ -151,11 +131,6 @@ def initial_state(mset: MultiIndexSet, rho0: np.ndarray) -> np.ndarray:
     blocks = np.zeros(rho0.shape[:-2] + (mset.size, d, d), dtype=complex)
     blocks[..., mset.zero_index, :, :] = rho0
     return blocks
-
-
-def hs_inner(a_blocks: np.ndarray, b_blocks: np.ndarray) -> complex:
-    """Block-summed Hilbert-Schmidt inner product sum_k tr(a_k^dag b_k)."""
-    return kernels.pair_trace(a_blocks, b_blocks)
 
 
 def quadrature_norm(blocks: np.ndarray) -> float:
@@ -246,12 +221,11 @@ def assemble_supermatrix(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     amplitudes: np.ndarray,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
 ) -> np.ndarray:
     """Full augmented generator as a dense (N d^2) x (N d^2) matrix.
 
-    Raises :class:`CapExceeded` when N*d^2 > cap, signalling callers to
-    switch to the block backends.
+    Raises :class:`CapExceeded` when N*d^2 > DEFAULT_SUPERMATRIX_CAP,
+    signalling callers to switch to the block backends.
     """
     if mset.m not in (0, model.n_uncertainties):
         raise ValueError(
@@ -259,8 +233,10 @@ def assemble_supermatrix(
         )
     d = model.dim
     dim = mset.size * d * d
-    if dim > cap:
-        raise CapExceeded(f"supermatrix dimension {dim} exceeds cap {cap}")
+    if dim > DEFAULT_SUPERMATRIX_CAP:
+        raise CapExceeded(
+            f"supermatrix dimension {dim} exceeds cap {DEFAULT_SUPERMATRIX_CAP}"
+        )
     big = kron(np.eye(mset.size), mat_lindblad(model.hamiltonian(amplitudes), model.lindblads))
     for j in range(mset.m):
         big += kron(mset.routing_matrix(j), mat_commutator(model.uncertainties[j]))

@@ -86,19 +86,22 @@ def _read_pulse_csv(path: Path, template: ControlGrid) -> ControlGrid:
             "<pulse>",
             f"{path} has {n_channels} channels, model needs {template.n_channels}",
         )
-    body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    try:
+        body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise ConfigError("<pulse>", f"{path} has a malformed row ({exc})")
     if body.shape[0] < 1:
         raise ConfigError("<pulse>", f"{path} has no pulse rows")
-    t = body[:, 0]
-    if body.shape[0] > 1:
-        steps = np.diff(t)
-        if np.max(np.abs(steps - steps[0])) > 1e-9:
-            raise ConfigError("<pulse>", f"{path} has a non-uniform time grid")
-        dt = float(steps[0])
-    else:
-        dt = template.dt
+    bad = np.flatnonzero(~np.all(np.isfinite(body), axis=1))
+    if bad.size:
+        raise ConfigError("<pulse>", f"{path} has a non-finite value in pulse row {bad[0] + 1}")
+    steps = np.diff(body[:, 0])
+    if steps.size and np.max(np.abs(steps - template.dt)) > 1e-9:
+        raise ConfigError(
+            "<pulse>", f"{path} time steps must all equal control.dt_ns = {template.dt:g}"
+        )
     amps = mhz_to_radns(body[:, 1:].T)
-    return ControlGrid(dt, amps, template.lo, template.hi)
+    return ControlGrid(template.dt, amps, template.lo, template.hi)
 
 
 def _out_dir(cfg: RunConfig, out: str | None) -> Path:
@@ -131,8 +134,6 @@ _config_opt = click.option(
 )
 _out_opt = click.option("--out", default=None, help="Output directory (default from config).")
 _seed_opt = click.option("--seed", default=None, type=int, help="Override the run seed.")
-_workers_opt = click.option("--workers", default=1, type=int, show_default=True,
-                            help="Thread count for independent noise samples.")
 
 
 @click.group()
@@ -168,13 +169,11 @@ def simulate(config_path, out, seed):
     objective_by_backend: dict = {}
     trace_defect: dict = {}
     timings: dict = {}
+    batch0 = initial_state(mset, np.stack(state0s))
     for backend in BACKENDS:
         t0 = time.perf_counter()
         try:
-            finals = [
-                propagate_final(backend, model, mset, grid, initial_state(mset, r), plan=plan)
-                for r in state0s
-            ]
+            finals = propagate_final(backend, model, mset, grid, batch0, plan=plan)
         except CapExceeded:
             objective_by_backend[backend] = None
             trace_defect[backend] = None
@@ -189,7 +188,7 @@ def simulate(config_path, out, seed):
         )
 
     try:
-        dev = delta_st(model, mset, grid, initial_state(mset, state0s[0]), plan=plan)
+        dev = delta_st(model, mset, grid, batch0[0], plan=plan)
     except CapExceeded:
         dev = None
 
@@ -277,12 +276,14 @@ def optimize(config_path, out, seed, verbose):
 @_config_opt
 @_out_opt
 @_seed_opt
-@_workers_opt
 @click.option("--pulse", "pulse_path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="Pulse CSV to evaluate (default: the seeded initial control).")
 @_guard
-def sweep(config_path, out, seed, workers, pulse_path):
-    """Sample uncertainty strengths and tabulate gate fidelities."""
+def sweep(config_path, out, seed, pulse_path):
+    """Sample uncertainty strengths and tabulate gate fidelities.
+
+    Writes sweep.csv, sweep_<output.report> and sweep_<output.timings>, so
+    an optimize run's report in the same directory is kept."""
     cfg = load_config(config_path)
     if cfg.task.kind != "gate":
         raise ConfigError("task.kind", "sweep needs a gate task")
@@ -293,7 +294,7 @@ def sweep(config_path, out, seed, workers, pulse_path):
     dist = build_noise_distribution(cfg, model, seed=seed)
 
     t0 = time.perf_counter()
-    result = noise_sweep(model, grid, u_target, dist, cfg.robustness.sample_count, workers=workers)
+    result = noise_sweep(model, grid, u_target, dist, cfg.robustness.sample_count)
     elapsed = time.perf_counter() - t0
 
     out_path = _out_dir(cfg, out)
@@ -326,8 +327,8 @@ def sweep(config_path, out, seed, workers, pulse_path):
         "config": resolved_dict(cfg),
         "seed": seed if seed is not None else cfg.robustness.sweep_seed,
     }
-    _write_yaml(out_path / cfg.output.report, report)
-    _write_yaml(out_path / cfg.output.timings, {"sweep_s": elapsed})
+    _write_yaml(out_path / f"sweep_{cfg.output.report}", report)
+    _write_yaml(out_path / f"sweep_{cfg.output.timings}", {"sweep_s": elapsed})
     click.echo(
         f"swept {result.eps.shape[0]} samples: mean gate error {result.mean_error:.6g}; "
         f"table written to {sweep_csv}"

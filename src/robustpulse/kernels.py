@@ -18,7 +18,6 @@ __all__ = [
     "routed_commutator",
     "collapse_blocks",
     "lindblad_rhs_blocks",
-    "pair_trace",
     "control_pairing",
 ]
 
@@ -95,12 +94,6 @@ def lindblad_rhs_blocks(
             jump - 0.5 * (np.matmul(cdc[i], blocks) + np.matmul(blocks, cdc[i]))
         )
     return out
-
-
-def pair_trace(a_blocks: np.ndarray, b_blocks: np.ndarray) -> complex:
-    """Hilbert-Schmidt pairing sum_k tr(a_k^dag b_k), over every block of
-    every state."""
-    return complex(np.vdot(a_blocks, b_blocks))
 
 
 def control_pairing(

@@ -14,10 +14,7 @@ __all__ = [
     "kron",
     "kron_all",
     "vec",
-    "unvec",
     "dagger",
-    "frobenius_norm",
-    "trace_inner",
     "expm",
     "is_hermitian",
 ]
@@ -47,28 +44,9 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(a.shape[0] * a.shape[1], order="F")
 
 
-def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for a square matrix."""
-    v = np.asarray(v)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector of size {v.size} is not a vectorised square matrix")
-    return v.reshape(d, d, order="F")
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(a)).T
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.sum(np.conj(a) * b))
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:

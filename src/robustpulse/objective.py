@@ -3,9 +3,8 @@
 The primary figure of merit is the target overlap of the physical
 (zero-order) block minus a weighted quadratic penalty on the Taylor
 coefficient blocks; driving those blocks to zero flattens the response
-to the uncertain parameters.  A second-order average-fidelity surrogate
-and the gate-synthesis machinery (state sets, weighted multi-state
-objective, average gate fidelity) live here too.
+to the uncertain parameters.  The gate-synthesis machinery (state sets,
+weighted multi-state objective, average gate fidelity) lives here too.
 """
 
 from __future__ import annotations
@@ -22,13 +21,10 @@ __all__ = [
     "RobustStateObjective",
     "robust_J",
     "costate_J",
-    "avg_J_tilde",
-    "costate_J_tilde",
     "gate_basis_states",
     "GateObjective",
     "make_gate_objective",
     "gate_objective",
-    "gate_costates",
     "process_fidelity",
     "avg_gate_fidelity",
     "ground_state",
@@ -108,49 +104,6 @@ def costate_J(state_T: np.ndarray, obj: RobustStateObjective) -> np.ndarray:
     respect to each block under the Hilbert-Schmidt pairing."""
     out = -obj.lam[:, None, None] * state_T
     out[-1] = obj.target
-    return out
-
-
-def avg_J_tilde(
-    state_T: np.ndarray,
-    target: np.ndarray,
-    sigmas: np.ndarray,
-    mset: MultiIndexSet,
-) -> float:
-    """Second-order surrogate of the noise-averaged fidelity.
-
-    <F> over independent zero-mean strengths with std sigma_j equals
-    tr(targ rho_0) + sum_j sigma_j^2 tr(targ rho_{2 e_j}) up to O(sigma^4)
-    for symmetric laws.  Needs n >= 2 so the diagonal second-order blocks
-    exist.
-    """
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if mset.n < 2:
-        raise ValueError("second-order surrogate needs truncation order n >= 2")
-    if sigmas.size != mset.m:
-        raise ValueError("need one sigma per uncertainty")
-    total = float(np.real(np.sum(state_T[-1].T * target)))
-    for j in range(mset.m):
-        p = tuple(2 if i == j else 0 for i in range(mset.m))
-        total += sigmas[j] ** 2 * float(np.real(np.sum(state_T[mset.index[p]].T * target)))
-    return total
-
-
-def costate_J_tilde(
-    mset: MultiIndexSet, target: np.ndarray, sigmas: np.ndarray
-) -> np.ndarray:
-    """Terminal co-state of :func:`avg_J_tilde`."""
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if mset.n < 2:
-        raise ValueError("second-order surrogate needs truncation order n >= 2")
-    if sigmas.size != mset.m:
-        raise ValueError("need one sigma per uncertainty")
-    d = target.shape[0]
-    out = np.zeros((mset.size, d, d), dtype=complex)
-    out[mset.zero_index] = target
-    for j in range(mset.m):
-        p = tuple(2 if i == j else 0 for i in range(mset.m))
-        out[mset.index[p]] = sigmas[j] ** 2 * target
     return out
 
 
@@ -237,14 +190,6 @@ def gate_objective(states_T: list, gobj: GateObjective) -> float:
     return float(
         sum(w * robust_J(s, o) for w, s, o in zip(gobj.weights, states_T, gobj.per_state))
     )
-
-
-def gate_costates(states_T: list, gobj: GateObjective) -> list:
-    """Per-state terminal co-states, each scaled by its weight."""
-    return [
-        w * costate_J(s, o)
-        for w, s, o in zip(gobj.weights, states_T, gobj.per_state)
-    ]
 
 
 def process_fidelity(channel_super: np.ndarray, u_target: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .augment import DEFAULT_SUPERMATRIX_CAP, CapExceeded, MultiIndexSet, initial_state
+from .augment import CapExceeded, MultiIndexSet, initial_state
 from .model import ControlGrid, OpenSystemModel
 from .objective import (
     GateObjective,
@@ -62,6 +62,14 @@ __all__ = [
     "run_gate_synthesis",
 ]
 
+# Armijo line search: sufficient-decrease constant, backtracking factor,
+# backtrack budget, and the projected-gradient fallback's first step
+# (as a fraction of the largest gradient entry's inverse).
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 25
+_FALLBACK_STEP = 0.05
+
 
 @dataclass
 class OptimizerConfig:
@@ -69,13 +77,7 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     lbfgs_memory: int = 10
     monitor_interval: int = 50
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
-    fallback_step: float = 0.05
     ceiling_tol: float | None = 1e-9
-    cap: int = DEFAULT_SUPERMATRIX_CAP
-    ode_substeps: int | None = None
     verbose: bool = False
 
 
@@ -144,20 +146,18 @@ def lbfgs_bounded_step(
     hi: np.ndarray,
     f=None,
     f0: float | None = None,
-    c1: float = 1e-4,
-    factor: float = 0.5,
-    max_backtracks: int = 25,
 ):
     """One projected quasi-Newton step for minimising f.
 
     Backtracks along the projected path x(a) = clip(x + a*d) until the
-    Armijo condition f(x(a)) <= f0 + c1 * grad.(x(a) - x) holds.  With
-    ``f=None`` the full projected step is returned untested.  Returns
-    (new_x, f_new) or (None, None) when no tested step decreases f.
+    Armijo condition f(x(a)) <= f0 + c1 * grad.(x(a) - x) holds, with
+    c1 = ``_ARMIJO_C1``.  With ``f=None`` the full projected step is
+    returned untested.  Returns (new_x, f_new) or (None, None) when no
+    tested step decreases f.
     """
     d = history.direction(grad)
     alpha = 1.0
-    for _ in range(max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         x_new = np.clip(current + alpha * d, lo, hi)
         step = x_new - current
         if f is None:
@@ -165,9 +165,9 @@ def lbfgs_bounded_step(
         pred = float(np.dot(grad, step))
         if pred < 0.0:
             f_new = f(x_new)
-            if f_new <= f0 + c1 * pred:
+            if f_new <= f0 + _ARMIJO_C1 * pred:
                 return x_new, f_new
-        alpha *= factor
+        alpha *= _BACKTRACK_FACTOR
     return None, None
 
 
@@ -264,8 +264,6 @@ def grape_gradient(
     grid: ControlGrid,
     obj: RobustStateObjective | GateObjective,
     backend: str = "expm",
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
-    substeps: int | None = None,
     timers: _Timers | None = None,
 ):
     """First-order objective gradient under an exact backend.
@@ -285,7 +283,7 @@ def grape_gradient(
         if backend == "expm":
             # one exponential per step, shared by the forward and adjoint sweeps
             props = [
-                step_propagator_expm(model, mset, grid.amplitudes[:, k], grid.dt, cap=cap)
+                step_propagator_expm(model, mset, grid.amplitudes[:, k], grid.dt)
                 for k in range(n_t)
             ]
             fwd = np.empty((n_t + 1,) + state0.shape, dtype=complex)
@@ -293,9 +291,7 @@ def grape_gradient(
             for k in range(n_t):
                 fwd[k + 1] = apply_supermatrix(props[k], fwd[k])
         else:
-            fwd = propagate_forward(
-                backend, model, mset, grid, state0, cap=cap, substeps=substeps
-            ).states
+            fwd = propagate_forward(backend, model, mset, grid, state0).states
         j_val = _value(fwd[-1], obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd[-1], obj)
@@ -305,9 +301,7 @@ def grape_gradient(
             for k in range(n_t - 1, -1, -1):
                 bwd[k] = apply_supermatrix(props[k].conj().T, bwd[k + 1])
         else:
-            bwd = propagate_backward(
-                backend, model, mset, grid, costate_T, cap=cap, substeps=substeps
-            ).states
+            bwd = propagate_backward(backend, model, mset, grid, costate_T).states
         grad = _pair_gradient(model, grid, fwd, bwd)
     return j_val, grad
 
@@ -351,10 +345,10 @@ class _GateTask:
     objective) is propagated in one batched pass.
     """
 
-    def __init__(self, model, mset, grid0, obj, cfg, method, backend):
+    def __init__(self, model, mset, grid0, obj, method, backend):
         self.timers = _Timers()
         self.model, self.mset, self.grid0 = model, mset, grid0
-        self.obj, self.cfg = obj, cfg
+        self.obj = obj
         self.method, self.backend = method, backend
         self.plan = (
             make_trotter_plan(model, grid0.dt) if method == "stgrape" else None
@@ -366,8 +360,7 @@ class _GateTask:
 
     def _final(self, grid, backend):
         return propagate_final(
-            backend, self.model, self.mset, grid, self.state0,
-            plan=self.plan, substeps=self.cfg.ode_substeps, cap=self.cfg.cap,
+            backend, self.model, self.mset, grid, self.state0, plan=self.plan
         )
 
     def evaluate(self, x) -> float:
@@ -384,7 +377,7 @@ class _GateTask:
         else:
             j_val, grad = grape_gradient(
                 self.model, self.mset, grid, self.obj, backend=self.backend,
-                cap=self.cfg.cap, substeps=self.cfg.ode_substeps, timers=self.timers,
+                timers=self.timers,
             )
         return j_val, grad.ravel()
 
@@ -447,22 +440,18 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
         it += 1
         f = lambda xn: -task.evaluate(xn)
         with task.timers.phase("linesearch"):
-            x_new, _ = lbfgs_bounded_step(
-                history, -grad, x, lo, hi, f=f, f0=-j_val,
-                c1=cfg.armijo_c1, factor=cfg.backtrack_factor,
-                max_backtracks=cfg.max_backtracks,
-            )
+            x_new, _ = lbfgs_bounded_step(history, -grad, x, lo, hi, f=f, f0=-j_val)
             if x_new is None:
                 # quasi-Newton step failed the line search: projected gradient
-                alpha = cfg.fallback_step / max(np.max(np.abs(grad)), 1e-30)
-                for _ in range(cfg.max_backtracks):
+                alpha = _FALLBACK_STEP / max(np.max(np.abs(grad)), 1e-30)
+                for _ in range(_MAX_BACKTRACKS):
                     x_try = np.clip(x + alpha * grad, lo, hi)
-                    if -task.evaluate(x_try) <= -j_val + cfg.armijo_c1 * np.dot(
+                    if -task.evaluate(x_try) <= -j_val + _ARMIJO_C1 * np.dot(
                         -grad, x_try - x
                     ):
                         x_new = x_try
                         break
-                    alpha *= cfg.backtrack_factor
+                    alpha *= _BACKTRACK_FACTOR
         if x_new is None or np.allclose(x_new, x):
             stop_reason = "converged"
             break
@@ -512,7 +501,7 @@ def run_grape(
 ) -> OptimizationReport:
     """First-order-gradient optimisation under an exact backend."""
     cfg = cfg or OptimizerConfig()
-    task = _StateTask(model, mset, grid0, obj, cfg, "grape", backend)
+    task = _StateTask(model, mset, grid0, obj, "grape", backend)
     report = _optimize_loop(task, grid0, cfg, use_monitor=False)
     report.method, report.backend = "grape", backend
     return report
@@ -528,7 +517,7 @@ def run_stgrape(
     """Exact-gradient optimisation of the splitting objective with a
     true-objective monitor every ``monitor_interval`` iterations."""
     cfg = cfg or OptimizerConfig()
-    task = _StateTask(model, mset, grid0, obj, cfg, "stgrape", "trotter")
+    task = _StateTask(model, mset, grid0, obj, "stgrape", "trotter")
     report = _optimize_loop(task, grid0, cfg, use_monitor=True)
     report.method, report.backend = "stgrape", "trotter"
     return report
@@ -547,7 +536,7 @@ def run_gate_synthesis(
     if method not in ("grape", "stgrape"):
         raise ValueError("method must be grape|stgrape")
     cfg = cfg or OptimizerConfig()
-    task = _GateTask(model, mset, grid0, gobj, cfg, method, backend)
+    task = _GateTask(model, mset, grid0, gobj, method, backend)
     report = _optimize_loop(task, grid0, cfg, use_monitor=(method == "stgrape"))
     report.method = method
     report.backend = "trotter" if method == "stgrape" else backend

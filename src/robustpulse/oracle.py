@@ -10,7 +10,6 @@ in the production assembly cannot hide in its own verification.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,21 +209,13 @@ def noise_sweep(
     u_target: np.ndarray,
     dist: NoiseDistribution,
     count: int,
-    workers: int = 1,
 ) -> NoiseSweepResult:
     """Average-gate-fidelity statistics of a control under sampled
     uncertainty strengths; one exact channel construction per sample."""
     if dist.sigmas.size != model.n_uncertainties:
         raise ValueError("distribution dimension must match the uncertainty count")
     eps = dist.sample(count)
-
-    def one(i):
-        s = noisy_channel_super(model, grid, eps[i])
-        return avg_gate_fidelity(s, u_target)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fids = np.array(list(pool.map(one, range(count))))
-    else:
-        fids = np.array([one(i) for i in range(count)])
+    fids = np.array([
+        avg_gate_fidelity(noisy_channel_super(model, grid, e), u_target) for e in eps
+    ])
     return NoiseSweepResult(eps=eps, fidelities=fids)

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import kernels
 from .augment import (
-    DEFAULT_SUPERMATRIX_CAP,
     MultiIndexSet,
     apply_Ej,
     apply_Ej_adjoint,
@@ -310,24 +309,67 @@ def step_trotter_adjoint(
     mset: MultiIndexSet,
     blocks: np.ndarray,
     amplitudes: np.ndarray,
+    pre: np.ndarray | None = None,
+    mid: np.ndarray | None = None,
+    grad_col: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same amplitudes)."""
+    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same amplitudes).
+
+    With ``grad_col`` given, the step's exact control gradient is added
+    into it, from the states ``pre`` and ``mid`` that
+    :func:`step_trotter` recorded on the forward pass.
+    """
     half = 0.5 * plan.dt
     us = _ctl_unitaries(plan, amplitudes)
+    asc = list(range(plan.n_groups))
     for j in range(mset.m):
         blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     blocks = _collapse_half(plan, model, blocks, adjoint=True)
-    # adjoint of the second (descending) control factor: ascending daggers
-    for u, udag in us:
-        blocks = kernels.conjugate_blocks(udag, u, blocks)
+    blocks = _ctl_factor_gradient(plan, model, blocks, us, asc[::-1], mid, grad_col)
     blocks = kernels.conjugate_blocks(plan.u_eff_dag, plan.u_eff, blocks)
-    # adjoint of the first (ascending) control factor: descending daggers
-    for u, udag in reversed(us):
-        blocks = kernels.conjugate_blocks(udag, u, blocks)
+    blocks = _ctl_factor_gradient(plan, model, blocks, us, asc, pre, grad_col)
     blocks = _collapse_half(plan, model, blocks, adjoint=True)
     for j in reversed(range(mset.m)):
         blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     return blocks
+
+
+def _ctl_factor_gradient(
+    plan: TrotterPlan,
+    model: OpenSystemModel,
+    costate: np.ndarray,
+    us: list,
+    order: list,
+    state_before: np.ndarray | None = None,
+    grad_col: np.ndarray | None = None,
+) -> np.ndarray:
+    """Adjoint of one control factor, optionally with its exact gradient.
+
+    ``order`` lists group indices in application order; the co-state is
+    pulled back through the group unitaries in reverse.  With
+    ``grad_col`` given, the cached pre-factor state is also walked forward
+    through the groups and each channel's commutator is paired with the
+    co-state at its insertion point.  Returns the pulled-back co-state.
+    """
+    half = 0.5 * plan.dt
+    inter = []
+    if grad_col is not None:
+        t = state_before
+        for q in order:
+            u, udag = us[q]
+            t = kernels.conjugate_blocks(u, udag, t)
+            inter.append(t)
+    chi = costate
+    for pos in range(len(order) - 1, -1, -1):
+        q = order[pos]
+        if grad_col is not None:
+            for c in plan.groups[q].channels:
+                grad_col[c] += half * kernels.control_pairing(
+                    chi, inter[pos], model.controls[c]
+                ).imag
+        u, udag = us[q]
+        chi = kernels.conjugate_blocks(udag, u, chi)
+    return chi
 
 
 # ------------------------------------------------------------- expm backend
@@ -338,10 +380,9 @@ def step_propagator_expm(
     mset: MultiIndexSet,
     amplitudes: np.ndarray,
     dt: float,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
 ) -> np.ndarray:
     """Dense one-step propagator exp(dt * augmented generator)."""
-    gen = assemble_supermatrix(model, mset, amplitudes, cap=cap)
+    gen = assemble_supermatrix(model, mset, amplitudes)
     return expm(dt * gen)
 
 
@@ -358,11 +399,10 @@ def step_expm(
     blocks: np.ndarray,
     amplitudes: np.ndarray,
     dt: float,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
     adjoint: bool = False,
 ) -> np.ndarray:
     """One exact step via the supermatrix exponential."""
-    s = step_propagator_expm(model, mset, amplitudes, dt, cap=cap)
+    s = step_propagator_expm(model, mset, amplitudes, dt)
     if adjoint:
         s = s.conj().T
     return apply_supermatrix(s, blocks)
@@ -431,28 +471,33 @@ def step_ode(
 # ------------------------------------------------------------- driver loops
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def _step_forward(
+def _stepper(
     backend: str,
     model: OpenSystemModel,
     mset: MultiIndexSet,
-    blocks: np.ndarray,
-    amplitudes: np.ndarray,
     dt: float,
     plan: TrotterPlan | None,
-    substeps: int | None,
-    cap: int,
-    record: dict | None = None,
-) -> np.ndarray:
+):
+    """The backend's one-step map ``step(blocks, amplitudes, adjoint=False,
+    record=None)``; ``record`` is filled by the Trotter forward step only.
+    A Trotter plan is built when none is given."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if backend == "expm":
-        return step_expm(model, mset, blocks, amplitudes, dt, cap=cap)
-    if backend == "ode":
-        return step_ode(model, mset, blocks, amplitudes, dt, substeps=substeps)
-    return step_trotter(plan, model, mset, blocks, amplitudes, record=record)
+        def step(blocks, amplitudes, adjoint=False, record=None):
+            return step_expm(model, mset, blocks, amplitudes, dt, adjoint=adjoint)
+    elif backend == "ode":
+        def step(blocks, amplitudes, adjoint=False, record=None):
+            return step_ode(model, mset, blocks, amplitudes, dt, adjoint=adjoint)
+    else:
+        if plan is None:
+            plan = make_trotter_plan(model, dt)
+
+        def step(blocks, amplitudes, adjoint=False, record=None):
+            if adjoint:
+                return step_trotter_adjoint(plan, model, mset, blocks, amplitudes)
+            return step_trotter(plan, model, mset, blocks, amplitudes, record=record)
+    return step
 
 
 def propagate_forward(
@@ -462,17 +507,13 @@ def propagate_forward(
     grid: ControlGrid,
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
-    substeps: int | None = None,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
     record_ctl: bool = False,
 ) -> StepCache:
     """Propagate an augmented state over the whole grid, caching every
     intermediate state (and, for the Trotter backend with
     ``record_ctl=True``, the two intra-step states used by the exact
     control gradient)."""
-    _check_backend(backend)
-    if backend == "trotter" and plan is None:
-        plan = make_trotter_plan(model, grid.dt)
+    step = _stepper(backend, model, mset, grid.dt, plan)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + state0.shape, dtype=complex)
     states[0] = state0
@@ -483,10 +524,7 @@ def propagate_forward(
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(n_t):
         rec: dict | None = {} if pre is not None else None
-        blocks = _step_forward(
-            backend, model, mset, blocks, grid.amplitudes[:, k], grid.dt,
-            plan, substeps, cap, record=rec,
-        )
+        blocks = step(blocks, grid.amplitudes[:, k], record=rec)
         states[k + 1] = blocks
         if rec is not None:
             pre[k] = rec["pre"]
@@ -501,19 +539,12 @@ def propagate_final(
     grid: ControlGrid,
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
-    substeps: int | None = None,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
 ) -> np.ndarray:
     """Final augmented state only; no caching (line-search fast path)."""
-    _check_backend(backend)
-    if backend == "trotter" and plan is None:
-        plan = make_trotter_plan(model, grid.dt)
+    step = _stepper(backend, model, mset, grid.dt, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):
-        blocks = _step_forward(
-            backend, model, mset, blocks, grid.amplitudes[:, k], grid.dt,
-            plan, substeps, cap,
-        )
+        blocks = step(blocks, grid.amplitudes[:, k])
     return blocks
 
 
@@ -524,8 +555,6 @@ def propagate_backward(
     grid: ControlGrid,
     costate_T: np.ndarray,
     plan: TrotterPlan | None = None,
-    substeps: int | None = None,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
 ) -> StepCache:
     """Pull a terminal co-state back through the adjoint steps.
 
@@ -534,58 +563,15 @@ def propagate_backward(
     backends and exactly matches the Trotter map's true adjoint for the
     trotter backend.
     """
-    _check_backend(backend)
-    if backend == "trotter" and plan is None:
-        plan = make_trotter_plan(model, grid.dt)
+    step = _stepper(backend, model, mset, grid.dt, plan)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + costate_T.shape, dtype=complex)
     states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(n_t - 1, -1, -1):
-        amps = grid.amplitudes[:, k]
-        if backend == "expm":
-            blocks = step_expm(model, mset, blocks, amps, grid.dt, cap=cap, adjoint=True)
-        elif backend == "ode":
-            blocks = step_ode(model, mset, blocks, amps, grid.dt, substeps=substeps, adjoint=True)
-        else:
-            blocks = step_trotter_adjoint(plan, model, mset, blocks, amps)
+        blocks = step(blocks, grid.amplitudes[:, k], adjoint=True)
         states[k] = blocks
     return StepCache(states=states)
-
-
-def _ctl_factor_gradient(
-    plan: TrotterPlan,
-    model: OpenSystemModel,
-    costate: np.ndarray,
-    state_before: np.ndarray,
-    us: list,
-    order: list,
-    grad_col: np.ndarray,
-) -> np.ndarray:
-    """Exact gradient contributions of one control factor.
-
-    ``order`` lists group indices in application order.  Walks the cached
-    pre-factor state forward through the group unitaries and the co-state
-    backward, pairing each channel's commutator at its insertion point.
-    Returns the co-state pulled back through the whole factor.
-    """
-    half = 0.5 * plan.dt
-    t = state_before
-    inter = []
-    for q in order:
-        u, udag = us[q]
-        t = kernels.conjugate_blocks(u, udag, t)
-        inter.append(t)
-    chi = costate
-    for pos in range(len(order) - 1, -1, -1):
-        q = order[pos]
-        for c in plan.groups[q].channels:
-            grad_col[c] += half * kernels.control_pairing(
-                chi, inter[pos], model.controls[c]
-            ).imag
-        u, udag = us[q]
-        chi = kernels.conjugate_blocks(udag, u, chi)
-    return chi
 
 
 def trotter_backward_with_gradient(
@@ -608,30 +594,13 @@ def trotter_backward_with_gradient(
     """
     if fwd.pre_ctl is None or fwd.mid_ctl is None:
         raise ValueError("forward cache lacks intra-step control states")
-    n_t = grid.n_steps
-    n_c = grid.n_channels
-    grad = np.zeros((n_c, n_t))
-    half = 0.5 * plan.dt
+    grad = np.zeros((grid.n_channels, grid.n_steps))
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
-    asc = list(range(plan.n_groups))
-    for k in range(n_t - 1, -1, -1):
-        amps = grid.amplitudes[:, k]
-        us = _ctl_unitaries(plan, amps)
-        for j in range(mset.m):
-            blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
-        blocks = _collapse_half(plan, model, blocks, adjoint=True)
-        # second (descending) control factor
-        blocks = _ctl_factor_gradient(
-            plan, model, blocks, fwd.mid_ctl[k], us, asc[::-1], grad[:, k]
+    for k in range(grid.n_steps - 1, -1, -1):
+        blocks = step_trotter_adjoint(
+            plan, model, mset, blocks, grid.amplitudes[:, k],
+            pre=fwd.pre_ctl[k], mid=fwd.mid_ctl[k], grad_col=grad[:, k],
         )
-        blocks = kernels.conjugate_blocks(plan.u_eff_dag, plan.u_eff, blocks)
-        # first (ascending) control factor
-        blocks = _ctl_factor_gradient(
-            plan, model, blocks, fwd.pre_ctl[k], us, asc, grad[:, k]
-        )
-        blocks = _collapse_half(plan, model, blocks, adjoint=True)
-        for j in reversed(range(mset.m)):
-            blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     return grad
 
 
@@ -641,11 +610,10 @@ def delta_st(
     grid: ControlGrid,
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
-    cap: int = DEFAULT_SUPERMATRIX_CAP,
 ) -> float:
     """Relative terminal deviation of the Trotter backend from the exact
     supermatrix propagation, in the stacked Frobenius norm."""
-    exact = propagate_final("expm", model, mset, grid, state0, cap=cap)
+    exact = propagate_final("expm", model, mset, grid, state0)
     approx = propagate_final("trotter", model, mset, grid, state0, plan=plan)
     ref = quadrature_norm(exact)
     if ref == 0.0:

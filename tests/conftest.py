@@ -16,6 +16,13 @@ def two_qubit():
     return attach_uncertainties(build_spin_chain(2), "edges")
 
 
+@pytest.fixture
+def over_cap_chain():
+    """Six-qubit chain at order 2: N d^2 = 6 * 64^2 = 24576 exceeds the
+    fixed supermatrix cap of 20000."""
+    return attach_uncertainties(build_spin_chain(6), "edges")
+
+
 def small_grid(model, n_steps=8, dt=0.5, seed=3, max_amp=0.3):
     return random_grid(len(model.controls), n_steps, dt, -max_amp, max_amp, seed=seed)
 

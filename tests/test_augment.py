@@ -12,8 +12,6 @@ from robustpulse.augment import (
     apply_L_adjoint,
     assemble_supermatrix,
     enumerate_orders,
-    expected_size,
-    hs_inner,
     initial_state,
     mat_commutator,
     mat_lindblad,
@@ -48,7 +46,7 @@ def test_block_count_formula():
     for m in range(7):
         for n in range(5):
             mset = MultiIndexSet(m, n)
-            assert mset.size == expected_size(m, n) == math.comb(m + n, n)
+            assert mset.size == math.comb(m + n, n)
             assert mset.orders[mset.zero_index] == tuple([0] * m)
 
 
@@ -80,15 +78,19 @@ def test_driven_block_count():
         for n in range(5):
             mset = MultiIndexSet(m, n)
             for j in range(m):
-                assert mset.count_driven(j) * (m + n) == n * mset.size
+                dst, src = mset.routing(j)
+                assert dst.size == src.size
+                assert dst.size * (m + n) == n * mset.size
 
 
 def test_lower_index_lookup():
+    """Routing for E_j maps each block with p_j >= 1 to the block p - e_j."""
     mset = MultiIndexSet(2, 2)
+    lower = [dict(zip(*mset.routing(j))) for j in range(2)]
     k = mset.index[(1, 1)]
-    assert mset.orders[mset.lower(0, k)] == (0, 1)
-    assert mset.orders[mset.lower(1, k)] == (1, 0)
-    assert mset.lower(0, mset.index[(0, 2)]) is None
+    assert mset.orders[lower[0][k]] == (0, 1)
+    assert mset.orders[lower[1][k]] == (1, 0)
+    assert mset.index[(0, 2)] not in lower[0]
 
 
 def test_initial_state_layout():
@@ -104,9 +106,11 @@ def test_inner_product_and_norm():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
     b = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    want = sum(np.trace(a[k].conj().T @ b[k]) for k in range(3))
-    assert abs(hs_inner(a, b) - want) < 1e-13
-    assert quadrature_norm(a) == pytest.approx(np.sqrt(hs_inner(a, a).real))
+    want = sum(np.trace(a[k].conj().T @ a[k]) for k in range(3))
+    assert quadrature_norm(a) == pytest.approx(np.sqrt(want.real))
+    assert quadrature_norm(np.stack([a, b])) == pytest.approx(
+        np.hypot(quadrature_norm(a), quadrature_norm(b))
+    )
 
 
 def _dense_lindblad_action(model, amplitudes, rho):
@@ -160,11 +164,11 @@ def test_adjoint_pairing_identities(one_qubit):
     for trial in range(5):
         a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         b = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        lhs = hs_inner(a, apply_L(one_qubit, amps, b))
-        rhs = hs_inner(apply_L_adjoint(one_qubit, amps, a), b)
+        lhs = np.vdot(a, apply_L(one_qubit, amps, b))
+        rhs = np.vdot(apply_L_adjoint(one_qubit, amps, a), b)
         assert abs(lhs - rhs) < 1e-12, f"L pairing, trial {trial}"
-        lhs = hs_inner(a, apply_Ej(one_qubit, mset, 0, b))
-        rhs = hs_inner(apply_Ej_adjoint(one_qubit, mset, 0, a), b)
+        lhs = np.vdot(a, apply_Ej(one_qubit, mset, 0, b))
+        rhs = np.vdot(apply_Ej_adjoint(one_qubit, mset, 0, a), b)
         assert abs(lhs - rhs) < 1e-12, f"E pairing, trial {trial}"
 
 
@@ -207,10 +211,10 @@ def test_state_vec_roundtrip():
     assert np.array_equal(state_to_vec(blocks)[:9], vec(blocks[0]))
 
 
-def test_supermatrix_cap(two_qubit):
+def test_supermatrix_cap(over_cap_chain):
     mset = MultiIndexSet(2, 2)
-    with pytest.raises(CapExceeded):
-        assemble_supermatrix(two_qubit, mset, np.zeros(4), cap=10)
+    with pytest.raises(CapExceeded, match="24576 exceeds cap 20000"):
+        assemble_supermatrix(over_cap_chain, mset, np.zeros(12))
 
 
 def test_supermatrix_rejects_mismatched_index_set(one_qubit):

@@ -197,20 +197,51 @@ def test_sweep_smoke_with_pulse_file(tmp_path, runner):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "sample,eps_1_mhz,f_agf,gate_error"
     assert len(rows) == 1 + 12
-    report = yaml.safe_load((out / "report.yaml").read_text())
+    report = yaml.safe_load((out / "sweep_report.yaml").read_text())
     cdf = [report["error_cdf"][k] for k in ("0.01", "0.02", "0.05", "0.1")]
     assert all(a <= b + 1e-12 for a, b in zip(cdf, cdf[1:]))
     assert report["mean_gate_error"] >= 0.0
     assert report["pulse"].endswith("pulse.csv")
 
 
-def test_sweep_workers_reproduce_serial_table(tmp_path, runner):
+def test_sweep_keeps_optimize_outputs(tmp_path, runner):
+    """optimize then sweep into one directory: the optimize report and
+    timings survive, and the sweep writes its own sweep_ files."""
     cfg = _write(tmp_path, "c.yaml", GATE_CFG)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    r1 = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out1)])
-    r2 = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out2), "--workers", "3"])
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    before = {n: (out / n).read_bytes() for n in ("report.yaml", "timings.yaml")}
+    res = runner.invoke(
+        main,
+        ["sweep", "--config", cfg, "--out", str(out), "--pulse", str(out / "pulse.csv")],
+    )
+    assert res.exit_code == 0, res.output
+    assert {n: (out / n).read_bytes() for n in before} == before
+    assert "sweep_s" in yaml.safe_load((out / "sweep_timings.yaml").read_text())
+    assert "mean_gate_error" in yaml.safe_load((out / "sweep_report.yaml").read_text())
+
+
+def test_sweep_rejects_non_finite_pulse(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)
+    pulse = tmp_path / "p.csv"
+    pulse.write_text("t_ns,u_1,u_2\n0,1,2\n0.5,nan,2\n1,1,2\n")
+    res = runner.invoke(
+        main, ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--pulse", str(pulse)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "non-finite" in res.output
+
+
+def test_sweep_rejects_pulse_with_other_dt(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)  # control.dt_ns: 0.5
+    pulse = tmp_path / "p.csv"
+    pulse.write_text("t_ns,u_1,u_2\n0,1,2\n2,1,2\n4,1,2\n")
+    res = runner.invoke(
+        main, ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--pulse", str(pulse)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "dt_ns" in res.output
 
 
 def test_benchmark_writes_table(tmp_path, runner):
@@ -250,6 +281,13 @@ class TestPulseCsv:
         _write_pulse_csv(path, ControlGrid(0.5, np.zeros((1, 4)), -1, 1))
         with pytest.raises(ConfigError):
             _read_pulse_csv(path, self._template(2))
+
+    def test_malformed_row_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        for body in ("0,1\n0.5,one\n", "0,1\n0.5\n"):
+            path.write_text("t_ns,u_1\n" + body)
+            with pytest.raises(ConfigError, match="malformed"):
+                _read_pulse_csv(path, self._template(1))
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -115,15 +115,6 @@ def test_lindblad_rhs_without_collapse_is_commutator():
 
 
 @pytest.mark.parametrize("lead", SHAPES)
-def test_pair_trace(lead):
-    rng = np.random.default_rng(7)
-    a = _random(rng, *lead, D, D)
-    b = _random(rng, *lead, D, D)
-    want = sum(np.trace(a[idx].conj().T @ b[idx]) for idx in np.ndindex(*lead))
-    assert abs(kernels.pair_trace(a, b) - want) < 1e-12
-
-
-@pytest.mark.parametrize("lead", SHAPES)
 def test_control_pairing_sums_over_batch(lead):
     rng = np.random.default_rng(8)
     o = _random(rng, *lead, D, D)

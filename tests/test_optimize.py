@@ -256,11 +256,10 @@ class TestBatchedGate:
         assert np.max(np.abs(g_batch - g_sum)) < 1e-12 * max(1.0, np.max(np.abs(g_sum)))
 
         # the task's evaluations agree with the single-state tasks too
-        cfg = OptimizerConfig()
         x = grid.amplitudes.ravel()
-        gate = _GateTask(model, mset, grid, gobj, cfg, method, backend)
+        gate = _GateTask(model, mset, grid, gobj, method, backend)
         singles = [
-            _StateTask(model, mset, grid, obj, cfg, method, backend)
+            _StateTask(model, mset, grid, obj, method, backend)
             for obj in _single_state_objectives(gobj)
         ]
         for name in ("evaluate", "true_objective"):

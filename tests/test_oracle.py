@@ -167,27 +167,22 @@ def test_haar_mc_depolarizing_channel():
 
 
 class TestNoiseSweep:
-    def _run(self, model, workers):
+    def _run(self, model):
         grid = small_grid(model, n_steps=4, dt=0.5, seed=17)
         dist = NoiseDistribution("normal", [0.05], seed=21)
         u = preset_unitary("hadamard_transform", 2)
-        return noise_sweep(model, grid, u, dist, 40, workers=workers)
+        return noise_sweep(model, grid, u, dist, 40)
 
     def test_shapes_and_determinism(self, one_qubit):
-        r1 = self._run(one_qubit, workers=1)
-        r2 = self._run(one_qubit, workers=1)
+        r1 = self._run(one_qubit)
+        r2 = self._run(one_qubit)
         assert r1.eps.shape == (40, 1)
         assert r1.fidelities.shape == (40,)
         assert np.array_equal(r1.eps, r2.eps)
         assert np.array_equal(r1.fidelities, r2.fidelities)
 
-    def test_workers_do_not_change_results(self, one_qubit):
-        r1 = self._run(one_qubit, workers=1)
-        r2 = self._run(one_qubit, workers=3)
-        assert np.array_equal(r1.fidelities, r2.fidelities)
-
     def test_statistics(self, one_qubit):
-        r = self._run(one_qubit, workers=1)
+        r = self._run(one_qubit)
         assert np.all(r.gate_errors == 1.0 - r.fidelities)
         assert r.mean_error == pytest.approx(float(np.mean(r.gate_errors)))
         cdf = r.cdf([0.01, 0.1, 1.0])
@@ -195,7 +190,7 @@ class TestNoiseSweep:
         assert cdf[-1] == pytest.approx(1.0)
 
     def test_fidelity_matches_single_channel(self, one_qubit):
-        r = self._run(one_qubit, workers=1)
+        r = self._run(one_qubit)
         grid = small_grid(one_qubit, n_steps=4, dt=0.5, seed=17)
         u = preset_unitary("hadamard_transform", 2)
         chan = noisy_channel_super(one_qubit, grid, r.eps[7])

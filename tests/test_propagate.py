@@ -5,7 +5,6 @@ from robustpulse.augment import (
     CapExceeded,
     MultiIndexSet,
     assemble_supermatrix,
-    hs_inner,
     initial_state,
     mat_commutator,
     quadrature_norm,
@@ -218,16 +217,16 @@ def test_step_adjoint_pairing_all_backends(one_qubit):
     b = _random_blocks(rng, mset.size, 2)
     plan = make_trotter_plan(one_qubit, 0.5)
 
-    lhs = hs_inner(a, step_trotter(plan, one_qubit, mset, b.copy(), amps))
-    rhs = hs_inner(step_trotter_adjoint(plan, one_qubit, mset, a.copy(), amps), b)
+    lhs = np.vdot(a, step_trotter(plan, one_qubit, mset, b.copy(), amps))
+    rhs = np.vdot(step_trotter_adjoint(plan, one_qubit, mset, a.copy(), amps), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
-    lhs = hs_inner(a, step_expm(one_qubit, mset, b, amps, 0.5))
-    rhs = hs_inner(step_expm(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
+    lhs = np.vdot(a, step_expm(one_qubit, mset, b, amps, 0.5))
+    rhs = np.vdot(step_expm(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
-    lhs = hs_inner(a, step_ode(one_qubit, mset, b, amps, 0.5, substeps=8))
-    rhs = hs_inner(step_ode(one_qubit, mset, a, amps, 0.5, substeps=8, adjoint=True), b)
+    lhs = np.vdot(a, step_ode(one_qubit, mset, b, amps, 0.5, substeps=8))
+    rhs = np.vdot(step_ode(one_qubit, mset, a, amps, 0.5, substeps=8, adjoint=True), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
@@ -243,7 +242,7 @@ def test_pairing_invariant_along_trajectory(one_qubit):
         fwd = propagate_forward(backend, one_qubit, mset, grid, s0, plan=plan)
         bwd = propagate_backward(backend, one_qubit, mset, grid, costate_T, plan=plan)
         pairings = [
-            hs_inner(bwd.states[k], fwd.states[k]) for k in range(grid.n_steps + 1)
+            np.vdot(bwd.states[k], fwd.states[k]) for k in range(grid.n_steps + 1)
         ]
         spread = np.max(np.abs(np.diff(pairings)))
         assert spread < 1e-10 * max(1.0, abs(pairings[-1])), backend
@@ -325,12 +324,12 @@ def test_forward_cache_layout(one_qubit):
     assert no_rec.pre_ctl is None
 
 
-def test_expm_backend_respects_cap(two_qubit):
+def test_expm_backend_respects_cap(over_cap_chain):
     mset = MultiIndexSet(2, 2)
-    grid = small_grid(two_qubit, n_steps=2, dt=0.5, seed=10)
-    s0 = initial_state(mset, np.eye(4, dtype=complex) / 4.0)
+    grid = small_grid(over_cap_chain, n_steps=2, dt=0.5, seed=10)
+    s0 = initial_state(mset, np.eye(64, dtype=complex) / 64.0)
     with pytest.raises(CapExceeded):
-        propagate_final("expm", two_qubit, mset, grid, s0, cap=50)
+        propagate_final("expm", over_cap_chain, mset, grid, s0)
 
 
 def test_unknown_backend_rejected(one_qubit):
