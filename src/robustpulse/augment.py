@@ -102,9 +102,6 @@ class MultiIndexSet:
             self._dst.append(np.array(dst, dtype=np.int64))
             self._src.append(np.array(src, dtype=np.int64))
 
-    def __len__(self) -> int:
-        return self.size
-
     def routing(self, j: int):
         """(dst, src) index arrays for uncertainty j."""
         return self._dst[j], self._src[j]
@@ -138,34 +135,30 @@ def quadrature_norm(blocks: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(blocks) ** 2)))
 
 
-def apply_L(
-    model: OpenSystemModel, amplitudes: np.ndarray, blocks: np.ndarray
-) -> np.ndarray:
-    """Nominal Lindblad generator applied to every block."""
-    h = model.hamiltonian(amplitudes)
-    return kernels.lindblad_rhs_blocks(
-        h,
+def _lindblad_terms(model: OpenSystemModel, amplitudes: np.ndarray) -> tuple:
+    """The leading arguments of :func:`kernels.lindblad_rhs_blocks`."""
+    return (
+        model.hamiltonian(amplitudes),
         model.collapse_stack,
         model.collapse_dag_stack,
         model.collapse_cdc_stack,
         model.rates,
-        blocks,
     )
+
+
+def apply_L(
+    model: OpenSystemModel, amplitudes: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Nominal Lindblad generator applied to every block."""
+    return kernels.lindblad_rhs_blocks(*_lindblad_terms(model, amplitudes), blocks)
 
 
 def apply_L_adjoint(
     model: OpenSystemModel, amplitudes: np.ndarray, blocks: np.ndarray
 ) -> np.ndarray:
     """Hilbert-Schmidt adjoint of the nominal Lindblad generator."""
-    h = model.hamiltonian(amplitudes)
     return kernels.lindblad_rhs_blocks(
-        h,
-        model.collapse_stack,
-        model.collapse_dag_stack,
-        model.collapse_cdc_stack,
-        model.rates,
-        blocks,
-        adjoint=True,
+        *_lindblad_terms(model, amplitudes), blocks, adjoint=True
     )
 
 

@@ -11,8 +11,10 @@ problems.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import logging
 import statistics
 import time
 from pathlib import Path
@@ -99,6 +101,16 @@ def _read_pulse_csv(path: Path, template: ControlGrid) -> ControlGrid:
     if steps.size and np.max(np.abs(steps - template.dt)) > 1e-9:
         raise ConfigError(
             "<pulse>", f"{path} time steps must all equal control.dt_ns = {template.dt:g}"
+        )
+    # 1e-9 MHz of slack keeps box-edge pulses written with %.12g valid
+    lo, hi = radns_to_mhz(template.lo), radns_to_mhz(template.hi)
+    outside = np.argwhere((body[:, 1:] < lo - 1e-9) | (body[:, 1:] > hi + 1e-9))
+    if outside.size:
+        row, c = outside[0]
+        raise ConfigError(
+            "<pulse>",
+            f"{path} pulse row {row + 1} channel u_{c + 1} amplitude {body[row, c + 1]:g} MHz "
+            f"is outside the control.max_mhz box [{lo[c]:g}, {hi[c]:g}]",
         )
     amps = mhz_to_radns(body[:, 1:].T)
     return ControlGrid(template.dt, amps, template.lo, template.hi)
@@ -191,6 +203,11 @@ def simulate(config_path, out, seed):
         dev = delta_st(model, mset, grid, batch0[0], plan=plan)
     except CapExceeded:
         dev = None
+    for backend, value in objective_by_backend.items():
+        if value is not None and not np.isfinite([value, trace_defect[backend]]).all():
+            raise FloatingPointError(f"{backend} backend gave a non-finite objective or trace defect")
+    if dev is not None and not np.isfinite(dev):
+        raise FloatingPointError("splitting deviation is not finite")
 
     out_path = _out_dir(cfg, out)
     report = {
@@ -207,6 +224,24 @@ def simulate(config_path, out, seed):
     click.echo(f"report written to {out_path / cfg.output.report}")
 
 
+@contextlib.contextmanager
+def _progress_on_stderr(enabled: bool):
+    """With ``enabled``, the optimizer's INFO progress lines go to this
+    call's stderr while the block runs; handler and level are undone
+    afterwards, so repeated in-process calls leave nothing behind."""
+    logger = logging.getLogger("robustpulse.optimize")
+    handler, level = logging.StreamHandler(), logger.level
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    if enabled:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 @main.command()
 @_config_opt
 @_out_opt
@@ -220,24 +255,20 @@ def optimize(config_path, out, seed, verbose):
     mset = build_mset(cfg, model)
     grid0 = build_grid(cfg, model, seed=seed)
     ocfg = optimizer_config(cfg)
-    ocfg.verbose = verbose
-
-    if cfg.task.kind == "gate":
-        gobj = build_gate_objective(cfg, mset, model.dim)
-    else:
-        sobj = build_state_objective(cfg, mset, model.dim)
+    _, gobj, sobj = _task_states(cfg, mset, model)
 
     # the optimizer's exclusive phase timers cover this interval
     t_start = time.perf_counter()
-    if cfg.task.kind == "gate":
-        report_opt = run_gate_synthesis(
-            model, mset, grid0, gobj, ocfg,
-            method=cfg.optimizer.method, backend=cfg.optimizer.backend,
-        )
-    elif cfg.optimizer.method == "stgrape":
-        report_opt = run_stgrape(model, mset, grid0, sobj, ocfg)
-    else:
-        report_opt = run_grape(model, mset, grid0, sobj, ocfg, backend=cfg.optimizer.backend)
+    with _progress_on_stderr(verbose):
+        if cfg.task.kind == "gate":
+            report_opt = run_gate_synthesis(
+                model, mset, grid0, gobj, ocfg,
+                method=cfg.optimizer.method, backend=cfg.optimizer.backend,
+            )
+        elif cfg.optimizer.method == "stgrape":
+            report_opt = run_stgrape(model, mset, grid0, sobj, ocfg)
+        else:
+            report_opt = run_grape(model, mset, grid0, sobj, ocfg, backend=cfg.optimizer.backend)
     total = time.perf_counter() - t_start
 
     best_grid = grid0.with_amplitudes(report_opt.best_control)
@@ -296,6 +327,9 @@ def sweep(config_path, out, seed, pulse_path):
     t0 = time.perf_counter()
     result = noise_sweep(model, grid, u_target, dist, cfg.robustness.sample_count)
     elapsed = time.perf_counter() - t0
+    bad = np.flatnonzero(~np.isfinite(result.fidelities))
+    if bad.size:
+        raise FloatingPointError(f"fidelity of noise sample {bad[0]} is not finite")
 
     out_path = _out_dir(cfg, out)
     sweep_csv = out_path / "sweep.csv"

@@ -8,7 +8,7 @@ key is wrong.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,14 +122,7 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTIONS = {
-    "system": SystemSection,
-    "control": ControlSection,
-    "robustness": RobustnessSection,
-    "task": TaskSection,
-    "optimizer": OptimizerSection,
-    "output": OutputSection,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 _CHOICES = {
     "system.uncertainty": ("edges", "couplings", "none"),
@@ -246,7 +239,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def resolved_dict(cfg: RunConfig) -> dict:
     """Plain nested dict of every resolved setting (for the run report)."""
-    return {name: asdict(getattr(cfg, name)) for name in _SECTIONS}
+    return asdict(cfg)
 
 
 # ------------------------------------------------------------------ builders

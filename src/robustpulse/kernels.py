@@ -82,18 +82,19 @@ def lindblad_rhs_blocks(
 
     Forward: -i[h, b] + sum_i gamma_i (c b c^dag - (cdc b + b cdc)/2).
     Adjoint: +i[h, b] + sum_i gamma_i (c^dag b c - (cdc b + b cdc)/2).
+
+    With K = sum_i gamma_i cdc_i the non-jump part is g b + b g' for
+    g = -i h - K/2, g' = i h - K/2 (swapped for the adjoint), and
+    :func:`collapse_blocks` adds the jump term: four products in all.
     """
-    sign = -1.0 if adjoint else 1.0
-    out = sign * (-1j) * (np.matmul(h, blocks) - np.matmul(blocks, h))
-    for i in range(cs.shape[0]):
-        if adjoint:
-            jump = np.matmul(csd[i], np.matmul(blocks, cs[i]))
-        else:
-            jump = np.matmul(cs[i], np.matmul(blocks, csd[i]))
-        out += gammas[i] * (
-            jump - 0.5 * (np.matmul(cdc[i], blocks) + np.matmul(blocks, cdc[i]))
-        )
-    return out
+    k_half = 0.5 * np.tensordot(gammas, cdc, axes=1)
+    left, right = -1j * h - k_half, 1j * h - k_half
+    if adjoint:
+        left, right = right, left
+        jump = collapse_blocks(csd, cs, gammas, blocks)
+    else:
+        jump = collapse_blocks(cs, csd, gammas, blocks)
+    return np.matmul(left, blocks) + np.matmul(blocks, right) + jump
 
 
 def control_pairing(

@@ -14,7 +14,6 @@ __all__ = [
     "kron",
     "kron_all",
     "vec",
-    "dagger",
     "expm",
     "is_hermitian",
 ]
@@ -44,17 +43,12 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(a.shape[0] * a.shape[1], order="F")
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
-
-
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     """Entrywise check |a - a^dag| <= tol."""
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 # Pade(13) numerator coefficients (Higham, "Functions of Matrices", alg 10.20).

@@ -98,18 +98,9 @@ class ControlGrid:
     def n_steps(self) -> int:
         return self.amplitudes.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.dt * self.n_steps
-
     def with_amplitudes(self, amplitudes: np.ndarray) -> "ControlGrid":
         """Copy of the grid with new amplitudes (same dt and bounds)."""
         return ControlGrid(self.dt, np.array(amplitudes, dtype=float), self.lo, self.hi)
-
-    def clipped(self) -> "ControlGrid":
-        """Copy with amplitudes projected onto the box bounds."""
-        u = np.clip(self.amplitudes, self.lo[:, None], self.hi[:, None])
-        return self.with_amplitudes(u)
 
 
 @dataclass
@@ -158,10 +149,6 @@ class OpenSystemModel:
                 raise ValueError(f"uncertainty operator {j} must be {d}x{d}")
             if not is_hermitian(e, tol=1e-12):
                 raise ValueError(f"uncertainty operator {j} is not Hermitian")
-
-    @property
-    def n_controls(self) -> int:
-        return len(self.controls)
 
     @property
     def n_uncertainties(self) -> int:
@@ -219,10 +206,9 @@ class NoiseDistribution:
         if np.any(self.sigmas < 0):
             raise ValueError("sigma must be non-negative")
 
-    def sample(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw (count, m) samples of epsilon in rad/ns."""
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
+    def sample(self, count: int) -> np.ndarray:
+        """Draw (count, m) samples of epsilon in rad/ns from the law's seed."""
+        rng = np.random.default_rng(self.seed)
         m = self.sigmas.size
         if self.kind == "normal":
             return rng.standard_normal((count, m)) * self.sigmas

@@ -147,10 +147,6 @@ class GateObjective:
     per_state: list  # RobustStateObjective per input state
 
     @property
-    def dim(self) -> int:
-        return self.u_target.shape[0]
-
-    @property
     def n_states(self) -> int:
         return len(self.state0s)
 

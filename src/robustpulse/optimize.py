@@ -16,12 +16,13 @@ stops and returns the best checkpointed control.
 
 The update rule is a hand-rolled memory-limited quasi-Newton step with
 projection onto the amplitude box and Armijo backtracking along the
-projected path.
+projected path, falling back to projected steepest descent.  Progress
+lines go to this module's logger at INFO level.
 """
 
 from __future__ import annotations
 
-import sys
+import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -62,6 +63,8 @@ __all__ = [
     "run_gate_synthesis",
 ]
 
+_log = logging.getLogger(__name__)
+
 # Armijo line search: sufficient-decrease constant, backtracking factor,
 # backtrack budget, and the projected-gradient fallback's first step
 # (as a fraction of the largest gradient entry's inverse).
@@ -70,6 +73,8 @@ _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 25
 _FALLBACK_STEP = 0.05
 
+_CEILING_TOL = 1e-9  # converged once the objective is this close to 1
+
 
 @dataclass
 class OptimizerConfig:
@@ -77,8 +82,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     lbfgs_memory: int = 10
     monitor_interval: int = 50
-    ceiling_tol: float | None = 1e-9
-    verbose: bool = False
 
 
 @dataclass
@@ -144,30 +147,27 @@ def lbfgs_bounded_step(
     current: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    f=None,
-    f0: float | None = None,
+    f,
+    f0: float,
 ):
-    """One projected quasi-Newton step for minimising f.
+    """One projected quasi-Newton step for minimising f, with f(current) = f0.
 
     Backtracks along the projected path x(a) = clip(x + a*d) until the
     Armijo condition f(x(a)) <= f0 + c1 * grad.(x(a) - x) holds, with
-    c1 = ``_ARMIJO_C1``.  With ``f=None`` the full projected step is
-    returned untested.  Returns (new_x, f_new) or (None, None) when no
-    tested step decreases f.
+    c1 = ``_ARMIJO_C1``: first along the quasi-Newton direction d from
+    a = 1, then along d = -grad from a = ``_FALLBACK_STEP`` / max|grad|.
+    Returns (new_x, f_new), or (None, None) when both searches fail.
     """
-    d = history.direction(grad)
-    alpha = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        x_new = np.clip(current + alpha * d, lo, hi)
-        step = x_new - current
-        if f is None:
-            return x_new, None
-        pred = float(np.dot(grad, step))
-        if pred < 0.0:
-            f_new = f(x_new)
-            if f_new <= f0 + _ARMIJO_C1 * pred:
-                return x_new, f_new
-        alpha *= _BACKTRACK_FACTOR
+    fallback = _FALLBACK_STEP / max(np.max(np.abs(grad)), 1e-30)
+    for d, alpha in ((history.direction(grad), 1.0), (-grad, fallback)):
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = np.clip(current + alpha * d, lo, hi)
+            pred = float(np.dot(grad, x_new - current))
+            if pred < 0.0:
+                f_new = f(x_new)
+                if f_new <= f0 + _ARMIJO_C1 * pred:
+                    return x_new, f_new
+            alpha *= _BACKTRACK_FACTOR
     return None, None
 
 
@@ -324,9 +324,7 @@ def stgrape_gradient(
     clock = timers or _Timers()
     with clock.phase("forward"):
         state0 = _initial_batch(obj, mset, model.dim)
-        fwd = propagate_forward(
-            "trotter", model, mset, grid, state0, plan=plan, record_ctl=True
-        )
+        fwd = propagate_forward("trotter", model, mset, grid, state0, plan=plan)
         j_hat = _value(fwd.final, obj)
     with clock.phase("backward"):
         grad = trotter_backward_with_gradient(
@@ -342,17 +340,19 @@ class _GateTask:
     """Evaluation plumbing for the optimisation loop.
 
     Every input state of the objective (the d+1 or three states of a gate
-    objective) is propagated in one batched pass.
+    objective) is propagated in one batched pass.  ``stgrape`` runs the
+    splitting backend under a true-objective monitor; ``grape`` runs the
+    given exact backend.
     """
 
     def __init__(self, model, mset, grid0, obj, method, backend):
         self.timers = _Timers()
         self.model, self.mset, self.grid0 = model, mset, grid0
         self.obj = obj
-        self.method, self.backend = method, backend
-        self.plan = (
-            make_trotter_plan(model, grid0.dt) if method == "stgrape" else None
-        )
+        self.method = method
+        self.use_monitor = method == "stgrape"
+        self.backend = "trotter" if self.use_monitor else backend
+        self.plan = make_trotter_plan(model, grid0.dt) if self.use_monitor else None
         self.state0 = _initial_batch(obj, mset, model.dim)
 
     def _grid(self, x):
@@ -365,8 +365,7 @@ class _GateTask:
 
     def evaluate(self, x) -> float:
         with self.timers.phase("forward"):
-            backend = "trotter" if self.method == "stgrape" else self.backend
-            return _value(self._final(self._grid(x), backend), self.obj)
+            return _value(self._final(self._grid(x), self.backend), self.obj)
 
     def eval_grad(self, x):
         grid = self._grid(x)
@@ -404,7 +403,10 @@ class _StateTask(_GateTask):
     true_objective = _GateTask.true_objective
 
 
-def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: bool):
+def _optimize_loop(task, cfg: OptimizerConfig) -> OptimizationReport:
+    """Maximise the task's objective from ``task.grid0`` inside its box;
+    with ``task.use_monitor`` the best true-objective checkpoint is kept."""
+    grid0, use_monitor = task.grid0, task.use_monitor
     lo = np.repeat(grid0.lo[:, None], grid0.n_steps, axis=1).ravel()
     hi = np.repeat(grid0.hi[:, None], grid0.n_steps, axis=1).ravel()
     x = np.clip(grid0.amplitudes.ravel().astype(float), lo, hi)
@@ -422,36 +424,21 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
         t_val = task.true_objective(x_now)
         checkpoints.append((it, t_val))
         ck_controls.append(x_now.copy())
-        if cfg.verbose:
-            print(f"  checkpoint iter={it} trueJ={t_val:.10f}", file=sys.stderr)
+        _log.info("  checkpoint iter=%d trueJ=%.10f", it, t_val)
         return t_val
 
     if use_monitor:
         checkpoint(0, x)
 
+    f = lambda xn: -task.evaluate(xn)
     it = 0
     while it < cfg.max_iters:
-        if cfg.ceiling_tol is not None and j_val >= 1.0 - cfg.ceiling_tol:
-            stop_reason = "converged"
-            break
-        if np.max(np.abs(grad)) <= cfg.grad_tol:
+        if j_val >= 1.0 - _CEILING_TOL or np.max(np.abs(grad)) <= cfg.grad_tol:
             stop_reason = "converged"
             break
         it += 1
-        f = lambda xn: -task.evaluate(xn)
         with task.timers.phase("linesearch"):
-            x_new, _ = lbfgs_bounded_step(history, -grad, x, lo, hi, f=f, f0=-j_val)
-            if x_new is None:
-                # quasi-Newton step failed the line search: projected gradient
-                alpha = _FALLBACK_STEP / max(np.max(np.abs(grad)), 1e-30)
-                for _ in range(_MAX_BACKTRACKS):
-                    x_try = np.clip(x + alpha * grad, lo, hi)
-                    if -task.evaluate(x_try) <= -j_val + _ARMIJO_C1 * np.dot(
-                        -grad, x_try - x
-                    ):
-                        x_new = x_try
-                        break
-                    alpha *= _BACKTRACK_FACTOR
+            x_new, _ = lbfgs_bounded_step(history, -grad, x, lo, hi, f, -j_val)
         if x_new is None or np.allclose(x_new, x):
             stop_reason = "converged"
             break
@@ -461,8 +448,7 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
         history.push(x_new - x, -(grad_new - grad))
         x, j_val, grad = x_new, j_new, grad_new
         iterations.append(j_val)
-        if cfg.verbose:
-            print(f"iter {it}: J={j_val:.10f}", file=sys.stderr)
+        _log.info("iter %d: J=%.10f", it, j_val)
         if use_monitor and it % cfg.monitor_interval == 0 and it < cfg.max_iters:
             t_val = checkpoint(it, x)
             if len(checkpoints) >= 2 and t_val < checkpoints[-2][1]:
@@ -479,8 +465,8 @@ def _optimize_loop(task, grid0: ControlGrid, cfg: OptimizerConfig, use_monitor: 
     else:
         best_x, best_j = x, j_val
     return OptimizationReport(
-        method="",
-        backend="",
+        method=task.method,
+        backend=task.backend,
         iterations=iterations,
         checkpoints=checkpoints,
         best_control=best_x.reshape(grid0.amplitudes.shape),
@@ -500,11 +486,8 @@ def run_grape(
     backend: str = "expm",
 ) -> OptimizationReport:
     """First-order-gradient optimisation under an exact backend."""
-    cfg = cfg or OptimizerConfig()
     task = _StateTask(model, mset, grid0, obj, "grape", backend)
-    report = _optimize_loop(task, grid0, cfg, use_monitor=False)
-    report.method, report.backend = "grape", backend
-    return report
+    return _optimize_loop(task, cfg or OptimizerConfig())
 
 
 def run_stgrape(
@@ -516,11 +499,8 @@ def run_stgrape(
 ) -> OptimizationReport:
     """Exact-gradient optimisation of the splitting objective with a
     true-objective monitor every ``monitor_interval`` iterations."""
-    cfg = cfg or OptimizerConfig()
     task = _StateTask(model, mset, grid0, obj, "stgrape", "trotter")
-    report = _optimize_loop(task, grid0, cfg, use_monitor=True)
-    report.method, report.backend = "stgrape", "trotter"
-    return report
+    return _optimize_loop(task, cfg or OptimizerConfig())
 
 
 def run_gate_synthesis(
@@ -535,9 +515,5 @@ def run_gate_synthesis(
     """Optimise the weighted multi-state objective for a target unitary."""
     if method not in ("grape", "stgrape"):
         raise ValueError("method must be grape|stgrape")
-    cfg = cfg or OptimizerConfig()
     task = _GateTask(model, mset, grid0, gobj, method, backend)
-    report = _optimize_loop(task, grid0, cfg, use_monitor=(method == "stgrape"))
-    report.method = method
-    report.backend = "trotter" if method == "stgrape" else backend
-    return report
+    return _optimize_loop(task, cfg or OptimizerConfig())

@@ -72,9 +72,9 @@ class StepCache:
 
     ``states[k]`` is the block state at t_k for k = 0..N_T, shaped
     (N, d, d) or, for a batch, (S, N, d, d).
-    For the Trotter backend with gradient recording, ``pre_ctl[k]`` and
-    ``mid_ctl[k]`` hold the state immediately before the first and the
-    second control factor of step k.
+    For the Trotter forward pass, ``pre_ctl[k]`` and ``mid_ctl[k]`` hold
+    the state immediately before the first and the second control factor
+    of step k.
     """
 
     states: np.ndarray
@@ -84,10 +84,6 @@ class StepCache:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
 
 
 @dataclass
@@ -110,14 +106,10 @@ class TrotterPlan:
     u_eff_dag: np.ndarray
     groups: list
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
-
-def _commutes(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
+def _commutes(a: np.ndarray, b: np.ndarray) -> bool:
     scale = max(np.max(np.abs(a)) * np.max(np.abs(b)), 1.0)
-    return np.max(np.abs(a @ b - b @ a)) <= tol * scale
+    return np.max(np.abs(a @ b - b @ a)) <= 1e-12 * scale
 
 
 def _group_diagonalizer(ops, rng: np.random.Generator) -> np.ndarray:
@@ -138,11 +130,7 @@ def _group_diagonalizer(ops, rng: np.random.Generator) -> np.ndarray:
     raise RuntimeError("failed to find a simultaneous diagonalizer")
 
 
-def make_trotter_plan(
-    model: OpenSystemModel,
-    dt: float,
-    seed: int = 1234,
-) -> TrotterPlan:
+def make_trotter_plan(model: OpenSystemModel, dt: float) -> TrotterPlan:
     """Build the step-independent Trotter factors for ``model`` at ``dt``.
 
     Control operators are partitioned into mutually commuting groups.
@@ -152,7 +140,7 @@ def make_trotter_plan(
     random linear combination.
     """
     d = model.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)  # fixed, so plans are reproducible
 
     if model.commuting_groups is not None and model.group_diagonalizers is not None:
         raw_groups = [list(g) for g in model.commuting_groups]
@@ -271,7 +259,7 @@ def step_trotter(
     mset: MultiIndexSet,
     blocks: np.ndarray,
     amplitudes: np.ndarray,
-    record: dict | None = None,
+    record: tuple | None = None,
 ) -> np.ndarray:
     """One symmetric-splitting step.
 
@@ -280,21 +268,22 @@ def step_trotter(
     groups (descending), collapse half, uncertainty drives (descending).
     The palindromic order keeps the one-step error at third order in dt.
 
-    With ``record`` a dict, the states just before the first and second
-    control factor are stored under keys "pre" and "mid".
+    With ``record`` a pair of arrays (pre, mid) shaped like ``blocks``,
+    the states just before the first and the second control factor are
+    written into them.
     """
     half = 0.5 * plan.dt
     for j in range(mset.m):
         blocks = exp_nilpotent(model, mset, j, blocks, half)
     blocks = _collapse_half(plan, model, blocks, adjoint=False)
     if record is not None:
-        record["pre"] = blocks.copy()
+        record[0][...] = blocks
     us = _ctl_unitaries(plan, amplitudes)
     for u, udag in us:
         blocks = kernels.conjugate_blocks(u, udag, blocks)
     blocks = kernels.conjugate_blocks(plan.u_eff, plan.u_eff_dag, blocks)
     if record is not None:
-        record["mid"] = blocks.copy()
+        record[1][...] = blocks
     for u, udag in reversed(us):
         blocks = kernels.conjugate_blocks(u, udag, blocks)
     blocks = _collapse_half(plan, model, blocks, adjoint=False)
@@ -321,7 +310,7 @@ def step_trotter_adjoint(
     """
     half = 0.5 * plan.dt
     us = _ctl_unitaries(plan, amplitudes)
-    asc = list(range(plan.n_groups))
+    asc = list(range(len(plan.groups)))
     for j in range(mset.m):
         blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     blocks = _collapse_half(plan, model, blocks, adjoint=True)
@@ -434,14 +423,9 @@ def _augmented_rhs(
     blocks: np.ndarray,
     adjoint: bool,
 ) -> np.ndarray:
-    if adjoint:
-        out = apply_L_adjoint(model, amplitudes, blocks)
-        for j in range(mset.m):
-            out += apply_Ej_adjoint(model, mset, j, blocks)
-    else:
-        out = apply_L(model, amplitudes, blocks)
-        for j in range(mset.m):
-            out += apply_Ej(model, mset, j, blocks)
+    out = (apply_L_adjoint if adjoint else apply_L)(model, amplitudes, blocks)
+    for j in range(mset.m):
+        out += (apply_Ej_adjoint if adjoint else apply_Ej)(model, mset, j, blocks)
     return out
 
 
@@ -479,7 +463,8 @@ def _stepper(
     plan: TrotterPlan | None,
 ):
     """The backend's one-step map ``step(blocks, amplitudes, adjoint=False,
-    record=None)``; ``record`` is filled by the Trotter forward step only.
+    record=None)``; ``record`` is a (pre, mid) pair of slots that only the
+    Trotter forward step fills.
     A Trotter plan is built when none is given."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -507,28 +492,23 @@ def propagate_forward(
     grid: ControlGrid,
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
-    record_ctl: bool = False,
 ) -> StepCache:
     """Propagate an augmented state over the whole grid, caching every
-    intermediate state (and, for the Trotter backend with
-    ``record_ctl=True``, the two intra-step states used by the exact
-    control gradient)."""
+    intermediate state (and, for the Trotter backend, the two intra-step
+    states used by the exact control gradient)."""
     step = _stepper(backend, model, mset, grid.dt, plan)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + state0.shape, dtype=complex)
     states[0] = state0
     pre = mid = None
-    if backend == "trotter" and record_ctl:
+    if backend == "trotter":
         pre = np.empty((n_t,) + state0.shape, dtype=complex)
         mid = np.empty((n_t,) + state0.shape, dtype=complex)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(n_t):
-        rec: dict | None = {} if pre is not None else None
-        blocks = step(blocks, grid.amplitudes[:, k], record=rec)
+        record = (pre[k], mid[k]) if pre is not None else None
+        blocks = step(blocks, grid.amplitudes[:, k], record=record)
         states[k + 1] = blocks
-        if rec is not None:
-            pre[k] = rec["pre"]
-            mid[k] = rec["mid"]
     return StepCache(states=states, pre_ctl=pre, mid_ctl=mid)
 
 
@@ -585,7 +565,7 @@ def trotter_backward_with_gradient(
     """Exact gradient of the Trotter-propagated objective.
 
     Uses the product rule over the two control factors of every step;
-    the forward cache must have been built with ``record_ctl=True``.
+    the forward cache must come from the Trotter backend.
     Returns gradient array of shape (n_channels, n_steps) for the
     objective whose terminal derivative is ``costate_T``.  For a batch,
     ``costate_T`` holds one co-state per state and the pairings sum over

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from robustpulse import cli
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
 from robustpulse.config import ConfigError
 from robustpulse.model import ControlGrid
@@ -128,6 +131,37 @@ def test_simulate_reports_every_backend(tmp_path, runner):
     assert (out / "timings.yaml").exists()
 
 
+def test_simulate_rejects_non_finite_result(tmp_path, runner, monkeypatch):
+    real = cli.propagate_final
+
+    def broken(backend, *args, **kwargs):
+        final = real(backend, *args, **kwargs)
+        return final * np.nan if backend == "ode" else final
+
+    monkeypatch.setattr(cli, "propagate_final", broken)
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "ode backend" in res.stderr
+    assert not (out / "report.yaml").exists()
+
+
+def test_optimize_verbose_logs_progress_on_stderr(tmp_path, runner):
+    """--verbose prints the optimizer's progress lines on stderr; a later
+    run without it in the same process prints nothing there."""
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "a"), "--verbose"])
+    assert res.exit_code == 0, res.output
+    assert "iter 1: J=" in res.stderr
+    assert "checkpoint iter=0 trueJ=" in res.stderr
+    logger = logging.getLogger("robustpulse.optimize")
+    assert logger.handlers == [] and logger.level == logging.NOTSET
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+
+
 def test_optimize_outputs_are_reproducible(tmp_path, runner):
     cfg = _write(tmp_path, "c.yaml", STATE_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -231,6 +265,34 @@ def test_sweep_rejects_non_finite_pulse(tmp_path, runner):
     )
     assert res.exit_code == 2, res.output
     assert "non-finite" in res.output
+
+
+def test_sweep_rejects_out_of_box_pulse(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG.replace("max_mhz: 40", "max_mhz: 100"))
+    pulse = tmp_path / "p.csv"
+    pulse.write_text("t_ns,u_1,u_2\n0,1,2\n0.5,150,2\n1,1,2\n")
+    res = runner.invoke(
+        main, ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--pulse", str(pulse)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "row 2 channel u_1" in res.output and "control.max_mhz" in res.output
+
+
+def test_sweep_rejects_non_finite_fidelity(tmp_path, runner, monkeypatch):
+    real = cli.noise_sweep
+
+    def broken(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.fidelities[3] = np.nan
+        return result
+
+    monkeypatch.setattr(cli, "noise_sweep", broken)
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "noise sample 3" in res.stderr
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_pulse_with_other_dt(tmp_path, runner):

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from robustpulse.linalg import (
-    dagger,
     expm,
     is_hermitian,
     kron,
@@ -80,15 +79,6 @@ def test_kron_all_matches_chained_kron():
     mats = [rng.standard_normal((2, 2)) for _ in range(4)]
     want = np.kron(np.kron(np.kron(mats[0], mats[1]), mats[2]), mats[3])
     assert np.allclose(kron_all(mats), want)
-
-
-def test_dagger_and_inner_product():
-    """dagger is the adjoint under the Hilbert-Schmidt product tr(a^dag b)."""
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(dagger(a), a.conj().T)
-    assert abs(np.trace(dagger(a) @ b) - np.vdot(a, b)) < 1e-13
 
 
 def test_is_hermitian():

@@ -30,12 +30,7 @@ class TestControlGrid:
         g = ControlGrid(0.5, np.zeros((3, 10)), -1.0, 1.0)
         assert g.n_channels == 3
         assert g.n_steps == 10
-        assert g.duration == pytest.approx(5.0)
         assert g.lo.shape == (3,)
-
-    def test_clipping(self):
-        g = ControlGrid(1.0, np.array([[2.0, -2.0, 0.1]]), -1.0, 1.0)
-        assert np.array_equal(g.clipped().amplitudes, [[1.0, -1.0, 0.1]])
 
     def test_rejects_bad_dt_and_bounds(self):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestBoundedStep:
         x, fx = x0.copy(), f(x0)
         for _ in range(iters):
             g = df(x)
-            x_new, f_new = lbfgs_bounded_step(h, g, x, lo, hi, f=f, f0=fx)
+            x_new, f_new = lbfgs_bounded_step(h, g, x, lo, hi, f, fx)
             if x_new is None:
                 break
             h.push(x_new - x, df(x_new) - g)
@@ -108,13 +108,20 @@ class TestBoundedStep:
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
         assert np.allclose(x, [1.0, -1.0], atol=1e-8)
 
-    def test_untested_step_returns_full_projection(self):
+    def test_uphill_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # A quasi-Newton direction along +grad never passes the Armijo test,
+        # so the step comes from the projected steepest-descent search,
+        # whose first trial step is _FALLBACK_STEP / max|grad|.
         h = LbfgsHistory()
+        monkeypatch.setattr(h, "direction", lambda g: g.copy())
+        target = np.array([0.5, -0.25])
+        f = lambda z: float(np.sum((z - target) ** 2))
         x = np.zeros(2)
-        g = np.array([-4.0, 1.0])
-        x_new, f_new = lbfgs_bounded_step(h, g, x, -np.ones(2), np.ones(2))
-        assert f_new is None
-        assert np.array_equal(x_new, np.clip(-g, -1, 1))
+        g = 2.0 * (x - target)
+        x_new, f_new = lbfgs_bounded_step(h, g, x, -np.ones(2), np.ones(2), f, f(x))
+        alpha = optimize._FALLBACK_STEP / np.max(np.abs(g))
+        assert np.array_equal(x_new, x - alpha * g)
+        assert f_new == f(x_new) < f(x)
 
     def test_projection_pinned_at_corner_reports_failure(self):
         # Gradient pushes out of the box at an already-active corner, so
@@ -123,7 +130,7 @@ class TestBoundedStep:
         x = np.ones(2)
         g = np.array([-1.0, -1.0])
         f = lambda z: float(np.sum(z))
-        x_new, f_new = lbfgs_bounded_step(h, g, x, -np.ones(2), np.ones(2), f=f, f0=f(x))
+        x_new, f_new = lbfgs_bounded_step(h, g, x, -np.ones(2), np.ones(2), f, f(x))
         assert x_new is None and f_new is None
 
 
@@ -373,11 +380,16 @@ class TestPhaseTimers:
 
 
 class _ScriptedTask:
-    """Quadratic surrogate with a scripted true-objective sequence."""
+    """Quadratic surrogate on a flat one-channel grid with a scripted
+    true-objective sequence."""
 
-    def __init__(self, anchor, true_values):
+    method, backend = "scripted", "none"
+
+    def __init__(self, anchor, true_values, use_monitor=False):
         self.anchor = np.asarray(anchor, dtype=float)
         self.true_values = list(true_values)
+        self.use_monitor = use_monitor
+        self.grid0 = ControlGrid(0.5, np.zeros((1, self.anchor.size)), -2.0, 2.0)
         self.timers = _Timers()
 
     def _j(self, x):
@@ -393,36 +405,26 @@ class _ScriptedTask:
         return self.true_values.pop(0)
 
 
-def _flat_grid(n_steps=4):
-    return ControlGrid(0.5, np.zeros((1, n_steps)), -2.0, 2.0)
-
-
 class TestLoopGuards:
     def test_monitor_decrease_stops_and_returns_argmax_checkpoint(self):
-        grid = _flat_grid()
-        task = _ScriptedTask(1.5 * np.ones(4), [0.9, 0.5])
-        cfg = OptimizerConfig(max_iters=10, monitor_interval=1, ceiling_tol=None)
-        report = _optimize_loop(task, grid, cfg, use_monitor=True)
+        task = _ScriptedTask(1.5 * np.ones(4), [0.9, 0.5], use_monitor=True)
+        cfg = OptimizerConfig(max_iters=10, monitor_interval=1)
+        report = _optimize_loop(task, cfg)
         assert report.stop_reason == "monitor_decrease"
         assert report.checkpoints == [(0, 0.9), (1, 0.5)]
         assert report.best_J == 0.9
-        assert np.array_equal(report.best_control, grid.amplitudes)
+        assert np.array_equal(report.best_control, task.grid0.amplitudes)
+        assert (report.method, report.backend) == ("scripted", "none")
 
     def test_nonfinite_start_raises(self):
-        grid = _flat_grid()
-
         class _Bad(_ScriptedTask):
             def eval_grad(self, x):
                 return np.nan, np.zeros_like(x)
 
         with pytest.raises(FloatingPointError):
-            _optimize_loop(
-                _Bad(np.zeros(4), []), grid, OptimizerConfig(max_iters=5), False
-            )
+            _optimize_loop(_Bad(np.zeros(4), []), OptimizerConfig(max_iters=5))
 
     def test_nonfinite_after_step_raises(self):
-        grid = _flat_grid()
-
         class _Bad(_ScriptedTask):
             def __init__(self, *a):
                 super().__init__(*a)
@@ -435,17 +437,11 @@ class TestLoopGuards:
                 return super().eval_grad(x)
 
         with pytest.raises(FloatingPointError):
-            _optimize_loop(
-                _Bad(1.5 * np.ones(4), []),
-                grid,
-                OptimizerConfig(max_iters=5, ceiling_tol=None),
-                False,
-            )
+            _optimize_loop(_Bad(1.5 * np.ones(4), []), OptimizerConfig(max_iters=5))
 
     def test_grad_tol_convergence(self):
-        grid = _flat_grid()
         task = _ScriptedTask(np.zeros(4), [])  # already at the optimum
-        cfg = OptimizerConfig(max_iters=10, grad_tol=1e-8, ceiling_tol=None)
-        report = _optimize_loop(task, grid, cfg, use_monitor=False)
+        cfg = OptimizerConfig(max_iters=10, grad_tol=1e-8)
+        report = _optimize_loop(task, cfg)
         assert report.stop_reason == "converged"
         assert len(report.iterations) == 1

@@ -315,9 +315,9 @@ def test_forward_cache_layout(one_qubit):
     mset = MultiIndexSet(1, 1)
     grid = small_grid(one_qubit, n_steps=5, dt=0.5, seed=9)
     s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
-    fwd = propagate_forward("trotter", one_qubit, mset, grid, s0, record_ctl=True)
+    fwd = propagate_forward("trotter", one_qubit, mset, grid, s0)
     assert fwd.states.shape == (6, 2, 2, 2)
-    assert np.array_equal(fwd.initial, s0)
+    assert np.array_equal(fwd.states[0], s0)
     assert fwd.pre_ctl.shape == (5, 2, 2, 2)
     assert fwd.mid_ctl.shape == (5, 2, 2, 2)
     no_rec = propagate_forward("expm", one_qubit, mset, grid, s0)
@@ -362,7 +362,7 @@ def test_batch_axis_matches_single_states(two_qubit):
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want))), name
 
     grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=31)
-    fwd = propagate_forward("trotter", two_qubit, mset, grid, batch, plan=plan, record_ctl=True)
+    fwd = propagate_forward("trotter", two_qubit, mset, grid, batch, plan=plan)
     assert fwd.states.shape == (4,) + batch.shape
     assert fwd.pre_ctl.shape == fwd.mid_ctl.shape == (3,) + batch.shape
     for s in range(3):

@@ -10,10 +10,21 @@ channels with a discovered diagonalizer.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from robustpulse.augment import MultiIndexSet, initial_state, quadrature_norm
+from robustpulse.augment import (
+    MultiIndexSet,
+    apply_Ej,
+    apply_Ej_adjoint,
+    initial_state,
+    mat_commutator,
+    quadrature_norm,
+    state_to_vec,
+    vec_to_state,
+)
+from robustpulse.linalg import expm
 from robustpulse.model import ControlGrid, OpenSystemModel
 from robustpulse.propagate import (
     BACKENDS,
+    exp_nilpotent,
     make_trotter_plan,
     propagate_backward,
     propagate_final,
@@ -74,7 +85,7 @@ def test_forward_backward_pairing(problem, batch):
         fwd = propagate_forward(backend, model, mset, grid, b, plan=plan)
         bwd = propagate_backward(backend, model, mset, grid, a, plan=plan)
         lhs = np.vdot(a, fwd.final)
-        rhs = np.vdot(bwd.initial, b)
+        rhs = np.vdot(bwd.states[0], b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), backend
 
 
@@ -87,7 +98,7 @@ def test_trotter_gradient_matches_central_differences(problem):
     plan = make_trotter_plan(model, grid.dt)
     s0 = initial_state(mset, random_density(model.dim, rng))
     costate = _random_blocks(rng, s0.shape)
-    fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan, record_ctl=True)
+    fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
     grad = trotter_backward_with_gradient(plan, model, mset, grid, fwd, costate)
 
     def objective(amps):
@@ -113,3 +124,39 @@ def test_exact_backends_agree(problem):
     exact = propagate_final("expm", model, mset, grid, s0)
     rk4 = propagate_final("ode", model, mset, grid, s0)
     assert quadrature_norm(rk4 - exact) <= 1e-8 * quadrature_norm(exact)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_uncertainty_drives_are_nilpotent(problem):
+    """Each E_j drive applied n+1 times annihilates any state, forward and
+    adjoint, and exp_nilpotent equals the dense exponential of the drive's
+    supermatrix kron(routing_matrix(j), mat_commutator(E_j)) (its conjugate
+    transpose for the adjoint)."""
+    model, mset, grid, rng = problem
+    d, tau = model.dim, 0.5 * grid.dt
+    b = _random_blocks(rng, (mset.size, d, d))
+    for j in range(mset.m):
+        for drive in (apply_Ej, apply_Ej_adjoint):
+            acc = b
+            for _ in range(mset.n + 1):
+                acc = drive(model, mset, j, acc)
+            assert not np.any(acc), (j, drive.__name__)
+        dense = expm(tau * np.kron(mset.routing_matrix(j), mat_commutator(model.uncertainties[j])))
+        for adjoint, s in ((False, dense), (True, dense.conj().T)):
+            want = vec_to_state(s @ state_to_vec(b), mset.size, d)
+            got = exp_nilpotent(model, mset, j, b, tau, adjoint=adjoint)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (j, adjoint)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_exact_backends_keep_block_traces(problem):
+    """Under expm and RK4 the zero-order block keeps trace 1 and every
+    higher-order block stays traceless."""
+    model, mset, grid, rng = problem
+    s0 = initial_state(mset, random_density(model.dim, rng))
+    for backend in ("expm", "ode"):
+        traces = np.trace(propagate_final(backend, model, mset, grid, s0), axis1=-2, axis2=-1)
+        assert abs(traces[mset.zero_index] - 1.0) <= 1e-12, backend
+        assert np.max(np.abs(np.delete(traces, mset.zero_index)), initial=0.0) <= 1e-12, backend
