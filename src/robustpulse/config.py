@@ -136,14 +136,16 @@ _CHOICES = {
     "optimizer.backend": ("expm", "ode"),
 }
 
-_POSITIVE = {
+# Tuples, not sets: with several bad fields the first one in this order is
+# reported, whatever the string hash seed.
+_POSITIVE = (
     "system.n_qubits", "system.t1_us", "system.t2_us",
     "control.n_steps", "control.dt_ns", "control.max_mhz",
     "robustness.sigma_mhz", "robustness.sample_count",
     "optimizer.max_iters", "optimizer.monitor_interval", "optimizer.memory",
-}
+)
 
-_NON_NEGATIVE = {"robustness.order", "robustness.lam", "optimizer.grad_tol"}
+_NON_NEGATIVE = ("robustness.order", "robustness.lam", "optimizer.grad_tol")
 
 
 def _coerce(path: str, value, target_type):

@@ -82,25 +82,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     a : ndarray
-        Square complex matrix.
+        Square complex matrix, or a stack of them with shape (..., n, n).
 
     Returns
     -------
     ndarray
-        exp(a), complex128.
+        exp(a), complex128, with the shape of ``a``.  Each member of a
+        stack keeps its own scaling exponent and equals the exponential
+        of that matrix on its own bit for bit.
     """
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("expm expects a square matrix")
-    norm = np.linalg.norm(a, 1)
-    if not np.isfinite(norm):
+    shape = a.shape
+    if a.ndim < 2 or shape[-1] != shape[-2]:
+        raise ValueError("expm expects a square matrix or a stack of them")
+    n = shape[-1]
+    a = a.reshape(-1, n, n)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)  # 1-norm of each member
+    if not np.isfinite(norm).all():
         raise ValueError("expm input contains non-finite entries")
 
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        a = a / (2.0**s)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(np.int64)
+    if s.any():
+        a = a / (2.0**s)[:, None, None]
 
     b = _PADE13
     ident = np.eye(n, dtype=np.complex128)
@@ -122,6 +125,12 @@ def expm(a: np.ndarray) -> np.ndarray:
         + b[0] * ident
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    # round i squares only the members scaled down by more than i halvings;
+    # when that is all of them, without the copies that masking makes
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        if sq.all():
+            r = r @ r
+        else:
+            r[sq] = r[sq] @ r[sq]
+    return r.reshape(shape)

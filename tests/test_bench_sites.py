@@ -7,9 +7,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import yaml
+from click.testing import CliRunner
+
 from robustpulse import cli, propagate
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -39,3 +43,33 @@ def test_propagate_final_takes_the_backend_first():
     """The tracer's hook on propagate_final reads the backend from args[0]."""
     first = next(iter(inspect.signature(propagate.propagate_final).parameters))
     assert first == "backend"
+
+
+def _config(tmp_path, name, **sections):
+    cfg = yaml.safe_load((ROOT / "configs" / name).read_text())
+    for section, values in sections.items():
+        cfg[section].update(values)
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def test_traced_sweep_and_optimize_run():
+    """A short sweep and optimize run with every site wrapped, the way the
+    traced benchmark runs them: the hooks must accept what the wrapped
+    functions are called with (a stacked array reaching the 2-D expm hook
+    would raise), and the spans the per-layer metrics read are recorded."""
+    tracer_mod = _load_tracer()
+    runner = CliRunner()
+    with runner.isolated_filesystem() as tmp:
+        tmp = Path(tmp)
+        sweep_cfg = _config(tmp, "cnot_2q.yaml", robustness={"sample_count": 2})
+        opt_cfg = _config(tmp, "state_1q.yaml", optimizer={"max_iters": 1})
+        with tracer_mod.installed(tracer_mod.Tracer()) as tracer:
+            swept = runner.invoke(cli.main, ["sweep", "--config", sweep_cfg, "--out", str(tmp / "s")])
+            optimized = runner.invoke(cli.main, ["optimize", "--config", opt_cfg, "--out", str(tmp / "o")])
+    assert swept.exit_code == 0, swept.output
+    assert optimized.exit_code == 0, optimized.output
+    assert tracer.calls["oracle.noise_sweep"] == 1
+    assert tracer.calls["oracle.noisy_channel_super"] >= 1
+    assert tracer.calls["optimize.eval_grad"] >= 1

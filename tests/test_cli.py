@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,24 @@ class TestConfigErrors:
         res = runner.invoke(main, ["simulate", "--config", cfg])
         assert res.exit_code == 2
         assert "control.dt_ns" in res.stderr
+
+    def test_several_bad_fields_name_the_same_one_under_any_hash_seed(self, tmp_path):
+        cfg = _write(tmp_path, "c.yaml", "control:\n  n_steps: 0\n  dt_ns: -1\n  max_mhz: 0\n")
+        code = (
+            "import sys\n"
+            "from robustpulse.config import ConfigError, load_config\n"
+            "try:\n    load_config(sys.argv[1])\n"
+            "except ConfigError as exc:\n    print(exc.field)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        named = set()
+        for seed in ("1", "2", "3", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", code, cfg], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            named.add(proc.stdout.strip())
+        assert named == {"control.n_steps"}
 
     def test_bad_choice_names_dotted_field(self, tmp_path, runner):
         cfg = _write(tmp_path, "c.yaml", "optimizer:\n  method: adam\n")

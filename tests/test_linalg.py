@@ -54,6 +54,45 @@ def test_expm_rejects_bad_input():
         expm(np.array([[np.nan, 0], [0, 1.0]]))
 
 
+def _stack_straddling_theta13(rng, n, count):
+    """Random complex stack whose 1-norms run from well below to well above
+    the Pade(13) threshold, so the scaling exponent differs by member."""
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    norms = 5.371920351148152 * 2.0 ** np.linspace(-3.0, 6.5, count)
+    return a * (norms / np.linalg.norm(a, 1, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 40])
+def test_stacked_expm_members_equal_2d_expm_bit_for_bit(n):
+    a = _stack_straddling_theta13(np.random.default_rng(n), n, 9)
+    stack = expm(a)
+    assert stack.shape == a.shape
+    for j in range(a.shape[0]):
+        assert np.array_equal(stack[j], expm(a[j])), j
+    # more than one leading axis keeps its shape and its members
+    nested = expm(a[:8].reshape(2, 4, n, n))
+    assert np.array_equal(nested.reshape(8, n, n), stack[:8])
+
+
+def test_stacked_expm_matches_scipy():
+    a = _stack_straddling_theta13(np.random.default_rng(5), 12, 10)
+    got = expm(a)
+    for j in range(a.shape[0]):
+        want = scipy.linalg.expm(a[j])
+        denom = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got[j] - want)) / denom < 1e-13, j
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_expm_rejects_a_non_finite_member(bad):
+    a = _stack_straddling_theta13(np.random.default_rng(3), 4, 5)
+    a[3, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(a)
+    with pytest.raises(ValueError):
+        expm(np.zeros((3, 2, 3)))
+
+
 def test_vec_is_column_stacking():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     # columns are stacked: first column (1, 3), then (2, 4)

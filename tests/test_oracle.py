@@ -195,3 +195,26 @@ class TestNoiseSweep:
         u = preset_unitary("hadamard_transform", 2)
         chan = noisy_channel_super(one_qubit, grid, r.eps[7])
         assert r.fidelities[7] == pytest.approx(avg_gate_fidelity(chan, u))
+
+
+def test_one_sample_channel_is_the_first_of_its_batch(two_qubit):
+    """eps of shape (m,) gives bit for bit the channel that eps[None] gives
+    as the only member of a batch, and a batch member equals its lone run."""
+    grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=8)
+    eps = np.array([[0.07, -0.02], [0.3, 0.11], [-0.5, 0.0]])
+    single = noisy_channel_super(two_qubit, grid, eps[0])
+    assert single.shape == (16, 16)
+    assert np.array_equal(single, noisy_channel_super(two_qubit, grid, eps[:1])[0])
+    batch = noisy_channel_super(two_qubit, grid, eps)
+    assert batch.shape == (3, 16, 16)
+    for j in range(3):
+        assert np.array_equal(batch[j], noisy_channel_super(two_qubit, grid, eps[j]))
+
+
+@pytest.mark.parametrize("eps", [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 2, 2))])
+def test_wrong_strength_width_is_rejected(two_qubit, eps):
+    grid = small_grid(two_qubit, n_steps=2)
+    with pytest.raises(ValueError, match="one strength per uncertainty"):
+        noisy_liouvillian(two_qubit, grid.amplitudes[:, 0], eps)
+    with pytest.raises(ValueError, match="one strength per uncertainty"):
+        noisy_channel_super(two_qubit, grid, eps)
