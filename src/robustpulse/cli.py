@@ -1,4 +1,4 @@
-"""Command-line entry points: simulate, optimize, sweep, benchmark.
+"""Command-line entry points: simulate, optimize, sweep.
 
 Reports are written as YAML with sorted keys and contain no wall-clock
 data, so rerunning a command with the same config and seed reproduces
@@ -15,7 +15,6 @@ import contextlib
 import csv
 import functools
 import logging
-import statistics
 import time
 from pathlib import Path
 
@@ -23,8 +22,8 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__, kernels
-from .augment import CapExceeded, MultiIndexSet, initial_state
+from . import __version__
+from .augment import CapExceeded, initial_state
 from .config import (
     ConfigError,
     RunConfig,
@@ -39,7 +38,7 @@ from .config import (
     resolved_dict,
 )
 from .gates import preset_unitary
-from .model import ControlGrid, attach_uncertainties, build_spin_chain, mhz_to_radns, radns_to_mhz, random_grid
+from .model import ControlGrid, mhz_to_radns, radns_to_mhz
 from .objective import avg_gate_fidelity, gate_objective, robust_J
 from .optimize import run_gate_synthesis, run_grape, run_stgrape
 from .oracle import noise_sweep, noisy_channel_super
@@ -111,6 +110,10 @@ def _read_pulse_csv(path: Path, template: ControlGrid) -> ControlGrid:
             "<pulse>",
             f"{path} pulse row {row + 1} channel u_{c + 1} amplitude {body[row, c + 1]:g} MHz "
             f"is outside the control.max_mhz box [{lo[c]:g}, {hi[c]:g}]",
+        )
+    if body.shape[0] != template.n_steps:
+        raise ConfigError(
+            "<pulse>", f"{path} has {body.shape[0]} pulse rows, control.n_steps = {template.n_steps}"
         )
     amps = mhz_to_radns(body[:, 1:].T)
     return ControlGrid(template.dt, amps, template.lo, template.hi)
@@ -200,7 +203,7 @@ def simulate(config_path, out, seed):
         )
 
     try:
-        dev = delta_st(model, mset, grid, batch0[0], plan=plan)
+        dev = delta_st(model, mset, grid, batch0, plan=plan)
     except CapExceeded:
         dev = None
     for backend, value in objective_by_backend.items():
@@ -379,70 +382,6 @@ def time_backend_step(model, mset, grid, backend, repeats: int = 5, plan=None) -
         propagate_final(backend, model, mset, grid, state0, plan=plan)
         times.append((time.perf_counter() - t0) / grid.n_steps)
     return times
-
-
-@main.command()
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True, dir_okay=False),
-              help="Optional YAML run configuration for chain parameters.")
-@_out_opt
-@click.option("--qubits", default="2,3", show_default=True, help="Comma-separated qubit counts.")
-@click.option("--order", default=1, show_default=True, type=int, help="Taylor truncation order.")
-@click.option("--steps", default=8, show_default=True, type=int, help="Grid steps per timing run.")
-@click.option("--repeats", default=5, show_default=True, type=int, help="Timed repetitions.")
-@_guard
-def benchmark(config_path, out, qubits, order, steps, repeats):
-    """Time each propagation backend per step."""
-    cfg = load_config(config_path) if config_path else RunConfig()
-    try:
-        qubit_list = [int(q) for q in qubits.split(",") if q.strip()]
-    except ValueError:
-        raise ConfigError("--qubits", f"expected comma-separated integers, got {qubits!r}")
-    if not qubit_list or any(q < 1 for q in qubit_list):
-        raise ConfigError("--qubits", "qubit counts must be positive integers")
-
-    rows = []
-    for n_q in qubit_list:
-        model = build_spin_chain(
-            n_q, jxy_mhz=cfg.system.jxy_mhz, t1_us=cfg.system.t1_us, t2_us=cfg.system.t2_us
-        )
-        model = attach_uncertainties(model, "edges")
-        mset = MultiIndexSet(len(model.uncertainties), order)
-        bound = mhz_to_radns(cfg.control.max_mhz)
-        grid = random_grid(len(model.controls), steps, cfg.control.dt_ns, -bound, bound, seed=11)
-        d_aug = mset.size * model.dim**2
-        for backend in BACKENDS:
-            plan = make_trotter_plan(model, grid.dt) if backend == "trotter" else None
-            try:
-                times = time_backend_step(model, mset, grid, backend, repeats, plan=plan)
-            except CapExceeded:
-                continue
-            rows.append({
-                "backend": backend,
-                "kernels": "-" if backend == "expm" else kernels.kernel_mode(),
-                "n_qubits": n_q,
-                "order": order,
-                "n_blocks": mset.size,
-                "d_aug": d_aug,
-                "median_ns": statistics.median(times) * 1e9,
-                "mean_ns": statistics.fmean(times) * 1e9,
-            })
-            click.echo(
-                f"n_q={n_q} {backend:7s} median {statistics.median(times) * 1e3:9.3f} ms/step",
-                err=True,
-            )
-
-    out_path = _out_dir(cfg, out)
-    bench_csv = out_path / "benchmark.csv"
-    with bench_csv.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "backend", "kernels", "n_qubits", "order", "n_blocks", "d_aug",
-            "median_ns", "mean_ns",
-        ])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "median_ns": f"{row['median_ns']:.0f}",
-                             "mean_ns": f"{row['mean_ns']:.0f}"})
-    click.echo(f"benchmark table written to {bench_csv}")
 
 
 if __name__ == "__main__":

@@ -50,26 +50,12 @@ def overlap(state_T: np.ndarray, target: np.ndarray) -> float:
     return float(np.real(np.sum(rho.T * target)))
 
 
-def _lam_array(mset: MultiIndexSet, lam) -> np.ndarray:
-    out = np.zeros(mset.size)
-    if np.isscalar(lam):
-        out[:] = float(lam)
-    else:
-        for p, value in dict(lam).items():
-            key = tuple(int(x) for x in p)
-            if key not in mset.index:
-                raise ValueError(f"penalty weight given for unknown order {key}")
-            out[mset.index[key]] = float(value)
-    out[mset.zero_index] = 0.0
-    return out
-
-
 @dataclass
 class RobustStateObjective:
     """Target overlap plus quadratic penalties on the coefficient blocks.
 
     ``lam[k]`` weights the squared Frobenius norm of block k; the
-    zero-order entry is ignored.
+    zero-order entry is zero.
     """
 
     target: np.ndarray
@@ -78,7 +64,7 @@ class RobustStateObjective:
 
     @classmethod
     def make(
-        cls, mset: MultiIndexSet, target: np.ndarray, rho0=None, lam=1.0
+        cls, mset: MultiIndexSet, target: np.ndarray, rho0=None, lam: float = 1.0
     ) -> "RobustStateObjective":
         target = np.asarray(target, dtype=complex)
         if not is_hermitian(target, tol=1e-10):
@@ -89,7 +75,9 @@ class RobustStateObjective:
                 raise ValueError("initial state must be Hermitian")
             if abs(np.trace(rho0).real - 1.0) > 1e-8:
                 raise ValueError("initial state must have unit trace")
-        return cls(target=target, lam=_lam_array(mset, lam), rho0=rho0)
+        lam_blocks = np.full(mset.size, float(lam))
+        lam_blocks[mset.zero_index] = 0.0
+        return cls(target=target, lam=lam_blocks, rho0=rho0)
 
 
 def robust_J(state_T: np.ndarray, obj: RobustStateObjective) -> float:
@@ -140,8 +128,6 @@ def gate_basis_states(d: int, kind: str = "d_plus_one") -> list:
 class GateObjective:
     """Weighted multi-state robust objective for synthesising a unitary."""
 
-    u_target: np.ndarray
-    kind: str
     weights: np.ndarray
     state0s: list
     per_state: list  # RobustStateObjective per input state
@@ -155,28 +141,21 @@ def make_gate_objective(
     mset: MultiIndexSet,
     u_target: np.ndarray,
     kind: str = "d_plus_one",
-    lam=1.0,
-    weights=None,
+    lam: float = 1.0,
 ) -> GateObjective:
     """Build the d+1 (or three) state-transport objectives for a target
-    unitary; weights default to uniform."""
+    unitary, uniformly weighted."""
     u_target = np.asarray(u_target, dtype=complex)
     d = u_target.shape[0]
     if np.max(np.abs(u_target.conj().T @ u_target - np.eye(d))) > 1e-10:
         raise ValueError("gate target must be unitary")
     states = gate_basis_states(d, kind)
-    if weights is None:
-        weights = np.full(len(states), 1.0 / len(states))
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != len(states) or np.any(weights < 0):
-        raise ValueError("need one non-negative weight per basis state")
     per_state = [
         RobustStateObjective.make(mset, u_target @ rho @ u_target.conj().T, lam=lam)
         for rho in states
     ]
-    return GateObjective(
-        u_target=u_target, kind=kind, weights=weights, state0s=states, per_state=per_state
-    )
+    weights = np.full(len(states), 1.0 / len(states))
+    return GateObjective(weights=weights, state0s=states, per_state=per_state)
 
 
 def gate_objective(states_T: list, gobj: GateObjective) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "propagate_noisy_exact",
     "noisy_channel_super",
     "fd_taylor_block",
-    "fd_step_stability",
     "haar_mc_agf",
     "NoiseSweepResult",
     "noise_sweep",
@@ -148,23 +147,6 @@ def fd_taylor_block(
     raise ValueError(f"finite-difference stencils cover total order <= 2, got {order}")
 
 
-def fd_step_stability(
-    model: OpenSystemModel,
-    grid: ControlGrid,
-    rho0: np.ndarray,
-    p,
-    h: float = 1e-4,
-) -> float:
-    """Relative change of the stencil estimate between steps h and h/2;
-    small values certify the step choice."""
-    a = fd_taylor_block(model, grid, rho0, p, h)
-    b = fd_taylor_block(model, grid, rho0, p, 0.5 * h)
-    ref = np.linalg.norm(b)
-    if ref == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b) / ref)
-
-
 def haar_mc_agf(
     channel_super: np.ndarray,
     u_target: np.ndarray,
@@ -191,6 +173,13 @@ def haar_mc_agf(
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
     return mean, stderr
+
+
+# Bytes of one (chunk, d^2, d^2) complex channel stack in noise_sweep.  The
+# stacked Pade keeps about a dozen stacks of that size alive, so this bounds
+# a sweep's memory at any sample count; a 2-qubit sweep of up to 4096
+# samples is still a single chunk.
+_SWEEP_STACK_BYTES = 2**24
 
 
 @dataclass
@@ -223,11 +212,16 @@ def noise_sweep(
     count: int,
 ) -> NoiseSweepResult:
     """Average-gate-fidelity statistics of a control under sampled
-    uncertainty strengths; one exact channel construction for all
-    samples together, then each sample's fidelity."""
+    uncertainty strengths; one exact channel construction per chunk of
+    samples (each chunk's channel stack within _SWEEP_STACK_BYTES), then
+    each sample's fidelity."""
     if dist.sigmas.size != model.n_uncertainties:
         raise ValueError("distribution dimension must match the uncertainty count")
     eps = dist.sample(count)
-    chans = noisy_channel_super(model, grid, eps)
-    fids = np.array([avg_gate_fidelity(c, u_target) for c in chans])
+    chunk = max(1, _SWEEP_STACK_BYTES // (16 * model.dim**4))
+    fids = np.array([
+        avg_gate_fidelity(c, u_target)
+        for lo in range(0, count, chunk)
+        for c in noisy_channel_super(model, grid, eps[lo:lo + chunk])
+    ])
     return NoiseSweepResult(eps=eps, fidelities=fids)

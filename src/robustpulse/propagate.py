@@ -592,7 +592,8 @@ def delta_st(
     plan: TrotterPlan | None = None,
 ) -> float:
     """Relative terminal deviation of the Trotter backend from the exact
-    supermatrix propagation, in the stacked Frobenius norm."""
+    supermatrix propagation, in the stacked Frobenius norm; for a batch
+    of states the norm stacks every state's blocks."""
     exact = propagate_final("expm", model, mset, grid, state0)
     approx = propagate_final("trotter", model, mset, grid, state0, plan=plan)
     ref = quadrature_norm(exact)

@@ -73,3 +73,21 @@ def test_traced_sweep_and_optimize_run():
     assert tracer.calls["oracle.noise_sweep"] == 1
     assert tracer.calls["oracle.noisy_channel_super"] >= 1
     assert tracer.calls["optimize.eval_grad"] >= 1
+
+
+def test_traced_simulate_run():
+    """A 2-step simulate of a small state task with every site wrapped: the
+    exact-backend and splitting-deviation spans are recorded, and the
+    default_substeps hook accepts the count that function returns."""
+    tracer_mod = _load_tracer()
+    runner = CliRunner()
+    with runner.isolated_filesystem() as tmp:
+        tmp = Path(tmp)
+        cfg = _config(tmp, "state_1q.yaml", control={"n_steps": 2})
+        with tracer_mod.installed(tracer_mod.Tracer()) as tracer:
+            res = runner.invoke(cli.main, ["simulate", "--config", cfg, "--out", str(tmp / "s")])
+    assert res.exit_code == 0, res.output
+    for span in ("propagate.delta_st", "propagate.step_ode",
+                 "propagate.default_substeps", "propagate.step_propagator_expm"):
+        assert tracer.calls[span] >= 1, span
+    assert tracer.counts["propagate.ode_substeps"] >= 1

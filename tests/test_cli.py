@@ -11,8 +11,12 @@ from click.testing import CliRunner
 
 from robustpulse import cli
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
-from robustpulse.config import ConfigError
+from robustpulse.augment import initial_state
+from robustpulse.config import (
+    ConfigError, build_gate_objective, build_grid, build_model, build_mset, load_config,
+)
 from robustpulse.model import ControlGrid
+from robustpulse.propagate import delta_st
 
 
 STATE_CFG = """
@@ -126,16 +130,21 @@ class TestConfigErrors:
         assert res.exit_code == 2
         assert "task.kind" in res.stderr
 
-    def test_benchmark_rejects_bad_qubit_list(self, tmp_path, runner):
-        res = runner.invoke(main, ["benchmark", "--qubits", "2,x", "--out", str(tmp_path)])
-        assert res.exit_code == 2
-        assert "--qubits" in res.stderr
-
 
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert "robustpulse" in res.output
+
+
+def test_commands_are_simulate_optimize_and_sweep(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    assert set(main.commands) == {"simulate", "optimize", "sweep"}
+    assert "benchmark" not in res.output
+    res = runner.invoke(main, ["benchmark"])
+    assert res.exit_code == 2
+    assert "No such command" in res.output
 
 
 def test_simulate_reports_every_backend(tmp_path, runner):
@@ -151,6 +160,24 @@ def test_simulate_reports_every_backend(tmp_path, runner):
     assert all(v < 1e-6 for v in report["trace_defect"].values())
     assert report["n_blocks"] == 2
     assert (out / "timings.yaml").exists()
+
+
+def test_simulate_gate_deviation_covers_every_input_state(tmp_path, runner):
+    """A gate task's splitting deviation stacks all d + 1 input states,
+    not only the first."""
+    cfg_path = _write(tmp_path, "c.yaml", GATE_CFG)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", cfg_path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    reported = yaml.safe_load((out / "report.yaml").read_text())["splitting_deviation"]
+    cfg = load_config(cfg_path)
+    model = build_model(cfg)
+    mset = build_mset(cfg, model)
+    grid = build_grid(cfg, model)
+    batch = initial_state(mset, np.stack(build_gate_objective(cfg, mset, model.dim).state0s))
+    assert len(batch) == 3
+    assert reported == delta_st(model, mset, grid, batch)
+    assert reported != delta_st(model, mset, grid, batch[0])
 
 
 def test_simulate_rejects_non_finite_result(tmp_path, runner, monkeypatch):
@@ -328,17 +355,15 @@ def test_sweep_rejects_pulse_with_other_dt(tmp_path, runner):
     assert "dt_ns" in res.output
 
 
-def test_benchmark_writes_table(tmp_path, runner):
-    res = runner.invoke(
-        main,
-        ["benchmark", "--qubits", "1", "--steps", "2", "--repeats", "1",
-         "--out", str(tmp_path / "bench")],
-    )
-    assert res.exit_code == 0, res.output
-    rows = (tmp_path / "bench" / "benchmark.csv").read_text().splitlines()
-    assert rows[0] == "backend,kernels,n_qubits,order,n_blocks,d_aug,median_ns,mean_ns"
-    backends = {r.split(",")[0] for r in rows[1:]}
-    assert backends == {"expm", "ode", "trotter"}
+def test_sweep_rejects_pulse_with_other_row_count(tmp_path, runner):
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)  # control.n_steps: 8
+    pulse = tmp_path / "p.csv"
+    pulse.write_text("t_ns,u_1,u_2\n0,1,2\n")
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out), "--pulse", str(pulse)])
+    assert res.exit_code == 2, res.output
+    assert "1 pulse rows" in res.output and "control.n_steps = 8" in res.output
+    assert not (out / "sweep.csv").exists()
 
 
 class TestPulseCsv:

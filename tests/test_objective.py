@@ -58,15 +58,6 @@ def test_robust_J_hand_value():
     assert robust_J(state, obj) == pytest.approx(0.75 - 0.5)
 
 
-def test_lam_dict_targets_specific_blocks():
-    mset = MultiIndexSet(2, 1)  # orders (1,0), (0,1), (0,0)
-    targ = np.eye(2, dtype=complex) / 2
-    obj = RobustStateObjective.make(mset, targ, lam={(1, 0): 3.0})
-    assert np.allclose(obj.lam, [3.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="unknown order"):
-        RobustStateObjective.make(mset, targ, lam={(2, 0): 1.0})
-
-
 def test_zero_order_block_never_penalised():
     mset = MultiIndexSet(1, 1)
     obj = RobustStateObjective.make(mset, uniform_state(2), lam=5.0)

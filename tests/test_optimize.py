@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ def _random_gate_problem(seed=41):
     mset = MultiIndexSet(2, 2)
     grid = random_grid(3, 6, 0.3, -0.4, 0.4, seed=seed)
     u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    gobj = make_gate_objective(mset, u, lam=0.3, weights=rng.uniform(0.5, 1.5, d + 1))
+    gobj = replace(make_gate_objective(mset, u, lam=0.3), weights=rng.uniform(0.5, 1.5, d + 1))
     return model, mset, grid, gobj
 
 

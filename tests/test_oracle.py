@@ -9,13 +9,13 @@ certify.
 import numpy as np
 import pytest
 
+from robustpulse import oracle
 from robustpulse.augment import MultiIndexSet, initial_state, mat_lindblad
 from robustpulse.linalg import kron, vec
 from robustpulse.gates import preset_unitary
 from robustpulse.model import NoiseDistribution, build_spin_chain, attach_uncertainties
 from robustpulse.objective import avg_gate_fidelity
 from robustpulse.oracle import (
-    fd_step_stability,
     fd_taylor_block,
     haar_mc_agf,
     noise_sweep,
@@ -111,8 +111,11 @@ class TestTaylorStencils:
             fd_taylor_block(one_qubit, grid, rho0, (3,))
 
     def test_step_stability(self, one_qubit):
+        """The stencil estimate barely moves when its step h is halved."""
         grid, rho0 = self._setup(one_qubit)
-        assert fd_step_stability(one_qubit, grid, rho0, (1,)) < 1e-6
+        a = fd_taylor_block(one_qubit, grid, rho0, (1,), h=1e-4)
+        b = fd_taylor_block(one_qubit, grid, rho0, (1,), h=0.5e-4)
+        assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
 
 
 def test_taylor_remainder_shrinks_by_parity(one_qubit):
@@ -195,6 +198,41 @@ class TestNoiseSweep:
         u = preset_unitary("hadamard_transform", 2)
         chan = noisy_channel_super(one_qubit, grid, r.eps[7])
         assert r.fidelities[7] == pytest.approx(avg_gate_fidelity(chan, u))
+
+    @pytest.mark.parametrize("per_chunk,sizes", [(1, [1] * 40), (3, [3] * 13 + [1])])
+    def test_chunks_give_the_one_stack_fidelities(self, one_qubit, monkeypatch, chunk_sizes,
+                                                  per_chunk, sizes):
+        """With the stack bound lowered so that a chunk holds ``per_chunk``
+        samples, the sweep runs in chunks and its fidelities are bit for bit
+        those of the single 40-sample stack."""
+        whole = self._run(one_qubit)
+        monkeypatch.setattr(oracle, "_SWEEP_STACK_BYTES", per_chunk * 16 * one_qubit.dim**4)
+        chunked = self._run(one_qubit)
+        assert chunk_sizes == [40] + sizes
+        assert np.array_equal(chunked.eps, whole.eps)
+        assert chunked.fidelities.tobytes() == whole.fidelities.tobytes()
+
+    def test_two_qubit_sweep_of_fifty_samples_is_one_chunk(self, two_qubit, chunk_sizes):
+        """Under the default bound a 2-qubit sweep of 50 samples, the size
+        perfbench sweeps, stays one stack."""
+        grid = small_grid(two_qubit, n_steps=2, dt=0.5, seed=17)
+        dist = NoiseDistribution("normal", [0.05, 0.05], seed=21)
+        noise_sweep(two_qubit, grid, preset_unitary("cnot", 4), dist, 50)
+        assert chunk_sizes == [50]
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Sample count of each channel stack that noise_sweep builds."""
+    sizes = []
+    real = oracle.noisy_channel_super
+
+    def recorded(model, grid, eps):
+        sizes.append(len(eps))
+        return real(model, grid, eps)
+
+    monkeypatch.setattr(oracle, "noisy_channel_super", recorded)
+    return sizes
 
 
 def test_one_sample_channel_is_the_first_of_its_batch(two_qubit):
