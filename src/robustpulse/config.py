@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .augment import MultiIndexSet
-from .gates import PRESETS, preset_unitary
+from .gates import PRESET_QUBITS, preset_unitary
 from .model import (
     ControlGrid,
     NoiseDistribution,
@@ -128,7 +128,7 @@ _CHOICES = {
     "system.uncertainty": ("edges", "couplings", "none"),
     "robustness.distribution": ("normal", "uniform"),
     "task.kind": ("gate", "state"),
-    "task.gate": tuple(PRESETS),
+    "task.gate": tuple(PRESET_QUBITS),
     "task.basis": ("d_plus_one", "three"),
     "task.initial": ("ground", "uniform"),
     "task.target": ("ground", "uniform"),
@@ -223,8 +223,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(path, f"must be non-negative, got {value!r}")
     if cfg.task.kind == "gate":
         dim = 2 ** cfg.system.n_qubits
-        need = {"hadamard_transform": 0, "cnot": 2, "toffoli": 3, "cccnot": 4}[cfg.task.gate]
-        if need and cfg.system.n_qubits != need:
+        need = PRESET_QUBITS[cfg.task.gate]
+        if need is not None and cfg.system.n_qubits != need:
             raise ConfigError(
                 "task.gate",
                 f"{cfg.task.gate!r} needs system.n_qubits = {need}, "
@@ -255,7 +255,10 @@ def build_model(cfg: RunConfig) -> OpenSystemModel:
         t2_us=cfg.system.t2_us,
     )
     if cfg.system.uncertainty != "none":
-        model = attach_uncertainties(model, cfg.system.uncertainty)
+        try:
+            model = attach_uncertainties(model, cfg.system.uncertainty)
+        except ValueError as exc:  # a set the chain is too short for
+            raise ConfigError("system.uncertainty", str(exc)) from exc
     return model
 
 

@@ -6,49 +6,25 @@ import numpy as np
 
 from .linalg import kron_all
 
-__all__ = ["hadamard_transform", "cnot", "toffoli", "cccnot", "preset_unitary", "PRESETS"]
+__all__ = ["PRESET_QUBITS", "preset_unitary"]
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-
-def hadamard_transform(n_qubits: int) -> np.ndarray:
-    """Hadamard on every qubit."""
-    return kron_all([_H] * n_qubits)
-
-
-def _controlled_x(n_controls: int) -> np.ndarray:
-    d = 2 ** (n_controls + 1)
-    u = np.eye(d, dtype=complex)
-    u[d - 2 :, d - 2 :] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return u
-
-
-def cnot() -> np.ndarray:
-    return _controlled_x(1)
-
-
-def toffoli() -> np.ndarray:
-    return _controlled_x(2)
-
-
-def cccnot() -> np.ndarray:
-    return _controlled_x(3)
-
-
-PRESETS = ("hadamard_transform", "cnot", "toffoli", "cccnot")
+# Qubit count each preset acts on; None: any count (a Hadamard on every
+# qubit).  The others are X on the last qubit controlled by all the rest.
+PRESET_QUBITS = {"hadamard_transform": None, "cnot": 2, "toffoli": 3, "cccnot": 4}
 
 
 def preset_unitary(name: str, dim: int) -> np.ndarray:
     """Look up a named target unitary, checking the dimension."""
+    if name not in PRESET_QUBITS:
+        raise ValueError(f"unknown target preset {name!r}; known: {tuple(PRESET_QUBITS)}")
+    n_qubits, want = int(round(np.log2(dim))), PRESET_QUBITS[name]
+    if 2**n_qubits != dim or want not in (None, n_qubits):
+        need = "a power-of-two-dimensional" if want is None else f"a {2**want}-dimensional"
+        raise ValueError(f"preset {name} needs {need} model, model is {dim}-dimensional")
     if name == "hadamard_transform":
-        n_qubits = int(round(np.log2(dim)))
-        if 2**n_qubits != dim:
-            raise ValueError("hadamard_transform needs a power-of-two dimension")
-        return hadamard_transform(n_qubits)
-    fixed = {"cnot": (cnot, 4), "toffoli": (toffoli, 8), "cccnot": (cccnot, 16)}
-    if name not in fixed:
-        raise ValueError(f"unknown target preset {name!r}; known: {PRESETS}")
-    builder, want = fixed[name]
-    if dim != want:
-        raise ValueError(f"preset {name} is {want}-dimensional, model is {dim}-dimensional")
-    return builder()
+        return kron_all([_H] * n_qubits)
+    u = np.eye(dim, dtype=complex)
+    u[dim - 2 :, dim - 2 :] = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return u

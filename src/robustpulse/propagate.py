@@ -4,7 +4,8 @@ Three interchangeable backends advance an augmented block state over one
 piecewise-constant control step:
 
 * ``expm``   - exponential of the assembled supermatrix (reference).
-* ``ode``    - classical RK4 on the block cascade with fixed substeps.
+* ``ode``    - classical RK4 on the block cascade, with equal substeps
+  whose count is sized for each step from its generator norm.
 * ``trotter``- second-order symmetric splitting: half-step nilpotent
   uncertainty drives and truncated collapse channel wrap a unitary
   control sandwich around the non-Hermitian effective-Hamiltonian flow.
@@ -55,6 +56,7 @@ __all__ = [
     "propagate_backward",
     "trotter_backward_with_gradient",
     "delta_st",
+    "splitting_deviation",
     "generator_norm_bound",
     "default_substeps",
 ]
@@ -438,7 +440,8 @@ def step_ode(
     substeps: int | None = None,
     adjoint: bool = False,
 ) -> np.ndarray:
-    """One step by classical RK4 with fixed substeps on the block cascade."""
+    """One step by classical RK4 on the block cascade, in ``substeps`` equal
+    substeps (by default sized for this step by ``default_substeps``)."""
     if substeps is None:
         substeps = default_substeps(model, amplitudes, dt)
     h = dt / substeps
@@ -592,10 +595,16 @@ def delta_st(
     plan: TrotterPlan | None = None,
 ) -> float:
     """Relative terminal deviation of the Trotter backend from the exact
-    supermatrix propagation, in the stacked Frobenius norm; for a batch
-    of states the norm stacks every state's blocks."""
+    supermatrix propagation (see ``splitting_deviation``)."""
     exact = propagate_final("expm", model, mset, grid, state0)
     approx = propagate_final("trotter", model, mset, grid, state0, plan=plan)
+    return splitting_deviation(exact, approx)
+
+
+def splitting_deviation(exact: np.ndarray, approx: np.ndarray) -> float:
+    """Relative distance of ``approx`` from ``exact`` in the stacked
+    Frobenius norm; for a batch of states the norm stacks every state's
+    blocks."""
     ref = quadrature_norm(exact)
     if ref == 0.0:
         raise ValueError("exact propagation returned a zero state")

@@ -77,8 +77,8 @@ def test_traced_sweep_and_optimize_run():
 
 def test_traced_simulate_run():
     """A 2-step simulate of a small state task with every site wrapped: the
-    exact-backend and splitting-deviation spans are recorded, and the
-    default_substeps hook accepts the count that function returns."""
+    exact-backend spans are recorded, and the default_substeps hook
+    accepts the count that function returns."""
     tracer_mod = _load_tracer()
     runner = CliRunner()
     with runner.isolated_filesystem() as tmp:
@@ -87,7 +87,7 @@ def test_traced_simulate_run():
         with tracer_mod.installed(tracer_mod.Tracer()) as tracer:
             res = runner.invoke(cli.main, ["simulate", "--config", cfg, "--out", str(tmp / "s")])
     assert res.exit_code == 0, res.output
-    for span in ("propagate.delta_st", "propagate.step_ode",
-                 "propagate.default_substeps", "propagate.step_propagator_expm"):
+    for span in ("propagate.step_ode", "propagate.default_substeps",
+                 "propagate.step_propagator_expm"):
         assert tracer.calls[span] >= 1, span
     assert tracer.counts["propagate.ode_substeps"] >= 1

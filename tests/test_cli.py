@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from robustpulse import cli
+from robustpulse import augment, cli, propagate
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
 from robustpulse.augment import initial_state
 from robustpulse.config import (
@@ -124,6 +124,22 @@ class TestConfigErrors:
         assert res.exit_code == 2
         assert "optimizer.method" in res.stderr
 
+    def test_couplings_on_two_qubits_names_the_uncertainty(self, tmp_path, runner):
+        """The coupling set needs a third qubit; a shorter chain is a
+        config error, not a traceback."""
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG.replace(
+            "n_qubits: 1", "n_qubits: 2\n  uncertainty: couplings"))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "system.uncertainty" in res.stderr and "at least 3 qubits" in res.stderr
+
+    def test_cnot_on_three_qubits_names_the_qubit_count(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", GATE_CFG.replace("n_qubits: 1", "n_qubits: 3").replace(
+            "gate: hadamard_transform", "gate: cnot"))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "task.gate" in res.stderr and "system.n_qubits = 2" in res.stderr
+
     def test_sweep_rejects_state_task(self, tmp_path, runner):
         cfg = _write(tmp_path, "c.yaml", STATE_CFG)
         res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -178,6 +194,37 @@ def test_simulate_gate_deviation_covers_every_input_state(tmp_path, runner):
     assert len(batch) == 3
     assert reported == delta_st(model, mset, grid, batch)
     assert reported != delta_st(model, mset, grid, batch[0])
+
+
+def test_simulate_propagates_the_exact_chain_once(tmp_path, runner, monkeypatch):
+    """The splitting deviation reuses the expm finals: one step
+    propagator per control step, not one more chain for the deviation."""
+    calls = []
+    real = propagate.step_propagator_expm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "step_propagator_expm", counted)
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)  # control.n_steps: 6
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 6
+
+
+def test_simulate_over_the_cap_reports_null_for_expm(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 2)
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["objective"]["expm"] is None
+    assert report["trace_defect"]["expm"] is None
+    assert report["splitting_deviation"] is None
+    for backend in ("ode", "trotter"):
+        assert np.isfinite([report["objective"][backend], report["trace_defect"][backend]]).all()
 
 
 def test_simulate_rejects_non_finite_result(tmp_path, runner, monkeypatch):
