@@ -39,7 +39,9 @@ from .config import (
 )
 from .gates import preset_unitary
 from .model import ControlGrid, mhz_to_radns, radns_to_mhz
+# robust_J is not called here: perfbench/tracer.py wraps it at cli.robust_J
 from .objective import avg_gate_fidelity, gate_objective, robust_J
+# run_grape and run_stgrape are not called here: perfbench/tracer.py wraps them at cli
 from .optimize import run_gate_synthesis, run_grape, run_stgrape
 from .oracle import noise_sweep, noisy_channel_super
 # delta_st is not called here: perfbench/tracer.py wraps it at cli.delta_st
@@ -151,7 +153,7 @@ _config_opt = click.option(
     help="YAML run configuration.",
 )
 _out_opt = click.option("--out", default=None, help="Output directory (default from config).")
-_seed_opt = click.option("--seed", default=None, type=int, help="Override the run seed.")
+_seed_opt = click.option("--seed", type=click.IntRange(min=0), help="Override the run seed.")
 
 
 @click.group()
@@ -160,13 +162,10 @@ def main():
     """Robust pulse design for open quantum systems."""
 
 
-def _task_states(cfg: RunConfig, mset, model):
-    """Initial physical states and per-state objectives for the run's task."""
-    if cfg.task.kind == "gate":
-        gobj = build_gate_objective(cfg, mset, model.dim)
-        return gobj.state0s, gobj, None
-    sobj = build_state_objective(cfg, mset, model.dim)
-    return [sobj.rho0], None, sobj
+def _objective(cfg: RunConfig, mset, model):
+    """The run's gate objective; a state task's has one input state."""
+    build = build_gate_objective if cfg.task.kind == "gate" else build_state_objective
+    return build(cfg, mset, model.dim)
 
 
 @main.command()
@@ -181,14 +180,14 @@ def simulate(config_path, out, seed):
     model = build_model(cfg)
     mset = build_mset(cfg, model)
     grid = build_grid(cfg, model, seed=seed)
-    state0s, gobj, sobj = _task_states(cfg, mset, model)
+    obj = _objective(cfg, mset, model)
     plan = make_trotter_plan(model, grid.dt)
 
     objective_by_backend: dict = {}
     trace_defect: dict = {}
     timings: dict = {}
     finals_by_backend: dict = {}
-    batch0 = initial_state(mset, np.stack(state0s))
+    batch0 = initial_state(mset, np.stack(obj.state0s))
     for backend in BACKENDS:
         t0 = time.perf_counter()
         try:
@@ -199,10 +198,7 @@ def simulate(config_path, out, seed):
             continue
         timings[backend] = time.perf_counter() - t0
         finals_by_backend[backend] = finals
-        if gobj is not None:
-            objective_by_backend[backend] = gate_objective(finals, gobj)
-        else:
-            objective_by_backend[backend] = robust_J(finals[0], sobj)
+        objective_by_backend[backend] = gate_objective(finals, obj)
         trace_defect[backend] = max(
             abs(float(np.trace(f[-1]).real) - 1.0) for f in finals
         )
@@ -261,20 +257,15 @@ def optimize(config_path, out, seed, verbose):
     mset = build_mset(cfg, model)
     grid0 = build_grid(cfg, model, seed=seed)
     ocfg = optimizer_config(cfg)
-    _, gobj, sobj = _task_states(cfg, mset, model)
+    obj = _objective(cfg, mset, model)
 
     # the optimizer's exclusive phase timers cover this interval
     t_start = time.perf_counter()
     with _progress_on_stderr(verbose):
-        if cfg.task.kind == "gate":
-            report_opt = run_gate_synthesis(
-                model, mset, grid0, gobj, ocfg,
-                method=cfg.optimizer.method, backend=cfg.optimizer.backend,
-            )
-        elif cfg.optimizer.method == "stgrape":
-            report_opt = run_stgrape(model, mset, grid0, sobj, ocfg)
-        else:
-            report_opt = run_grape(model, mset, grid0, sobj, ocfg, backend=cfg.optimizer.backend)
+        report_opt = run_gate_synthesis(
+            model, mset, grid0, obj, ocfg,
+            method=cfg.optimizer.method, backend=cfg.optimizer.backend,
+        )
     total = time.perf_counter() - t_start
 
     best_grid = grid0.with_amplitudes(report_opt.best_control)

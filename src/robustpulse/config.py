@@ -28,6 +28,7 @@ from .model import (
 from .objective import (
     GateObjective,
     RobustStateObjective,
+    as_gate_objective,
     ground_state,
     make_gate_objective,
     uniform_state,
@@ -145,7 +146,8 @@ _POSITIVE = (
     "optimizer.max_iters", "optimizer.monitor_interval", "optimizer.memory",
 )
 
-_NON_NEGATIVE = ("robustness.order", "robustness.lam", "optimizer.grad_tol")
+_NON_NEGATIVE = ("control.seed", "robustness.order", "robustness.lam",
+                 "robustness.sweep_seed", "optimizer.grad_tol")
 
 
 def _coerce(path: str, value, target_type):
@@ -282,13 +284,14 @@ def _named_state(name: str, dim: int) -> np.ndarray:
     return ground_state(dim) if name == "ground" else uniform_state(dim)
 
 
-def build_state_objective(cfg: RunConfig, mset: MultiIndexSet, dim: int) -> RobustStateObjective:
-    return RobustStateObjective.make(
+def build_state_objective(cfg: RunConfig, mset: MultiIndexSet, dim: int) -> GateObjective:
+    """A gate objective with one input state, ``task.initial``, of weight 1."""
+    return as_gate_objective(RobustStateObjective.make(
         mset,
         _named_state(cfg.task.target, dim),
         rho0=_named_state(cfg.task.initial, dim),
         lam=cfg.robustness.lam,
-    )
+    ))
 
 
 def build_gate_objective(cfg: RunConfig, mset: MultiIndexSet, dim: int) -> GateObjective:

@@ -3,8 +3,8 @@
 The primary figure of merit is the target overlap of the physical
 (zero-order) block minus a weighted quadratic penalty on the Taylor
 coefficient blocks; driving those blocks to zero flattens the response
-to the uncertain parameters.  The gate-synthesis machinery (state sets,
-weighted multi-state objective, average gate fidelity) lives here too.
+to the uncertain parameters.  A gate objective weights one such term per
+input state (a state task has one); state sets and fidelities live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "gate_basis_states",
     "GateObjective",
     "make_gate_objective",
+    "as_gate_objective",
     "gate_objective",
     "process_fidelity",
     "avg_gate_fidelity",
@@ -156,6 +157,15 @@ def make_gate_objective(
     ]
     weights = np.full(len(states), 1.0 / len(states))
     return GateObjective(weights=weights, state0s=states, per_state=per_state)
+
+
+def as_gate_objective(obj: RobustStateObjective | GateObjective) -> GateObjective:
+    """A state objective as the gate objective with its one input state
+    (default |0...0><0...0|) at weight 1; a gate objective unchanged."""
+    if isinstance(obj, GateObjective):
+        return obj
+    rho0 = obj.rho0 if obj.rho0 is not None else ground_state(obj.target.shape[0])
+    return GateObjective(weights=np.ones(1), state0s=[rho0], per_state=[obj])
 
 
 def gate_objective(states_T: list, gobj: GateObjective) -> float:

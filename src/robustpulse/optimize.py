@@ -4,10 +4,11 @@ Two gradient routes: the first-order route pairs co-states and states
 around each step under an exact backend (expm or RK4), while the
 splitting route differentiates the Trotter step's two control factors
 exactly via the product rule, making the gradient of the splitting
-objective exact to machine precision.  Both routes take a state
-objective or a gate objective; a gate objective's input states are
-propagated as one batch, with the weights folded into the terminal
-co-states so that one backward sweep gives the weighted gradient.
+objective exact to machine precision.  Both routes optimise a gate
+objective (a state task is the gate objective with one input state):
+its input states are propagated as one batch, with the weights folded
+into the terminal co-states so that one backward sweep gives the
+weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
 ``monitor_interval`` iterations the true objective is evaluated with an
@@ -34,10 +35,10 @@ from .model import ControlGrid, OpenSystemModel
 from .objective import (
     GateObjective,
     RobustStateObjective,
+    as_gate_objective,
     costate_J,
     gate_objective,
-    ground_state,
-    robust_J,
+    robust_J,  # not called here: perfbench/tracer.py wraps it at optimize.robust_J
 )
 from .propagate import (
     TrotterPlan,
@@ -211,31 +212,10 @@ class _Timers:
         return dict(self.data)
 
 
-def _initial_batch(obj, mset: MultiIndexSet, dim: int) -> np.ndarray:
-    """Augmented initial states (S, N, d, d): a gate objective's input
-    states, or a state objective's one state (default |0...0><0...0|)."""
-    if isinstance(obj, GateObjective):
-        rho0s = obj.state0s
-    else:
-        rho0s = [obj.rho0 if obj.rho0 is not None else ground_state(dim)]
-    return initial_state(mset, np.stack(rho0s))
-
-
-def _value(finals: np.ndarray, obj) -> float:
-    """Objective value of a batch of terminal states."""
-    if isinstance(obj, GateObjective):
-        return gate_objective(finals, obj)
-    return robust_J(finals[0], obj)
-
-
-def _terminal_costates(finals: np.ndarray, obj) -> np.ndarray:
+def _terminal_costates(finals: np.ndarray, obj: GateObjective) -> np.ndarray:
     """Terminal co-states of the batch, each scaled by its state's weight,
     so one backward sweep yields the weighted gradient."""
-    if isinstance(obj, GateObjective):
-        return np.stack([
-            w * costate_J(f, o) for w, f, o in zip(obj.weights, finals, obj.per_state)
-        ])
-    return costate_J(finals[0], obj)[None]
+    return np.stack([w * costate_J(f, o) for w, f, o in zip(obj.weights, finals, obj.per_state)])
 
 
 def _pair_gradient(
@@ -268,18 +248,19 @@ def grape_gradient(
 ):
     """First-order objective gradient under an exact backend.
 
-    ``obj`` is a state objective or a gate objective, whose input states
-    are propagated as one batch.  Returns (J, gradient) with gradient
-    shaped (n_channels, n_steps).  The gradient's error relative to finite
-    differences of J shrinks linearly with dt.  ``timers`` books the
-    forward and backward sweeps.
+    ``obj``'s input states are propagated as one batch; a state objective
+    is taken as its one-state gate objective.  Returns (J, gradient) with
+    gradient shaped (n_channels, n_steps).  The gradient's error relative
+    to finite differences of J shrinks linearly with dt.  ``timers`` books
+    the forward and backward sweeps.
     """
     if backend not in ("expm", "ode"):
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
+    obj = as_gate_objective(obj)
     clock = timers or _Timers()
     n_t = grid.n_steps
     with clock.phase("forward"):
-        state0 = _initial_batch(obj, mset, model.dim)
+        state0 = initial_state(mset, np.stack(obj.state0s))
         if backend == "expm":
             # one exponential per step, shared by the forward and adjoint sweeps
             props = [
@@ -292,7 +273,7 @@ def grape_gradient(
                 fwd[k + 1] = apply_supermatrix(props[k], fwd[k])
         else:
             fwd = propagate_forward(backend, model, mset, grid, state0).states
-        j_val = _value(fwd[-1], obj)
+        j_val = gate_objective(fwd[-1], obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd[-1], obj)
         if backend == "expm":
@@ -316,16 +297,17 @@ def stgrape_gradient(
 ):
     """Exact gradient of the splitting-propagated objective.
 
-    ``obj`` is a state objective or a gate objective, whose input states
-    are propagated as one batch.  Returns (J_hat, gradient); the gradient
-    matches central finite differences of the splitting objective to
-    roundoff.  ``timers`` books the forward and backward sweeps.
+    ``obj``'s input states are propagated as one batch; a state objective
+    is taken as its one-state gate objective.  Returns (J_hat, gradient);
+    the gradient matches central finite differences of the splitting
+    objective to roundoff.  ``timers`` books the forward and backward sweeps.
     """
+    obj = as_gate_objective(obj)
     clock = timers or _Timers()
     with clock.phase("forward"):
-        state0 = _initial_batch(obj, mset, model.dim)
+        state0 = initial_state(mset, np.stack(obj.state0s))
         fwd = propagate_forward("trotter", model, mset, grid, state0, plan=plan)
-        j_hat = _value(fwd.final, obj)
+        j_hat = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
         grad = trotter_backward_with_gradient(
             plan, model, mset, grid, fwd, _terminal_costates(fwd.final, obj)
@@ -339,21 +321,21 @@ def stgrape_gradient(
 class _GateTask:
     """Evaluation plumbing for the optimisation loop.
 
-    Every input state of the objective (the d+1 or three states of a gate
-    objective) is propagated in one batched pass.  ``stgrape`` runs the
-    splitting backend under a true-objective monitor; ``grape`` runs the
-    given exact backend.
+    Every input state of the gate objective (d+1 or three for a gate, one
+    for a state task) is propagated in one batched pass.  ``stgrape`` runs
+    the splitting backend under a true-objective monitor; ``grape`` runs
+    the given exact backend.
     """
 
     def __init__(self, model, mset, grid0, obj, method, backend):
         self.timers = _Timers()
         self.model, self.mset, self.grid0 = model, mset, grid0
-        self.obj = obj
+        self.obj = as_gate_objective(obj)
         self.method = method
         self.use_monitor = method == "stgrape"
         self.backend = "trotter" if self.use_monitor else backend
         self.plan = make_trotter_plan(model, grid0.dt) if self.use_monitor else None
-        self.state0 = _initial_batch(obj, mset, model.dim)
+        self.state0 = initial_state(mset, np.stack(self.obj.state0s))
 
     def _grid(self, x):
         return self.grid0.with_amplitudes(x.reshape(self.grid0.amplitudes.shape))
@@ -365,7 +347,7 @@ class _GateTask:
 
     def evaluate(self, x) -> float:
         with self.timers.phase("forward"):
-            return _value(self._final(self._grid(x), self.backend), self.obj)
+            return gate_objective(self._final(self._grid(x), self.backend), self.obj)
 
     def eval_grad(self, x):
         grid = self._grid(x)
@@ -388,15 +370,12 @@ class _GateTask:
                 final = self._final(grid, "expm")
             except CapExceeded:
                 final = self._final(grid, "ode")
-            return _value(final, self.obj)
+            return gate_objective(final, self.obj)
 
 
 class _StateTask(_GateTask):
-    """A single-state objective: the gate task's code with a batch of one.
-
-    The methods are bound here as well, because perfbench/tracer.py
-    patches them in each task class's own namespace.
-    """
+    """Not used here: perfbench/tracer.py patches these three methods in
+    this class's own namespace, so the class and its bindings stay."""
 
     evaluate = _GateTask.evaluate
     eval_grad = _GateTask.eval_grad
@@ -486,8 +465,7 @@ def run_grape(
     backend: str = "expm",
 ) -> OptimizationReport:
     """First-order-gradient optimisation under an exact backend."""
-    task = _StateTask(model, mset, grid0, obj, "grape", backend)
-    return _optimize_loop(task, cfg or OptimizerConfig())
+    return run_gate_synthesis(model, mset, grid0, obj, cfg, method="grape", backend=backend)
 
 
 def run_stgrape(
@@ -499,20 +477,19 @@ def run_stgrape(
 ) -> OptimizationReport:
     """Exact-gradient optimisation of the splitting objective with a
     true-objective monitor every ``monitor_interval`` iterations."""
-    task = _StateTask(model, mset, grid0, obj, "stgrape", "trotter")
-    return _optimize_loop(task, cfg or OptimizerConfig())
+    return run_gate_synthesis(model, mset, grid0, obj, cfg, method="stgrape")
 
 
 def run_gate_synthesis(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     grid0: ControlGrid,
-    gobj: GateObjective,
+    gobj: RobustStateObjective | GateObjective,
     cfg: OptimizerConfig | None = None,
     method: str = "stgrape",
     backend: str = "expm",
 ) -> OptimizationReport:
-    """Optimise the weighted multi-state objective for a target unitary."""
+    """Optimise a gate objective, or a state objective as its one-state one."""
     if method not in ("grape", "stgrape"):
         raise ValueError("method must be grape|stgrape")
     task = _GateTask(model, mset, grid0, gobj, method, backend)

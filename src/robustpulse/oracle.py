@@ -30,8 +30,19 @@ __all__ = [
 ]
 
 
+def _collapse_terms(model: OpenSystemModel) -> list:
+    """One d^2 x d^2 generator term per collapse operator; they depend on
+    neither the time step nor the uncertainty strengths."""
+    ident = np.eye(model.dim, dtype=complex)
+    cdcs = [c.conj().T @ c for c, _ in model.lindblads]
+    return [
+        gamma * (np.kron(np.conj(c), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident))
+        for (c, gamma), cdc in zip(model.lindblads, cdcs)
+    ]
+
+
 def noisy_liouvillian(
-    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray
+    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray, *, _collapse=None
 ) -> np.ndarray:
     """d^2 x d^2 generator of the plain master equation at strengths eps.
 
@@ -39,7 +50,8 @@ def noisy_liouvillian(
     a batch gives a (count, d^2, d^2) stack.  Column-stacking convention:
     rho A B -> vec as (B^T kron A) applied to vec(rho); assembled directly
     from the Hamiltonian and collapse terms, each collapse term once for
-    the whole batch.
+    the whole batch.  A propagation loop passes ``_collapse_terms(model)``
+    as ``_collapse``, so that it builds them once.
     """
     d = model.dim
     eps = np.asarray(eps, dtype=float)
@@ -52,13 +64,8 @@ def noisy_liouvillian(
         h = h + e_j[:, None, None] * op
     ident = np.eye(d, dtype=complex)
     gen = -1.0j * (np.kron(ident, h) - np.kron(h.swapaxes(-1, -2), ident))
-    for c, gamma in model.lindblads:
-        cdc = c.conj().T @ c
-        gen += gamma * (
-            np.kron(np.conj(c), c)
-            - 0.5 * np.kron(ident, cdc)
-            - 0.5 * np.kron(cdc.T, ident)
-        )
+    for term in _collapse_terms(model) if _collapse is None else _collapse:
+        gen += term
     return gen[0] if single else gen
 
 
@@ -73,9 +80,10 @@ def noisy_channel_super(
     stacked generator and one stacked exponential.
     """
     d = model.dim
+    collapse = _collapse_terms(model)
     chan = np.eye(d * d, dtype=complex)
     for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps)
+        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _collapse=collapse)
         # linalg.expm: perfbench's tracer wraps oracle.expm with a 2-D-only hook
         chan = linalg.expm(grid.dt * gen) @ chan
     return chan
@@ -88,8 +96,9 @@ def propagate_noisy_exact(
     equation with uncertainty strengths eps."""
     d = model.dim
     v = np.asarray(rho0, dtype=complex).reshape(d * d, order="F")
+    collapse = _collapse_terms(model)
     for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps)
+        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _collapse=collapse)
         v = expm(grid.dt * gen) @ v
     return v.reshape(d, d, order="F")
 

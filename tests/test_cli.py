@@ -13,9 +13,11 @@ from robustpulse import augment, cli, propagate
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
 from robustpulse.augment import initial_state
 from robustpulse.config import (
-    ConfigError, build_gate_objective, build_grid, build_model, build_mset, load_config,
+    ConfigError, build_gate_objective, build_grid, build_model, build_mset,
+    build_state_objective, load_config,
 )
 from robustpulse.model import ControlGrid
+from robustpulse.objective import GateObjective, RobustStateObjective, uniform_state
 from robustpulse.propagate import delta_st
 
 
@@ -145,6 +147,39 @@ class TestConfigErrors:
         res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "task.kind" in res.stderr
+
+    def test_negative_control_seed_names_the_field(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG.replace("seed: 7", "seed: -3"))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "control.seed" in res.stderr and "non-negative" in res.stderr
+
+    def test_negative_sweep_seed_names_the_field(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", GATE_CFG.replace("sweep_seed: 5", "sweep_seed: -1"))
+        res = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "robustness.sweep_seed" in res.stderr and "non-negative" in res.stderr
+
+    def test_negative_seed_option_is_a_usage_error(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.stderr
+        assert not out.exists()
+
+    def test_state_task_builds_a_one_state_gate_objective(self, tmp_path):
+        cfg = load_config(_write(tmp_path, "c.yaml", STATE_CFG.replace(
+            "initial: ground", "initial: uniform").replace("target: uniform", "target: ground")))
+        model = build_model(cfg)
+        obj = build_state_objective(cfg, build_mset(cfg, model), model.dim)
+        assert isinstance(obj, GateObjective)
+        assert obj.weights.tolist() == [1.0]
+        assert len(obj.state0s) == 1 and np.array_equal(obj.state0s[0], uniform_state(2))
+        (term,) = obj.per_state
+        assert isinstance(term, RobustStateObjective)
+        assert term.rho0 is obj.state0s[0]
+        assert term.target[0, 0] == 1.0 and np.count_nonzero(term.target) == 1
 
 
 def test_version_flag(runner):
@@ -312,6 +347,28 @@ def test_optimize_gate_task_reports_nominal_fidelity(tmp_path, runner):
     assert 0.0 <= report["agf_nominal"] <= 1.0
     header = (out / "pulse.csv").read_text().splitlines()[0]
     assert header == "t_ns,u_1,u_2"
+
+
+def test_optimize_state_task_makes_one_gate_driver_call(tmp_path, runner, monkeypatch):
+    """A state task runs through the gate driver, for either method."""
+    calls = []
+    real = cli.run_gate_synthesis
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("state tasks go through run_gate_synthesis")
+
+    monkeypatch.setattr(cli, "run_gate_synthesis", spy)
+    monkeypatch.setattr(cli, "run_stgrape", forbidden)
+    monkeypatch.setattr(cli, "run_grape", forbidden)
+    for method in ("stgrape", "grape"):
+        cfg = _write(tmp_path, f"{method}.yaml", STATE_CFG.replace("method: stgrape", f"method: {method}"))
+        res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / method)])
+        assert res.exit_code == 0, res.output
+    assert calls == ["stgrape", "grape"]
 
 
 def test_sweep_smoke_with_pulse_file(tmp_path, runner):

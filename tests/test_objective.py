@@ -7,6 +7,7 @@ from robustpulse.gates import preset_unitary
 from robustpulse.objective import (
     GateObjective,
     RobustStateObjective,
+    as_gate_objective,
     avg_gate_fidelity,
     costate_J,
     gate_basis_states,
@@ -122,6 +123,20 @@ def test_make_gate_objective_structure():
         assert np.max(np.abs(obj.target - u @ rho0 @ u.conj().T)) < 1e-13
     with pytest.raises(ValueError, match="unitary"):
         make_gate_objective(mset, np.ones((4, 4), dtype=complex))
+
+
+def test_state_objective_is_a_one_state_gate_objective():
+    """The one-state gate objective scores exactly as its
+    state objective; without an initial state it starts from |0..0>."""
+    mset = MultiIndexSet(1, 1)
+    obj = RobustStateObjective.make(mset, uniform_state(4), lam=0.3)
+    gobj = as_gate_objective(obj)
+    assert gobj.weights.tolist() == [1.0] and gobj.per_state == [obj]
+    assert np.array_equal(gobj.state0s[0], ground_state(4))
+    assert as_gate_objective(gobj) is gobj
+    rng = np.random.default_rng(4)
+    final = rng.standard_normal((mset.size, 4, 4)) + 1j * rng.standard_normal((mset.size, 4, 4))
+    assert gate_objective(final[None], gobj) == robust_J(final, obj)
 
 
 def test_gate_objective_perfect_transport_scores_one():

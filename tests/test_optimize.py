@@ -9,6 +9,7 @@ from robustpulse.augment import MultiIndexSet, initial_state
 from robustpulse.model import ControlGrid, OpenSystemModel, build_spin_chain, random_grid
 from robustpulse.objective import (
     RobustStateObjective,
+    as_gate_objective,
     ground_state,
     make_gate_objective,
     robust_J,
@@ -19,7 +20,6 @@ from robustpulse.optimize import (
     OptimizerConfig,
     _GateTask,
     _optimize_loop,
-    _StateTask,
     _Timers,
     grape_gradient,
     lbfgs_bounded_step,
@@ -264,11 +264,11 @@ class TestBatchedGate:
         assert abs(j_batch - j_sum) < 1e-12
         assert np.max(np.abs(g_batch - g_sum)) < 1e-12 * max(1.0, np.max(np.abs(g_sum)))
 
-        # the task's evaluations agree with the single-state tasks too
+        # the task's evaluations agree with the one-state tasks too
         x = grid.amplitudes.ravel()
         gate = _GateTask(model, mset, grid, gobj, method, backend)
         singles = [
-            _StateTask(model, mset, grid, obj, method, backend)
+            _GateTask(model, mset, grid, as_gate_objective(obj), method, backend)
             for obj in _single_state_objectives(gobj)
         ]
         for name in ("evaluate", "true_objective"):

@@ -256,3 +256,38 @@ def test_wrong_strength_width_is_rejected(two_qubit, eps):
         noisy_liouvillian(two_qubit, grid.amplitudes[:, 0], eps)
     with pytest.raises(ValueError, match="one strength per uncertainty"):
         noisy_channel_super(two_qubit, grid, eps)
+
+
+def test_collapse_terms_are_built_once_per_propagation(two_qubit, monkeypatch):
+    """The collapse terms depend on neither the step nor the sample: an
+    n-step channel or state propagation builds them once (three np.kron per
+    collapse operator), not once per step; each step's Hamiltonian part
+    takes two more."""
+    grid = small_grid(two_qubit, n_steps=5)
+    eps = np.array([[0.07, -0.02], [0.3, 0.11]])
+    n, k = grid.n_steps, len(two_qubit.lindblads)
+    calls = []
+    real = np.kron
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np, "kron", counted)
+    noisy_channel_super(two_qubit, grid, eps)
+    assert len(calls) == 2 * n + 3 * k
+    calls.clear()
+    propagate_noisy_exact(two_qubit, grid, np.eye(4, dtype=complex) / 4, eps[0])
+    assert len(calls) == 2 * n + 3 * k
+
+
+def test_channel_steps_equal_the_direct_generator(two_qubit):
+    """Reusing the collapse terms changes no bit: the channel equals the
+    product of step exponentials of noisy_liouvillian's direct result."""
+    grid = small_grid(two_qubit, n_steps=4, seed=5)
+    eps = np.array([[0.07, -0.02], [0.3, 0.11]])
+    want = np.eye(16, dtype=complex)
+    for step in range(grid.n_steps):
+        gen = noisy_liouvillian(two_qubit, grid.amplitudes[:, step], eps)
+        want = oracle.linalg.expm(grid.dt * gen) @ want
+    assert np.array_equal(noisy_channel_super(two_qubit, grid, eps), want)
