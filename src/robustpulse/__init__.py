@@ -4,8 +4,9 @@ The package propagates a Taylor-augmented master equation whose blocks
 carry the state's derivatives with respect to uncertain Hamiltonian
 parameters, and optimises controls against objectives that trade target
 fidelity against sensitivity.  Three propagation backends share one
-interface: a dense supermatrix exponential, an RK4 integrator whose
-substeps are sized for each step, and a symmetric operator splitting
+interface: a dense supermatrix exponential, the action of each step's
+exponential on the blocks by a truncated Taylor series (exact to
+roundoff, without the supermatrix), and a symmetric operator splitting
 whose control gradient is exact.
 """
 

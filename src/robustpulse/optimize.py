@@ -1,7 +1,7 @@
 """Gradient-based pulse optimisation.
 
 Two gradient routes: the first-order route pairs co-states and states
-around each step under an exact backend (expm or RK4), while the
+around each step under an exact backend (expm or ode), while the
 splitting route differentiates the Trotter step's two control factors
 exactly via the product rule, making the gradient of the splitting
 objective exact to machine precision.  Both routes optimise a gate

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg._expm_multiply import _theta
 
 from robustpulse.augment import (
     CapExceeded,
@@ -20,7 +21,11 @@ from robustpulse.model import (
     build_spin_chain,
     attach_uncertainties,
 )
+from robustpulse import propagate
+from robustpulse.config import build_grid, build_mset, build_model, load_config
 from robustpulse.propagate import (
+    _TAYLOR_THETA,
+    _taylor_degree,
     default_substeps,
     delta_st,
     exp_nilpotent,
@@ -109,9 +114,8 @@ def test_rabi_pi_pulse_all_backends():
     grid = ControlGrid(dt, amps, -1.0, 1.0)
     s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
     excited = np.diag([0.0, 1.0]).astype(complex)
-    # expm and the splitting are exact for a constant closed-system drive;
-    # RK4 carries its accumulated truncation error
-    for backend, tol in (("expm", 1e-12), ("ode", 2e-8), ("trotter", 1e-12)):
+    # every backend is exact for a constant closed-system drive
+    for backend, tol in (("expm", 1e-12), ("ode", 1e-12), ("trotter", 1e-12)):
         final = propagate_final(backend, model, mset, grid, s0)
         assert np.max(np.abs(final[-1] - excited)) < tol, backend
 
@@ -124,7 +128,7 @@ def test_backend_cross_agreement(one_qubit):
     f_ode = propagate_final("ode", one_qubit, mset, grid, s0)
     f_trot = propagate_final("trotter", one_qubit, mset, grid, s0)
     ref = quadrature_norm(f_expm)
-    assert quadrature_norm(f_ode - f_expm) / ref < 1e-8
+    assert quadrature_norm(f_ode - f_expm) / ref < 1e-12
     assert quadrature_norm(f_trot - f_expm) / ref < 0.05
 
 
@@ -225,8 +229,8 @@ def test_step_adjoint_pairing_all_backends(one_qubit):
     rhs = np.vdot(step_expm(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
-    lhs = np.vdot(a, step_ode(one_qubit, mset, b, amps, 0.5, substeps=8))
-    rhs = np.vdot(step_ode(one_qubit, mset, a, amps, 0.5, substeps=8, adjoint=True), b)
+    lhs = np.vdot(a, step_ode(one_qubit, mset, b, amps, 0.5))
+    rhs = np.vdot(step_ode(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
 
@@ -251,24 +255,66 @@ def test_pairing_invariant_along_trajectory(one_qubit):
 # ------------------------------------------------------- error scaling, caps
 
 
-def test_rk4_error_scales_fourth_order(one_qubit):
-    mset = MultiIndexSet(1, 1)
+def test_ode_step_matches_expm(one_qubit, two_qubit):
+    """One Taylor-action step equals the dense exponential step to 1e-13,
+    forward and adjoint; at dt = 4 the step takes several stages."""
     rng = np.random.default_rng(28)
-    amps = np.array([0.4, -0.3])
-    blocks = initial_state(mset, random_density(2, rng))
-    exact = step_expm(one_qubit, mset, blocks, amps, 1.0)
-    e2 = quadrature_norm(step_ode(one_qubit, mset, blocks, amps, 1.0, substeps=2) - exact)
-    e4 = quadrature_norm(step_ode(one_qubit, mset, blocks, amps, 1.0, substeps=4) - exact)
-    ratio = e2 / e4
-    assert 12.0 < ratio < 20.0, ratio
+    for model in (one_qubit, two_qubit):
+        d = model.dim
+        amps = rng.uniform(-1.0, 1.0, len(model.controls))
+        for order in (1, 2):
+            mset = MultiIndexSet(len(model.uncertainties), order)
+            blocks = _random_blocks(rng, mset.size, d)
+            for dt in (0.5, 4.0):
+                stages = default_substeps(model, amps, dt)
+                assert (stages > 1) == (dt == 4.0), (d, order, dt, stages)
+                for adjoint in (False, True):
+                    want = step_expm(model, mset, blocks, amps, dt, adjoint=adjoint)
+                    got = step_ode(model, mset, blocks, amps, dt, adjoint=adjoint)
+                    err = quadrature_norm(got - want) / quadrature_norm(want)
+                    assert err < 1e-13, (d, order, dt, adjoint, err)
 
 
 def test_default_substeps_scale_with_dt(one_qubit):
+    """The stage count s and degree m keep dt * bound <= s * theta_m at
+    the least cost m * s, and s grows with dt once dt * bound > theta_55."""
+    assert _TAYLOR_THETA == {m: _theta[m] for m in range(5, 56, 5)}
     amps = np.array([0.3, 0.1])
-    s1 = default_substeps(one_qubit, amps, 0.5)
-    s2 = default_substeps(one_qubit, amps, 4.0)
-    assert s1 >= 1
-    assert 6 * s1 <= s2 <= 10 * s1
+    bound = generator_norm_bound(one_qubit, amps)
+    stages = []
+    for dt in np.array([1e-3, 0.1, 1.0, 5.0, 9.8, 10.0, 25.0, 99.0, 400.0]) / bound:
+        x = dt * bound
+        s = default_substeps(one_qubit, amps, dt)
+        m = _taylor_degree(x / s)
+        assert x <= s * _TAYLOR_THETA[m], (x, m, s)
+        best = min(mm * max(1, int(np.ceil(x / t))) for mm, t in _TAYLOR_THETA.items())
+        assert m * s == best, (x, m, s)
+        stages.append(s)
+    assert stages[:5] == [1] * 5  # dt * bound <= theta_55
+    assert stages[4:] == sorted(stages[4:])
+    assert stages[5] == 2 and stages[-1] >= 400 / _TAYLOR_THETA[55]
+
+
+def test_ode_rhs_calls_per_step_stay_bounded(monkeypatch):
+    """The Taylor action makes at most 25 block-RHS calls per step, on
+    average, over a 3-qubit, order-2 propagation of the CLI's seeded
+    control; the count does not depend on the host."""
+    cfg = load_config({
+        "system": {"n_qubits": 3, "uncertainty": "edges"},
+        "control": {"n_steps": 10, "dt_ns": 0.5, "max_mhz": 100.0, "seed": 1},
+        "robustness": {"order": 2},
+        "task": {"kind": "state", "initial": "ground", "target": "uniform"},
+    })
+    model = build_model(cfg)
+    mset = build_mset(cfg, model)
+    grid = build_grid(cfg, model)
+    s0 = initial_state(mset, np.diag(np.eye(model.dim)[0]).astype(complex))
+    calls = []
+    rhs = propagate._augmented_rhs
+    monkeypatch.setattr(propagate, "_augmented_rhs", lambda *a: calls.append(1) or rhs(*a))
+    final = propagate_final("ode", model, mset, grid, s0)
+    assert len(calls) <= 25 * grid.n_steps, len(calls) / grid.n_steps
+    assert abs(np.trace(final[-1]).real - 1.0) < 1e-12
 
 
 def test_generator_norm_bound_dominates(one_qubit, two_qubit):
@@ -352,8 +398,8 @@ def test_batch_axis_matches_single_states(two_qubit):
         "trotter adjoint": lambda b: step_trotter_adjoint(plan, two_qubit, mset, b, amps),
         "expm": lambda b: step_expm(two_qubit, mset, b, amps, 0.5),
         "expm adjoint": lambda b: step_expm(two_qubit, mset, b, amps, 0.5, adjoint=True),
-        "ode": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, substeps=4),
-        "ode adjoint": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, substeps=4, adjoint=True),
+        "ode": lambda b: step_ode(two_qubit, mset, b, amps, 0.5),
+        "ode adjoint": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, adjoint=True),
     }
     for name, step in steps.items():
         got = step(batch)

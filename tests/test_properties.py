@@ -14,6 +14,7 @@ from robustpulse.augment import (
     MultiIndexSet,
     apply_Ej,
     apply_Ej_adjoint,
+    assemble_supermatrix,
     initial_state,
     mat_commutator,
     quadrature_norm,
@@ -27,6 +28,7 @@ from robustpulse.oracle import noise_sweep, propagate_noisy_exact
 from robustpulse.propagate import (
     BACKENDS,
     exp_nilpotent,
+    generator_norm_bound,
     make_trotter_plan,
     propagate_backward,
     propagate_final,
@@ -120,12 +122,25 @@ def test_trotter_gradient_matches_central_differences(problem):
 @PROPERTY_SETTINGS
 @given(problems())
 def test_exact_backends_agree(problem):
-    """expm and RK4 give the same terminal augmented state."""
+    """expm and the Taylor action give the same terminal augmented state."""
     model, mset, grid, rng = problem
     s0 = initial_state(mset, random_density(model.dim, rng))
     exact = propagate_final("expm", model, mset, grid, s0)
-    rk4 = propagate_final("ode", model, mset, grid, s0)
-    assert quadrature_norm(rk4 - exact) <= 1e-8 * quadrature_norm(exact)
+    action = propagate_final("ode", model, mset, grid, s0)
+    assert quadrature_norm(action - exact) <= 1e-12 * quadrature_norm(exact)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_generator_norm_bound_dominates_one_and_inf_norms(problem):
+    """generator_norm_bound is at least the 1-norm and the inf-norm of the
+    assembled augmented generator, at every step's amplitudes."""
+    model, mset, grid, _ = problem
+    for amps in grid.amplitudes.T:
+        big = assemble_supermatrix(model, mset, amps)
+        bound = generator_norm_bound(model, amps)
+        for p in (1, np.inf):
+            assert np.linalg.norm(big, p) <= bound * (1 + 1e-12), p
 
 
 @PROPERTY_SETTINGS
@@ -154,8 +169,8 @@ def test_uncertainty_drives_are_nilpotent(problem):
 @PROPERTY_SETTINGS
 @given(problems())
 def test_exact_backends_keep_block_traces(problem):
-    """Under expm and RK4 the zero-order block keeps trace 1 and every
-    higher-order block stays traceless."""
+    """Under expm and the Taylor action the zero-order block keeps trace 1
+    and every higher-order block stays traceless."""
     model, mset, grid, rng = problem
     s0 = initial_state(mset, random_density(model.dim, rng))
     for backend in ("expm", "ode"):
