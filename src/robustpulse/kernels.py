@@ -73,7 +73,7 @@ def lindblad_rhs_blocks(
     h: np.ndarray,
     cs: np.ndarray,
     csd: np.ndarray,
-    cdc: np.ndarray,
+    half_decay: np.ndarray,
     gammas: np.ndarray,
     blocks: np.ndarray,
     adjoint: bool = False,
@@ -83,12 +83,12 @@ def lindblad_rhs_blocks(
     Forward: -i[h, b] + sum_i gamma_i (c b c^dag - (cdc b + b cdc)/2).
     Adjoint: +i[h, b] + sum_i gamma_i (c^dag b c - (cdc b + b cdc)/2).
 
-    With K = sum_i gamma_i cdc_i the non-jump part is g b + b g' for
-    g = -i h - K/2, g' = i h - K/2 (swapped for the adjoint), and
-    :func:`collapse_blocks` adds the jump term: four products in all.
+    With ``half_decay`` = K/2 = sum_i gamma_i cdc_i / 2 the non-jump part
+    is g b + b g' for g = -i h - K/2, g' = i h - K/2 (swapped for the
+    adjoint), and :func:`collapse_blocks` adds the jump term: four
+    products in all.
     """
-    k_half = 0.5 * np.tensordot(gammas, cdc, axes=1)
-    left, right = -1j * h - k_half, 1j * h - k_half
+    left, right = -1j * h - half_decay, 1j * h - half_decay
     if adjoint:
         left, right = right, left
         jump = collapse_blocks(csd, cs, gammas, blocks)

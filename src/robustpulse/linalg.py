@@ -3,7 +3,12 @@
 Everything here works on plain ``numpy.ndarray`` with dtype complex128.
 The matrix exponential is a fixed Pade(13) scaling-and-squaring
 implementation; it is the accuracy reference for the propagation
-backends, so it deliberately avoids shortcuts.
+backends, so it deliberately avoids shortcuts.  Its scaling rule and its
+Pade polynomials take the algebra's product and identity, so the
+exponential of the augmented generator runs the same algorithm on its
+coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
+superoperator matrices of the Lindblad generator follow the
+column-stacking convention of :func:`vec`.
 """
 
 from __future__ import annotations
@@ -14,14 +19,23 @@ __all__ = [
     "kron",
     "kron_all",
     "vec",
+    "mat_commutator",
+    "mat_dissipator",
+    "mat_lindblad",
+    "one_and_inf_norms",
     "expm",
+    "scaling_exponent",
+    "pade13",
     "is_hermitian",
 ]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the row-major convention of numpy."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices, equal to ``np.kron`` entry for
+    entry without its n-dimensional bookkeeping."""
+    a, b = np.asarray(a), np.asarray(b)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def kron_all(mats) -> np.ndarray:
@@ -41,6 +55,40 @@ def vec(a: np.ndarray) -> np.ndarray:
     With this convention vec(A X B) = (B^T kron A) vec(X).
     """
     return np.asarray(a).reshape(a.shape[0] * a.shape[1], order="F")
+
+
+def mat_commutator(e: np.ndarray) -> np.ndarray:
+    """d^2 x d^2 matrix of rho -> -i[e, rho], column-stacking convention."""
+    ident = np.eye(e.shape[0], dtype=complex)
+    return -1.0j * (kron(ident, e) - kron(e.T, ident))
+
+
+def mat_dissipator(lindblads, d: int) -> np.ndarray:
+    """d^2 x d^2 matrix of the collapse part of the Lindblad generator,
+    rho -> sum_i gamma_i (c rho c^dag - (c^dag c rho + rho c^dag c) / 2)
+    over the (c, gamma) pairs, column-stacking convention."""
+    ident = np.eye(d, dtype=complex)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for c, gamma in lindblads:
+        cdc = c.conj().T @ c
+        out += gamma * (
+            kron(np.conj(c), c)
+            - 0.5 * kron(ident, cdc)
+            - 0.5 * kron(cdc.T, ident)
+        )
+    return out
+
+
+def mat_lindblad(h: np.ndarray, lindblads) -> np.ndarray:
+    """d^2 x d^2 matrix of the Lindblad generator, column-stacking convention."""
+    return mat_commutator(h) + mat_dissipator(lindblads, h.shape[0])
+
+
+def one_and_inf_norms(ops: np.ndarray) -> tuple:
+    """Induced 1-norms (largest column sum) and inf-norms (largest row sum)
+    of one matrix or of a stack of them."""
+    a = np.abs(ops)
+    return a.sum(axis=-2).max(axis=-1), a.sum(axis=-1).max(axis=-1)
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
@@ -76,6 +124,41 @@ _PADE13 = np.array(
 _THETA13 = 5.371920351148152
 
 
+def scaling_exponent(norm):
+    """Halvings s that bring a 1-norm (or an array of them) within
+    theta_13, where the unscaled Pade(13) approximant is accurate."""
+    return np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(np.int64)
+
+
+def pade13(a, mul, ident):
+    """The odd and even parts (U, V) of the Pade(13) numerator of exp(a),
+    so that exp(a) ~ (V - U)^-1 (V + U).
+
+    ``mul`` is the algebra's product and ``ident`` its identity; sums and
+    scalar multiples are taken elementwise.  Six products in all.
+    """
+    b = _PADE13
+    a2 = mul(a, a)
+    a4 = mul(a2, a2)
+    a6 = mul(a2, a4)
+    u = mul(
+        a,
+        mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6
+        + b[5] * a4
+        + b[3] * a2
+        + b[1] * ident,
+    )
+    v = (
+        mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6
+        + b[4] * a4
+        + b[2] * a2
+        + b[0] * ident
+    )
+    return u, v
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade(13) core.
 
@@ -101,29 +184,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(norm).all():
         raise ValueError("expm input contains non-finite entries")
 
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(np.int64)
+    s = scaling_exponent(norm)
     if s.any():
         a = a / (2.0**s)[:, None, None]
 
-    b = _PADE13
-    ident = np.eye(n, dtype=np.complex128)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
+    u, v = pade13(a, np.matmul, np.eye(n, dtype=np.complex128))
     r = np.linalg.solve(v - u, v + u)
     # round i squares only the members scaled down by more than i halvings;
     # when that is all of them, without the copies that masking makes

@@ -15,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import is_hermitian, kron_all
+from .linalg import (
+    is_hermitian,
+    kron_all,
+    mat_commutator,
+    mat_dissipator,
+    one_and_inf_norms,
+)
 
 __all__ = [
     "MHZ_TO_RADNS",
@@ -184,6 +190,34 @@ class OpenSystemModel:
     @cached_property
     def rates(self) -> np.ndarray:
         return np.array([g for _, g in self.lindblads], dtype=float)
+
+    # step-independent parts of the generator, built once per model
+    @cached_property
+    def half_decay(self) -> np.ndarray:
+        """K / 2 = sum_i gamma_i c_i^dag c_i / 2."""
+        return 0.5 * np.tensordot(self.rates, self.collapse_cdc_stack, axes=1)
+
+    @cached_property
+    def dissipator_super(self) -> np.ndarray:
+        """Collapse part of the Lindblad generator as a d^2 x d^2 matrix."""
+        return mat_dissipator(self.lindblads, self.dim)
+
+    @cached_property
+    def uncertainty_supers(self) -> np.ndarray:
+        """-i[E_j, .] as d^2 x d^2 matrices, stacked over j."""
+        d2 = self.dim * self.dim
+        return np.array([mat_commutator(e) for e in self.uncertainties]).reshape(-1, d2, d2)
+
+    @cached_property
+    def fixed_norm_bounds(self) -> tuple:
+        """Bounds on the 1- and inf-norms of the vectorised collapse part
+        and of the uncertainty commutators, summed over each: with a, b
+        the 1- and inf-norms of an operator X, gamma * (max(a, b)^2 + a b)
+        for a collapse term and a + b for -i[X, .]."""
+        c1, cinf = one_and_inf_norms(self.collapse_stack)
+        e1, einf = one_and_inf_norms(np.reshape(self.uncertainties, (-1, self.dim, self.dim)))
+        collapse = self.rates * (np.maximum(c1, cinf) ** 2 + c1 * cinf)
+        return collapse.sum(), (e1 + einf).sum()
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Three interchangeable backends advance an augmented block state over one
 piecewise-constant control step:
 
-* ``expm``   - exponential of the assembled supermatrix (reference).
+* ``expm``   - the dense step propagator exp(dt * G), exponentiated in
+  the block algebra of the generator (``augment.step_propagator_expm``)
+  and applied as one matrix (reference).
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -33,14 +35,16 @@ from .augment import (
     MultiIndexSet,
     apply_Ej,
     apply_Ej_adjoint,
-    apply_L,
-    apply_L_adjoint,
-    assemble_supermatrix,
+    apply_L,  # not called here: perfbench/tracer.py wraps it here
+    apply_L_adjoint,  # not called here: perfbench/tracer.py wraps it here
+    assemble_supermatrix,  # not called here: perfbench/tracer.py wraps it here
+    lindblad_terms,
     quadrature_norm,
     state_to_vec,
+    step_propagator_expm,
     vec_to_state,
 )
-from .linalg import expm
+from .linalg import expm, one_and_inf_norms
 from .model import ControlGrid, OpenSystemModel
 
 __all__ = [
@@ -373,17 +377,6 @@ def _ctl_factor_gradient(
 # ------------------------------------------------------------- expm backend
 
 
-def step_propagator_expm(
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    amplitudes: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Dense one-step propagator exp(dt * augmented generator)."""
-    gen = assemble_supermatrix(model, mset, amplitudes)
-    return expm(dt * gen)
-
-
 def apply_supermatrix(s: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """s @ vec(state): one matrix-vector product for a single state, one
     matrix product for a batch."""
@@ -409,13 +402,6 @@ def step_expm(
 # -------------------------------------------------------------- ode backend
 
 
-def _one_and_inf_norms(ops: np.ndarray) -> tuple:
-    """Induced 1-norms (largest column sum) and inf-norms (largest row sum)
-    of one d x d operator or of a stack of them."""
-    a = np.abs(ops)
-    return a.sum(axis=-2).max(axis=-1), a.sum(axis=-1).max(axis=-1)
-
-
 def generator_norm_bound(model: OpenSystemModel, amplitudes: np.ndarray) -> float:
     """Cheap upper bound on both the 1-norm and the inf-norm of the
     vectorised augmented generator, hence also on its spectral norm.
@@ -427,11 +413,9 @@ def generator_norm_bound(model: OpenSystemModel, amplitudes: np.ndarray) -> floa
     commutator -i[X, .] is bounded by a + b in either norm, and a collapse
     term of rate gamma by gamma * (max(a, b)^2 + a * b).
     """
-    h1, hinf = _one_and_inf_norms(model.hamiltonian(amplitudes))
-    c1, cinf = _one_and_inf_norms(model.collapse_stack)
-    e1, einf = _one_and_inf_norms(np.reshape(model.uncertainties, (-1, model.dim, model.dim)))
-    collapse = model.rates * (np.maximum(c1, cinf) ** 2 + c1 * cinf)
-    return float(h1 + hinf + collapse.sum() + (e1 + einf).sum())
+    h1, hinf = one_and_inf_norms(model.hamiltonian(amplitudes))
+    collapse, drives = model.fixed_norm_bounds
+    return float(h1 + hinf + collapse + drives)
 
 
 def _taylor_degree(x: float) -> int:
@@ -451,11 +435,13 @@ def default_substeps(model: OpenSystemModel, amplitudes: np.ndarray, dt: float) 
 def _augmented_rhs(
     model: OpenSystemModel,
     mset: MultiIndexSet,
-    amplitudes: np.ndarray,
+    terms: tuple,
     blocks: np.ndarray,
     adjoint: bool,
 ) -> np.ndarray:
-    out = (apply_L_adjoint if adjoint else apply_L)(model, amplitudes, blocks)
+    """G (or G^dag) on the blocks; ``terms`` are the step's
+    :func:`augment.lindblad_terms`."""
+    out = kernels.lindblad_rhs_blocks(*terms, blocks, adjoint=adjoint)
     for j in range(mset.m):
         out += (apply_Ej_adjoint if adjoint else apply_Ej)(model, mset, j, blocks)
     return out
@@ -480,12 +466,13 @@ def step_ode(
     stages = default_substeps(model, amplitudes, dt)
     h = dt / stages
     degree = _taylor_degree(h * generator_norm_bound(model, amplitudes))
+    terms = lindblad_terms(model, amplitudes)
     out = np.array(blocks, dtype=complex)
     for _ in range(stages):
         term = out
         prev = np.max(np.abs(term))
         for k in range(1, degree + 1):
-            term = _augmented_rhs(model, mset, amplitudes, term, adjoint)
+            term = _augmented_rhs(model, mset, terms, term, adjoint)
             term *= h / k
             out += term
             size = np.max(np.abs(term))

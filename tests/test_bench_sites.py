@@ -24,6 +24,9 @@ TRACER_ONLY = [
     "cli.robust_J",
     "optimize.robust_J",
     "optimize._StateTask",
+    "propagate.apply_L",
+    "propagate.apply_L_adjoint",
+    "propagate.assemble_supermatrix",
 ]
 
 

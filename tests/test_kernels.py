@@ -100,7 +100,8 @@ def test_lindblad_rhs_blocks(lead, adjoint):
             acc = acc + g * (jump - 0.5 * (k @ b + b @ k))
         return acc
 
-    got = kernels.lindblad_rhs_blocks(h, ops, ops_dag, cdc, gammas, blocks, adjoint=adjoint)
+    half_decay = 0.5 * np.tensordot(gammas, cdc, axes=1)
+    got = kernels.lindblad_rhs_blocks(h, ops, ops_dag, half_decay, gammas, blocks, adjoint=adjoint)
     assert np.max(np.abs(got - _per_block(longhand, blocks))) < 1e-12
 
 
@@ -109,7 +110,7 @@ def test_lindblad_rhs_without_collapse_is_commutator():
     blocks = _random(rng, 2, 3, D, D)
     h = random_hermitian(D, rng)
     none = np.zeros((0, D, D), dtype=complex)
-    got = kernels.lindblad_rhs_blocks(h, none, none, none, np.zeros(0), blocks)
+    got = kernels.lindblad_rhs_blocks(h, none, none, np.zeros((D, D)), np.zeros(0), blocks)
     want = _per_block(lambda b: -1j * (h @ b - b @ h), blocks)
     assert np.max(np.abs(got - want)) < 1e-12
 

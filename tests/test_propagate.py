@@ -13,6 +13,7 @@ from robustpulse.augment import (
     vec_to_state,
 )
 from robustpulse.linalg import expm, kron
+from robustpulse import augment, linalg
 from robustpulse.model import (
     ControlGrid,
     OpenSystemModel,
@@ -317,6 +318,32 @@ def test_ode_rhs_calls_per_step_stay_bounded(monkeypatch):
     assert abs(np.trace(final[-1]).real - 1.0) < 1e-12
 
 
+def test_ode_step_builds_its_hamiltonian_a_fixed_number_of_times(monkeypatch, two_qubit):
+    """An ode step builds H(u) three times, twice for the norm bound and
+    once for its Lindblad terms, however many RHS calls it makes; each
+    RHS call is one Lindblad kernel call."""
+    mset = MultiIndexSet(2, 2)
+    amps = np.random.default_rng(33).uniform(-0.3, 0.3, len(two_qubit.controls))
+    blocks = _random_blocks(np.random.default_rng(34), mset.size, 4)
+    counts = {"hamiltonian": 0, "rhs": 0, "kernel": 0}
+
+    def counted(key, real):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(OpenSystemModel, "hamiltonian", counted("hamiltonian", OpenSystemModel.hamiltonian))
+    monkeypatch.setattr(propagate, "_augmented_rhs", counted("rhs", propagate._augmented_rhs))
+    monkeypatch.setattr(
+        propagate.kernels, "lindblad_rhs_blocks", counted("kernel", propagate.kernels.lindblad_rhs_blocks)
+    )
+    for adjoint in (False, True):
+        step_ode(two_qubit, mset, blocks, amps, 0.5, adjoint=adjoint)
+    assert counts["hamiltonian"] == 6
+    assert counts["kernel"] == counts["rhs"] > 6
+
+
 def test_generator_norm_bound_dominates(one_qubit, two_qubit):
     for model, m in ((one_qubit, 1), (two_qubit, 2)):
         mset = MultiIndexSet(m, 1)
@@ -376,6 +403,34 @@ def test_expm_backend_respects_cap(over_cap_chain):
     s0 = initial_state(mset, np.eye(64, dtype=complex) / 64.0)
     with pytest.raises(CapExceeded):
         propagate_final("expm", over_cap_chain, mset, grid, s0)
+
+
+def test_expm_step_stays_in_the_block_algebra(monkeypatch):
+    """At 3 qubits, order 2, the expm step propagator neither assembles
+    the 384 x 384 generator nor exponentiates anything larger than one
+    64 x 64 block; over a lowered cap it raises CapExceeded."""
+    model = attach_uncertainties(build_spin_chain(3), "edges")
+    mset = MultiIndexSet(2, 2)
+    amps = np.random.default_rng(32).uniform(-0.1, 0.1, len(model.controls))
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (propagate, augment):
+        monkeypatch.setattr(module, "assemble_supermatrix", spy("assemble", augment.assemble_supermatrix))
+    for module in (propagate, linalg):
+        monkeypatch.setattr(module, "expm", spy("expm", linalg.expm))
+    s = propagate.step_propagator_expm(model, mset, amps, 0.5)
+    assert s.shape == (384, 384)
+    assert [c for c in calls if c[0] == "assemble"] == []
+    assert all(shape[-1] <= 64 for _, shape in calls), calls
+    monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 383)
+    with pytest.raises(CapExceeded, match="384 exceeds cap 383"):
+        propagate.step_propagator_expm(model, mset, amps, 0.5)
 
 
 def test_unknown_backend_rejected(one_qubit):

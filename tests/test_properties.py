@@ -15,13 +15,15 @@ from robustpulse.augment import (
     apply_Ej,
     apply_Ej_adjoint,
     assemble_supermatrix,
+    generator_blocks,
     initial_state,
     mat_commutator,
     quadrature_norm,
     state_to_vec,
+    step_propagator_expm,
     vec_to_state,
 )
-from robustpulse.linalg import expm
+from robustpulse.linalg import expm, scaling_exponent
 from robustpulse.model import ControlGrid, NoiseDistribution, OpenSystemModel
 from robustpulse.objective import avg_gate_fidelity
 from robustpulse.oracle import noise_sweep, propagate_noisy_exact
@@ -141,6 +143,26 @@ def test_generator_norm_bound_dominates_one_and_inf_norms(problem):
         bound = generator_norm_bound(model, amps)
         for p in (1, np.inf):
             assert np.linalg.norm(big, p) <= bound * (1 + 1e-12), p
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([0.4, 40.0]))
+def test_block_exponential_equals_dense_reference(problem, dt):
+    """The step propagator, exponentiated in the block algebra, equals
+    linalg.expm of the assembled generator to 1e-12 relative.  The blocks
+    lay out to that generator exactly, and their column sums give its
+    1-norm, hence its scaling exponent; dt = 40 forces squarings."""
+    model, mset, grid, _ = problem
+    for amps in grid.amplitudes.T:
+        big = dt * assemble_supermatrix(model, mset, amps)
+        gen = dt * generator_blocks(model, mset, amps)
+        assert np.array_equal(mset.algebra.dense(gen), big)
+        norm = mset.algebra.one_norm(gen)
+        assert abs(norm - np.linalg.norm(big, 1)) <= 1e-14 * norm
+        assert scaling_exponent(norm) == scaling_exponent(np.linalg.norm(big, 1))
+        want = expm(big)
+        got = step_propagator_expm(model, mset, amps, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @PROPERTY_SETTINGS
