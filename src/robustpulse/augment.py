@@ -6,10 +6,10 @@ cascade: each block evolves under the nominal Lindblad generator and is
 additionally driven by the blocks one order below through -i[E_j, .].
 This module owns the multi-index bookkeeping (ordering, routing maps,
 nilpotent routing matrices), the block-level generator actions, and the
-dense augmented generator: assembled as one matrix for reference, and
-exponentiated per step in its block algebra, where a product needs one
-d^2 x d^2 product per pair of multi-indices instead of per pair of
-blocks.
+augmented generator: assembled as one dense matrix for reference only,
+and otherwise held in its block algebra, where it is exponentiated per
+step and the step propagator is applied to states with one d^2 x d^2
+product per pair of multi-indices instead of per pair of blocks.
 
 Block layout: an augmented state is a (N, d, d) complex array whose k-th
 slice is the coefficient block of the k-th multi-index.  A batch of
@@ -53,11 +53,12 @@ __all__ = [
     "vec_to_state",
 ]
 
-DEFAULT_SUPERMATRIX_CAP = 20000
+DEFAULT_SUPERMATRIX_CAP = 20000  # on N*d^2, bounding the block exponential's cost
 
 
 class CapExceeded(ValueError):
-    """Supermatrix dimension N*d^2 exceeds DEFAULT_SUPERMATRIX_CAP."""
+    """Supermatrix dimension N*d^2 exceeds DEFAULT_SUPERMATRIX_CAP; the cap
+    bounds the cost of the block exponential."""
 
 
 def enumerate_orders(m: int, n: int) -> list:
@@ -244,7 +245,9 @@ class BlockAlgebra:
     every sum, product and inverse of such matrices: the product is
     (AB)_g = sum over b + b' = g of A_b B_b', one D x D product per pair
     of the set's pair table instead of the N^2 block pairs of the dense
-    product.
+    product.  The pairs with b = 0 or b' = 0 run as two stacked products
+    on slices (the zero order is the last block); only the mixed pairs
+    are looped over, none at order 1.
     """
 
     def __init__(self, mset: MultiIndexSet):
@@ -253,64 +256,46 @@ class BlockAlgebra:
         self.zero = mset.zero_index
         # the pair table: (b, b', g) for every g in the set and b <= g,
         # b' = g - b, as block indices
-        pairs = []
+        self.pairs = []
         for k, g in enumerate(mset.orders):
             for b in itertools.product(*(range(x + 1) for x in g)):
                 rest = tuple(x - y for x, y in zip(g, b))
-                pairs.append((mset.index[b], mset.index[rest], k))
-        self.left, self.right, self.target = (np.array(c, dtype=np.int64) for c in zip(*pairs))
-        self._scatter = self._scatter_matrix(self.target, np.arange(n_blocks))
+                self.pairs.append((mset.index[b], mset.index[rest], k))
+        left, right, _ = np.array(self.pairs, dtype=np.int64).T
         # dense block column l holds A_b wherever orders[l] + b is in the set
         self._support = np.zeros((n_blocks, n_blocks))
-        self._support[self.right, self.left] = 1.0
+        self._support[right, left] = 1.0
+        self._mixed = [p for p in self.pairs if self.zero not in p[:2]]
         # forward substitution: per total degree, the targets and their
-        # pairs b + b' with b of degree >= 1, so that b' is solved already
-        degrees = np.array([sum(p) for p in mset.orders])
-        self._stages = []
-        for deg in range(1, mset.n + 1):
-            targets = np.flatnonzero(degrees == deg)
-            if targets.size == 0:
-                continue
-            sel = (degrees[self.target] == deg) & (self.left != self.zero)
-            self._stages.append((
-                targets, self.left[sel], self.right[sel],
-                self._scatter_matrix(self.target[sel], targets),
-            ))
-
-    @staticmethod
-    def _scatter_matrix(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """0/1 matrix summing per-pair products into the rows' blocks."""
-        out = np.zeros((rows.size, target.size))
-        out[np.searchsorted(rows, target), np.arange(target.size)] = 1.0
-        return out
-
-    @staticmethod
-    def _pair_products(scatter, a, left, b, right) -> np.ndarray:
-        """scatter @ (a[left] @ b[right]), one row block per scatter row; the
-        real 0/1 matrix acts on the real and imaginary parts together."""
-        prods = np.matmul(a.take(left, axis=0), b.take(right, axis=0))
-        summed = scatter @ prods.reshape(left.size, -1).view(np.float64)
-        return summed.view(np.complex128).reshape((-1,) + a.shape[1:])
-
-    def identity(self, dim: int) -> np.ndarray:
-        out = np.zeros((self.size, dim, dim), dtype=complex)
-        out[self.zero] = np.eye(dim)
-        return out
+        # mixed pairs, whose b' has a lower degree and is solved already
+        degrees = [sum(p) for p in mset.orders]
+        self._stages = [
+            ([k for k in range(n_blocks) if degrees[k] == deg],
+             [p for p in self._mixed if degrees[p[2]] == deg])
+            for deg in sorted(set(degrees) - {0})
+        ]
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._pair_products(self._scatter, a, self.left, b, self.right)
+        z = self.zero
+        out = a[z] @ b
+        out[:z] += a[:z] @ b[z]
+        for left, right, k in self._mixed:
+            out[k] += a[left] @ b[right]
+        return out
 
     def solve(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """X with p X = q, by forward substitution over total degree: one
         solve against p's zero-order block per degree."""
-        dim = p.shape[-1]
-        p0 = p[self.zero]
-        x = np.zeros_like(q)
-        x[self.zero] = np.linalg.solve(p0, q[self.zero])
-        for targets, left, right, scatter in self._stages:
-            rhs = q[targets] - self._pair_products(scatter, p, left, x, right)
-            sol = np.linalg.solve(p0, rhs.transpose(1, 0, 2).reshape(dim, -1))
-            x[targets] = sol.reshape(dim, targets.size, dim).transpose(1, 0, 2)
+        dim, z = p.shape[-1], self.zero
+        p0 = p[z]
+        x = np.empty_like(q)
+        x[z] = np.linalg.solve(p0, q[z])
+        x[:z] = q[:z] - p[:z] @ x[z]
+        for targets, mixed in self._stages:
+            for left, right, k in mixed:
+                x[k] -= p[left] @ x[right]
+            sol = np.linalg.solve(p0, x[targets].transpose(1, 0, 2).reshape(dim, -1))
+            x[targets] = sol.reshape(dim, len(targets), dim).transpose(1, 0, 2)
         return x
 
     def one_norm(self, a: np.ndarray) -> float:
@@ -327,18 +312,35 @@ class BlockAlgebra:
         s = int(scaling_exponent(norm))
         if s:
             a = a / 2.0**s
-        u, v = pade13(a, self.product, self.identity(a.shape[-1]))
+        ident = np.zeros_like(a)
+        ident[self.zero] = np.eye(a.shape[-1])
+        u, v = pade13(a, self.product, ident)
         r = self.solve(v - u, v + u)
         for _ in range(s):
             r = self.product(r, r)
         return r
 
-    def dense(self, a: np.ndarray) -> np.ndarray:
-        """The (N D) x (N D) matrix, in the layout of assemble_supermatrix."""
-        n_blocks, dim = self.size, a.shape[-1]
-        out = np.zeros((n_blocks, dim, n_blocks, dim), dtype=complex)
-        out[self.target, :, self.right, :] = a[self.left]
-        return out.reshape(n_blocks * dim, n_blocks * dim)
+    def apply(self, p: np.ndarray, blocks: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """p, whose blocks act on column-vectorised d x d blocks (D = d^2),
+        on an augmented state (N, d, d) or a batch (S, N, d, d): block k
+        receives P_b x_r for each pair (b, r, k).  With ``adjoint``, p's
+        Hermitian adjoint: block r receives P_b^dag y_k."""
+        n_blocks, d, z = self.size, blocks.shape[-1], self.zero
+        # block axis first, each block as the row vec(x)^T: (N, S, D), so
+        # that P x is the row x^T P^T and P^dag y the row y^T conj(P)
+        vecs = blocks.reshape(-1, n_blocks, d, d).transpose(1, 0, 3, 2)
+        vecs = vecs.reshape(n_blocks, -1, d * d)
+        mats = p.conj() if adjoint else p.swapaxes(-1, -2)
+        out = vecs @ mats[z]
+        if adjoint:
+            out[z] += (vecs[:z] @ mats[:z]).sum(axis=0)
+        else:
+            out[:z] += vecs[z] @ mats[:z]
+        for left, right, k in self._mixed:
+            src, dst = (k, right) if adjoint else (right, k)
+            out[dst] += vecs[src] @ mats[left]
+        out = out.reshape(n_blocks, -1, d, d).transpose(1, 0, 3, 2)
+        return np.ascontiguousarray(out).reshape(blocks.shape)
 
 
 def generator_blocks(
@@ -364,16 +366,16 @@ def step_propagator_expm(
     amplitudes: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Dense one-step propagator exp(dt * augmented generator).
+    """One-step propagator exp(dt * augmented generator) as a
+    :class:`BlockAlgebra` element, an (N, d^2, d^2) array; apply it with
+    ``mset.algebra.apply``.
 
-    The exponential is taken in the generator's :class:`BlockAlgebra`, so
-    the result is linalg.expm(dt * assemble_supermatrix(...)) up to
-    roundoff without forming or exponentiating that matrix.  Raises as
+    Laid out densely it is linalg.expm(dt * assemble_supermatrix(...)) up
+    to roundoff, but neither matrix is formed.  Raises as
     :func:`assemble_supermatrix` does.
     """
     _check_dense_size(model, mset)
-    algebra = mset.algebra
-    return algebra.dense(algebra.expm(dt * generator_blocks(model, mset, amplitudes)))
+    return mset.algebra.expm(dt * generator_blocks(model, mset, amplitudes))
 
 
 def state_to_vec(blocks: np.ndarray) -> np.ndarray:

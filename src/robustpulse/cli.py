@@ -281,7 +281,8 @@ def optimize(config_path, out, seed, verbose):
         "n_iterations": len(report_opt.iterations) - 1,
         "grad_inf_norm": report_opt.grad_norm,
         "iterations": report_opt.iterations,
-        "checkpoints": [{"iteration": i, "true_J": j} for i, j in report_opt.checkpoints],
+        "checkpoints": [{"iteration": i, "true_J": j, "splitting_J": report_opt.iterations[i]}
+                        for i, j in report_opt.checkpoints],
         "config": resolved_dict(cfg),
         "seed": seed if seed is not None else cfg.control.seed,
     }

@@ -270,7 +270,7 @@ def grape_gradient(
             fwd = np.empty((n_t + 1,) + state0.shape, dtype=complex)
             fwd[0] = state0
             for k in range(n_t):
-                fwd[k + 1] = apply_supermatrix(props[k], fwd[k])
+                fwd[k + 1] = apply_supermatrix(mset.algebra, props[k], fwd[k])
         else:
             fwd = propagate_forward(backend, model, mset, grid, state0).states
         j_val = gate_objective(fwd[-1], obj)
@@ -280,7 +280,7 @@ def grape_gradient(
             bwd = np.empty_like(fwd)
             bwd[n_t] = costate_T
             for k in range(n_t - 1, -1, -1):
-                bwd[k] = apply_supermatrix(props[k].conj().T, bwd[k + 1])
+                bwd[k] = apply_supermatrix(mset.algebra, props[k], bwd[k + 1], adjoint=True)
         else:
             bwd = propagate_backward(backend, model, mset, grid, costate_T).states
         grad = _pair_gradient(model, grid, fwd, bwd)
@@ -415,7 +415,6 @@ def _optimize_loop(task, cfg: OptimizerConfig) -> OptimizationReport:
         if j_val >= 1.0 - _CEILING_TOL or np.max(np.abs(grad)) <= cfg.grad_tol:
             stop_reason = "converged"
             break
-        it += 1
         with task.timers.phase("linesearch"):
             x_new, _ = lbfgs_bounded_step(history, -grad, x, lo, hi, f, -j_val)
         if x_new is None or np.allclose(x_new, x):
@@ -426,6 +425,7 @@ def _optimize_loop(task, cfg: OptimizerConfig) -> OptimizationReport:
             raise FloatingPointError("objective or gradient became non-finite")
         history.push(x_new - x, -(grad_new - grad))
         x, j_val, grad = x_new, j_new, grad_new
+        it += 1  # counts accepted steps only: iterations[it] is this J
         iterations.append(j_val)
         _log.info("iter %d: J=%.10f", it, j_val)
         if use_monitor and it % cfg.monitor_interval == 0 and it < cfg.max_iters:

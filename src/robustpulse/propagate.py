@@ -3,9 +3,9 @@
 Three interchangeable backends advance an augmented block state over one
 piecewise-constant control step:
 
-* ``expm``   - the dense step propagator exp(dt * G), exponentiated in
-  the block algebra of the generator (``augment.step_propagator_expm``)
-  and applied as one matrix (reference).
+* ``expm``   - the step propagator exp(dt * G), exponentiated in the
+  block algebra of the generator (``augment.step_propagator_expm``) and
+  applied to the blocks pair by pair in that algebra (reference).
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import kernels
 from .augment import (
+    BlockAlgebra,
     MultiIndexSet,
     apply_Ej,
     apply_Ej_adjoint,
@@ -40,9 +41,7 @@ from .augment import (
     assemble_supermatrix,  # not called here: perfbench/tracer.py wraps it here
     lindblad_terms,
     quadrature_norm,
-    state_to_vec,
     step_propagator_expm,
-    vec_to_state,
 )
 from .linalg import expm, one_and_inf_norms
 from .model import ControlGrid, OpenSystemModel
@@ -377,11 +376,9 @@ def _ctl_factor_gradient(
 # ------------------------------------------------------------- expm backend
 
 
-def apply_supermatrix(s: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """s @ vec(state): one matrix-vector product for a single state, one
-    matrix product for a batch."""
-    n_b, d, _ = blocks.shape[-3:]
-    return vec_to_state((s @ state_to_vec(blocks).T).T, n_b, d)
+# the block apply, under the name perfbench/tracer.py times it by:
+# apply_supermatrix(mset.algebra, prop, blocks, adjoint=False)
+apply_supermatrix = BlockAlgebra.apply
 
 
 def step_expm(
@@ -393,10 +390,8 @@ def step_expm(
     adjoint: bool = False,
 ) -> np.ndarray:
     """One exact step via the supermatrix exponential."""
-    s = step_propagator_expm(model, mset, amplitudes, dt)
-    if adjoint:
-        s = s.conj().T
-    return apply_supermatrix(s, blocks)
+    prop = step_propagator_expm(model, mset, amplitudes, dt)
+    return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
 
 
 # -------------------------------------------------------------- ode backend

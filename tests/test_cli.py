@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from robustpulse import augment, cli, propagate
+from robustpulse import augment, cli, linalg, optimize, propagate
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
 from robustpulse.augment import initial_state
 from robustpulse.config import (
@@ -17,8 +17,8 @@ from robustpulse.config import (
     build_state_objective, load_config,
 )
 from robustpulse.model import ControlGrid
-from robustpulse.objective import GateObjective, RobustStateObjective, uniform_state
-from robustpulse.propagate import delta_st
+from robustpulse.objective import GateObjective, RobustStateObjective, gate_objective, uniform_state
+from robustpulse.propagate import delta_st, propagate_final
 
 
 STATE_CFG = """
@@ -248,6 +248,49 @@ def test_simulate_propagates_the_exact_chain_once(tmp_path, runner, monkeypatch)
     assert len(calls) == 6
 
 
+def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
+    """At 3 qubits, order 2, no array with a side of N d^2 = 384 passes
+    through the expm step propagator, its application, the block algebra
+    or an exponential, on the paths of step_expm, grape_gradient,
+    true_objective and simulate."""
+    shapes = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            for v in (*args, *kwargs.values(), out):
+                if isinstance(v, np.ndarray):
+                    shapes.append(v.shape)
+            return out
+        return wrapped
+
+    for module, name in [
+        (propagate, "step_propagator_expm"), (optimize, "step_propagator_expm"),
+        (propagate, "apply_supermatrix"), (optimize, "apply_supermatrix"),
+        (propagate, "assemble_supermatrix"), (augment, "assemble_supermatrix"),
+        (propagate, "expm"), (linalg, "expm"),
+        *[(augment.BlockAlgebra, m) for m in ("product", "solve", "expm", "apply")],
+    ]:
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    cfg_path = _write(tmp_path, "c.yaml", STATE_CFG.replace("n_qubits: 1", "n_qubits: 3").replace(
+        "n_steps: 6", "n_steps: 2").replace("order: 1", "order: 2"))
+    cfg = load_config(cfg_path)
+    model = build_model(cfg)
+    mset = build_mset(cfg, model)
+    grid = build_grid(cfg, model)
+    obj = build_state_objective(cfg, mset, model.dim)
+    assert mset.size * model.dim**2 == 384
+    blocks = initial_state(mset, np.stack(obj.state0s))
+    for adjoint in (False, True):
+        propagate.step_expm(model, mset, blocks, grid.amplitudes[:, 0], grid.dt, adjoint=adjoint)
+    optimize.grape_gradient(model, mset, grid, obj, backend="expm")
+    optimize._GateTask(model, mset, grid, obj, "stgrape", "expm").true_objective(grid.amplitudes.ravel())
+    res = runner.invoke(main, ["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert (6, 64, 64) in shapes
+    assert [s for s in shapes if 384 in s] == []
+
+
 def test_simulate_over_the_cap_reports_null_for_expm(tmp_path, runner, monkeypatch):
     monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 2)
     cfg = _write(tmp_path, "c.yaml", STATE_CFG)
@@ -306,6 +349,27 @@ def test_optimize_outputs_are_reproducible(tmp_path, runner):
     assert report["stop_reason"] in ("converged", "monitor_decrease", "max_iters")
     assert len(report["iterations"]) == report["n_iterations"] + 1
     assert report["checkpoints"][0]["iteration"] == 0
+
+
+def test_optimize_checkpoints_carry_the_splitting_objective(tmp_path, runner):
+    """Each checkpoint reports the splitting (surrogate) J recorded at its
+    iteration next to the true J; at iteration 0 it is the Trotter
+    objective of the initial control."""
+    cfg_path = _write(tmp_path, "c.yaml", STATE_CFG.replace("monitor_interval: 50", "monitor_interval: 1"))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["optimize", "--config", cfg_path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    checkpoints = report["checkpoints"]
+    assert [c["iteration"] for c in checkpoints] == list(range(report["n_iterations"] + 1))
+    for c in checkpoints:
+        assert c["splitting_J"] == report["iterations"][c["iteration"]]
+    cfg = load_config(cfg_path)
+    model = build_model(cfg)
+    mset = build_mset(cfg, model)
+    obj = build_state_objective(cfg, mset, model.dim)
+    final = propagate_final("trotter", model, mset, build_grid(cfg, model), initial_state(mset, np.stack(obj.state0s)))
+    assert checkpoints[0]["splitting_J"] == gate_objective(final, obj)
 
 
 def test_optimize_phases_sum_to_total(tmp_path, runner):

@@ -408,7 +408,8 @@ def test_expm_backend_respects_cap(over_cap_chain):
 def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     """At 3 qubits, order 2, the expm step propagator neither assembles
     the 384 x 384 generator nor exponentiates anything larger than one
-    64 x 64 block; over a lowered cap it raises CapExceeded."""
+    64 x 64 block, and it is returned as its six 64 x 64 blocks; over a
+    lowered cap it raises CapExceeded."""
     model = attach_uncertainties(build_spin_chain(3), "edges")
     mset = MultiIndexSet(2, 2)
     amps = np.random.default_rng(32).uniform(-0.1, 0.1, len(model.controls))
@@ -425,7 +426,7 @@ def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     for module in (propagate, linalg):
         monkeypatch.setattr(module, "expm", spy("expm", linalg.expm))
     s = propagate.step_propagator_expm(model, mset, amps, 0.5)
-    assert s.shape == (384, 384)
+    assert s.shape == (6, 64, 64)
     assert [c for c in calls if c[0] == "assemble"] == []
     assert all(shape[-1] <= 64 for _, shape in calls), calls
     monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 383)

@@ -145,24 +145,61 @@ def test_generator_norm_bound_dominates_one_and_inf_norms(problem):
             assert np.linalg.norm(big, p) <= bound * (1 + 1e-12), p
 
 
+def _dense_layout(mset, a):
+    """A block-algebra element as the (N D) x (N D) matrix in the layout of
+    assemble_supermatrix: dense block (k, r) is A_b for each pair (b, r, k)
+    of the pair table, and zero elsewhere."""
+    n_blocks, dim = mset.size, a.shape[-1]
+    out = np.zeros((n_blocks, dim, n_blocks, dim), dtype=complex)
+    for b, r, k in mset.algebra.pairs:
+        out[k, :, r, :] = a[b]
+    return out.reshape(n_blocks * dim, n_blocks * dim)
+
+
 @PROPERTY_SETTINGS
 @given(problems(), st.sampled_from([0.4, 40.0]))
 def test_block_exponential_equals_dense_reference(problem, dt):
-    """The step propagator, exponentiated in the block algebra, equals
-    linalg.expm of the assembled generator to 1e-12 relative.  The blocks
-    lay out to that generator exactly, and their column sums give its
-    1-norm, hence its scaling exponent; dt = 40 forces squarings."""
+    """The step propagator, exponentiated in the block algebra, is an
+    (N, d^2, d^2) element whose dense layout equals linalg.expm of the
+    assembled generator to 1e-12 relative.  The generator's blocks lay
+    out to that generator exactly, and their column sums give its 1-norm,
+    hence its scaling exponent; dt = 40 forces squarings."""
     model, mset, grid, _ = problem
+    d2 = model.dim**2
     for amps in grid.amplitudes.T:
         big = dt * assemble_supermatrix(model, mset, amps)
         gen = dt * generator_blocks(model, mset, amps)
-        assert np.array_equal(mset.algebra.dense(gen), big)
+        assert np.array_equal(_dense_layout(mset, gen), big)
         norm = mset.algebra.one_norm(gen)
         assert abs(norm - np.linalg.norm(big, 1)) <= 1e-14 * norm
         assert scaling_exponent(norm) == scaling_exponent(np.linalg.norm(big, 1))
         want = expm(big)
         got = step_propagator_expm(model, mset, amps, dt)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.shape == (mset.size, d2, d2)
+        assert np.max(np.abs(_dense_layout(mset, got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([0.4, 40.0]))
+def test_block_apply_equals_dense_reference(problem, dt):
+    """The algebra's apply of a step propagator, and of its adjoint, equals
+    the dense reference exponential (its conjugate transpose) applied
+    through state_to_vec, for one state and for a batch, to 1e-12
+    relative."""
+    model, mset, grid, rng = problem
+    d = model.dim
+    amps = grid.amplitudes[:, 0]
+    prop = step_propagator_expm(model, mset, amps, dt)
+    dense = expm(dt * assemble_supermatrix(model, mset, amps))
+    batch = _random_blocks(rng, (3, mset.size, d, d))
+    for adjoint, s in ((False, dense), (True, dense.conj().T)):
+        want = vec_to_state(state_to_vec(batch) @ s.T, mset.size, d)
+        got = mset.algebra.apply(prop, batch, adjoint=adjoint)
+        assert got.shape == batch.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), adjoint
+        one = mset.algebra.apply(prop, batch[0], adjoint=adjoint)
+        assert one.shape == batch[0].shape
+        assert np.max(np.abs(one - want[0])) <= 1e-12 * np.max(np.abs(want[0])), adjoint
 
 
 @PROPERTY_SETTINGS
