@@ -111,10 +111,22 @@ class MultiIndexSet:
                     src.append(self.index[tuple(q)])
             self._dst.append(np.array(dst, dtype=np.int64))
             self._src.append(np.array(src, dtype=np.int64))
+        # the same routes as block indices for the kernels: a slice where
+        # the blocks are consecutive, which numpy reads and writes as a view
+        self._drives = [(_as_index(d), _as_index(s)) for d, s in zip(self._dst, self._src)]
 
     def routing(self, j: int):
         """(dst, src) index arrays for uncertainty j."""
         return self._dst[j], self._src[j]
+
+    def drive(self, j: int, adjoint: bool = False) -> tuple:
+        """(dst, src, prefactor) of uncertainty drive j for
+        :func:`kernels.routed_commutator`: block k receives
+        -i[E_j, block(k - e_j)]; for the adjoint, block (k - e_j) receives
+        +i[E_j, block k].  Each side is a slice where its blocks are
+        consecutive."""
+        dst, src = self._drives[j]
+        return (src, dst, 1.0j) if adjoint else (dst, src, -1.0j)
 
     def routing_matrix(self, j: int) -> np.ndarray:
         """N x N matrix with 1 at (k, l) iff orders[l] = orders[k] - e_j."""
@@ -131,6 +143,13 @@ class MultiIndexSet:
     def algebra(self) -> BlockAlgebra:
         """Product tables of the block algebra over this set."""
         return BlockAlgebra(self)
+
+
+def _as_index(idx: np.ndarray):
+    """``idx`` as a slice when it is a run of consecutive indices."""
+    if idx.size and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def initial_state(mset: MultiIndexSet, rho0: np.ndarray) -> np.ndarray:
@@ -153,13 +172,7 @@ def quadrature_norm(blocks: np.ndarray) -> float:
 def lindblad_terms(model: OpenSystemModel, amplitudes: np.ndarray) -> tuple:
     """The leading arguments of :func:`kernels.lindblad_rhs_blocks` for one
     step's amplitudes."""
-    return (
-        model.hamiltonian(amplitudes),
-        model.collapse_stack,
-        model.collapse_dag_stack,
-        model.half_decay,
-        model.rates,
-    )
+    return -1j * model.hamiltonian(amplitudes) - model.half_decay, model.jump_factors
 
 
 def apply_L(
@@ -185,19 +198,15 @@ def apply_Ej(
 
     Nilpotent: applying it n+1 times annihilates any state.
     """
-    dst, src = mset.routing(j)
-    return kernels.routed_commutator(
-        blocks, model.uncertainties[j], dst, src, -1.0j
-    )
+    return kernels.routed_commutator(blocks, model.uncertainties[j], *mset.drive(j))
 
 
 def apply_Ej_adjoint(
     model: OpenSystemModel, mset: MultiIndexSet, j: int, blocks: np.ndarray
 ) -> np.ndarray:
     """Adjoint drive: block (k - e_j) receives +i[E_j, block k]."""
-    dst, src = mset.routing(j)
     return kernels.routed_commutator(
-        blocks, model.uncertainties[j], src, dst, 1.0j
+        blocks, model.uncertainties[j], *mset.drive(j, adjoint=True)
     )
 
 

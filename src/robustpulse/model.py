@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .linalg import (
     is_hermitian,
     kron_all,
@@ -177,6 +178,13 @@ class OpenSystemModel:
     @cached_property
     def collapse_dag_stack(self) -> np.ndarray:
         return np.ascontiguousarray(np.conj(np.swapaxes(self.collapse_stack, 1, 2)))
+
+    @cached_property
+    def jump_factors(self) -> tuple:
+        """The jump term sum_i gamma_i c_i b c_i^dag and its adjoint
+        sum_i gamma_i c_i^dag b c_i, as their :func:`kernels.jump_factors`."""
+        cs, csd = self.collapse_stack, self.collapse_dag_stack
+        return kernels.jump_factors(cs, csd, self.rates), kernels.jump_factors(csd, cs, self.rates)
 
     @cached_property
     def collapse_cdc_stack(self) -> np.ndarray:

@@ -225,17 +225,14 @@ def _pair_gradient(
     bwd_states: np.ndarray,
 ) -> np.ndarray:
     """First-order gradient: dt * Im sum_b tr(O_b(t_{k+1})^dag [H_c, rho_b(t_{k+1})]),
-    summed over the blocks of every state in the batch."""
-    n_c, n_t = grid.n_channels, grid.n_steps
-    grad = np.zeros((n_c, n_t))
-    for k in range(n_t):
-        o_next = bwd_states[k + 1]
-        rho_next = fwd_states[k + 1]
-        for c in range(n_c):
-            grad[c, k] = grid.dt * kernels.control_pairing(
-                o_next, rho_next, model.controls[c]
-            ).imag
-    return grad
+    summed over the blocks of every state in the batch.  That sum is
+    tr(H_c M_k), with M_k the step's one d x d pairing matrix."""
+    pairings = np.stack([
+        kernels.control_pairing(bwd_states[k + 1], fwd_states[k + 1])
+        for k in range(grid.n_steps)
+    ])
+    # tr(H M) = sum_ij H[i, j] M[j, i]
+    return grid.dt * np.einsum("cij,kji->ck", np.stack(model.controls), pairings).imag
 
 
 def grape_gradient(

@@ -12,11 +12,14 @@ piecewise-constant control step:
   supermatrix.
 * ``trotter``- second-order symmetric splitting: half-step nilpotent
   uncertainty drives and truncated collapse channel wrap a unitary
-  control sandwich around the non-Hermitian effective-Hamiltonian flow.
+  control sandwich around the non-Hermitian effective-Hamiltonian flow;
+  the sandwich is one conjugation by its d x d product, whose factors
+  :func:`control_factors` builds for all steps of a grid at once.
 
 All backends expose exact Hilbert-Schmidt adjoints so co-states can be
 propagated backwards, and the Trotter backend additionally supports an
-exact control-gradient sweep based on two cached intra-step states.
+exact control-gradient sweep based on two cached intra-step states,
+which pairs each control factor through one d x d matrix.
 
 Every step and propagation loop takes one augmented state (N, d, d) or a
 batch of independent states (S, N, d, d) with the same controls; the
@@ -27,6 +30,7 @@ exponential) across its states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +38,8 @@ from . import kernels
 from .augment import (
     BlockAlgebra,
     MultiIndexSet,
-    apply_Ej,
-    apply_Ej_adjoint,
+    apply_Ej,  # not called here: perfbench/tracer.py wraps it here
+    apply_Ej_adjoint,  # not called here: perfbench/tracer.py wraps it here
     apply_L,  # not called here: perfbench/tracer.py wraps it here
     apply_L_adjoint,  # not called here: perfbench/tracer.py wraps it here
     assemble_supermatrix,  # not called here: perfbench/tracer.py wraps it here
@@ -52,6 +56,8 @@ __all__ = [
     "GroupPlan",
     "TrotterPlan",
     "make_trotter_plan",
+    "SandwichFactors",
+    "control_factors",
     "exp_nilpotent",
     "step_expm",
     "step_ode",
@@ -111,12 +117,17 @@ class GroupPlan:
 
 @dataclass
 class TrotterPlan:
-    """Precomputed step-independent factors of the symmetric splitting."""
+    """Precomputed step-independent factors of the symmetric splitting.
+
+    ``readout`` (n_channels, G d) puts each channel's diagonal in its
+    group's d columns, so that readout @ diag(r_q^dag M r_q), stacked
+    over the groups q, is tr(H_c M) for every channel c.
+    """
 
     dt: float
     u_eff: np.ndarray
-    u_eff_dag: np.ndarray
     groups: list
+    readout: np.ndarray
 
 
 def _commutes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -191,16 +202,17 @@ def make_trotter_plan(model: OpenSystemModel, dt: float) -> TrotterPlan:
             )
         )
 
+    readout = np.zeros((len(model.controls), len(groups) * d))
+    for q, g in enumerate(groups):
+        readout[g.channels, q * d:(q + 1) * d] = g.diags
+
     h_eff = model.drift.astype(complex).copy()
     for cdc, gamma in zip(model.collapse_cdc_stack, model.rates):
         h_eff -= 0.5j * gamma * cdc
     u_eff = expm(-1.0j * dt * h_eff)
 
     return TrotterPlan(
-        dt=float(dt),
-        u_eff=np.ascontiguousarray(u_eff),
-        u_eff_dag=np.ascontiguousarray(u_eff.conj().T),
-        groups=groups,
+        dt=float(dt), u_eff=np.ascontiguousarray(u_eff), groups=groups, readout=readout
     )
 
 
@@ -223,46 +235,102 @@ def exp_nilpotent(
     """
     n = mset.n
     if n == 0 or mset.m == 0:
-        return blocks.copy()
-    action = apply_Ej_adjoint if adjoint else apply_Ej
+        return np.copy(blocks)
+    dst, src, prefactor = mset.drive(j, adjoint)
+    blocks = kernels.wide(blocks)
     acc = blocks
     for level in range(n):
-        acc = blocks + (tau / (n - level)) * action(model, mset, j, acc)
+        acc = kernels.routed_commutator(
+            acc, model.uncertainties[j], dst, src, prefactor * tau / (n - level), base=blocks
+        )
     return acc
 
 
 def _collapse_half(
     plan: TrotterPlan, model: OpenSystemModel, blocks: np.ndarray, adjoint: bool
 ) -> np.ndarray:
-    """Truncated half-step collapse channel: 1 + (dt/2) C + (dt/2)^2 C^2 / 2."""
+    """Truncated half-step collapse channel: 1 + (dt/2) C + (dt/2)^2 C^2 / 2,
+    as 1 + (dt/2) C (1 + (dt/4) C)."""
     if model.rates.size == 0:
         return blocks
     half = 0.5 * plan.dt
-    if adjoint:
-        ops, other = model.collapse_dag_stack, model.collapse_stack
-    else:
-        ops, other = model.collapse_stack, model.collapse_dag_stack
-    c1 = kernels.collapse_blocks(ops, other, model.rates, blocks)
-    c2 = kernels.collapse_blocks(ops, other, model.rates, c1)
-    return blocks + half * c1 + 0.5 * half**2 * c2
+    jump = model.jump_factors[int(adjoint)]
+    inner = kernels.collapse_blocks(*jump, blocks, scale=0.5 * half, base=blocks)
+    return kernels.collapse_blocks(*jump, inner, scale=half, base=blocks)
 
 
-def _group_unitary(group: GroupPlan, amplitudes: np.ndarray, half_dt: float) -> np.ndarray:
-    """exp(-i * half_dt * sum_c u_c H_c) for one commuting group."""
-    phase = np.zeros(group.diags.shape[1])
-    for i, c in enumerate(group.channels):
-        phase += amplitudes[c] * group.diags[i]
-    return (group.r * np.exp(-1.0j * half_dt * phase)[None, :]) @ group.r_dag
+class SandwichFactors(NamedTuple):
+    """The control sandwich of a grid's steps as d x d conjugations, every
+    field stacked over the steps; :meth:`at` gives one step's.
+
+    With U_q the half-step unitary of group q, F1 = U_G ... U_1 the first
+    control factor (group 1 acts first), F2 = U_1 ... U_G the second and
+    u_eff the flow between them: ``pre_mid`` = u_eff F1 carries a state
+    from before the first control factor to before the second,
+    ``mid_post`` = F2 carries it on past the second, and ``whole`` = F2
+    u_eff F1 is the sandwich; each comes with its adjoint.  ``readers``
+    (2, G d, d), which only the gradient sweep asks for (None otherwise),
+    holds for each control factor f and group q the rows r_q^dag V_fq,
+    with V_fq the groups that factor f applies before q: a pairing matrix
+    M taken at the factor's start reaches q's insertion point as
+    V_fq M V_fq^dag, and q's channels read its diagonal in q's basis.
+    """
+
+    whole: np.ndarray
+    whole_dag: np.ndarray
+    pre_mid: np.ndarray
+    pre_mid_dag: np.ndarray
+    mid_post: np.ndarray
+    mid_post_dag: np.ndarray
+    readers: np.ndarray | None
+
+    def at(self, k: int) -> SandwichFactors:
+        return SandwichFactors._make(None if f is None else f[k] for f in self)
 
 
-def _ctl_unitaries(plan: TrotterPlan, amplitudes: np.ndarray) -> list:
-    """Per-group half-step control unitaries as (u, u_dagger) pairs."""
+def _lmul(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """a @ x for every x of a stack (n, d, d), as one GEMM."""
+    n, d, _ = stack.shape
+    return (a @ stack.transpose(1, 0, 2).reshape(d, n * d)).reshape(d, n, d).transpose(1, 0, 2)
+
+
+def control_factors(
+    plan: TrotterPlan, amplitudes: np.ndarray, readers: bool = False
+) -> SandwichFactors:
+    """The control sandwich of every step, one per column of
+    ``amplitudes`` (n_channels, n_steps), built by products batched over
+    the steps; the gradient readers only with ``readers``."""
     half = 0.5 * plan.dt
-    out = []
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    n_t, d = amplitudes.shape[1], plan.u_eff.shape[0]
+    us = []
     for g in plan.groups:
-        u = _group_unitary(g, amplitudes, half)
-        out.append((np.ascontiguousarray(u), np.ascontiguousarray(u.conj().T)))
-    return out
+        phases = np.exp(-1.0j * half * (amplitudes[g.channels].T @ g.diags))
+        us.append(((g.r * phases[:, None, :]).reshape(-1, d) @ g.r_dag).reshape(n_t, d, d))
+    # before[q] = U_q-1 ... U_1, so before[G] = F1; after[q] = U_q ... U_G,
+    # so after[0] = F2 and after[q + 1] precedes group q in the second factor
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (n_t, d, d))
+    before, after = [eye], [eye]
+    for u in us:
+        before.append(u if before[-1] is eye else u @ before[-1])
+    for u in reversed(us):
+        after.insert(0, u if after[0] is eye else u @ after[0])
+    reader_rows = None
+    if readers:
+        reader_rows = np.empty((n_t, 2, len(plan.groups) * d, d), dtype=complex)
+        for q, g in enumerate(plan.groups):
+            span = slice(q * d, (q + 1) * d)
+            reader_rows[:, 0, span] = g.r_dag if before[q] is eye else _lmul(g.r_dag, before[q])
+            reader_rows[:, 1, span] = (
+                g.r_dag if after[q + 1] is eye else _lmul(g.r_dag, after[q + 1])
+            )
+    pre_mid = _lmul(plan.u_eff, before[-1])
+    mid_post = after[0]
+    whole = mid_post @ pre_mid
+    return SandwichFactors(
+        *(x for a in (whole, pre_mid, mid_post) for x in (a, np.conj(a).swapaxes(-1, -2))),
+        reader_rows,
+    )
 
 
 def step_trotter(
@@ -272,6 +340,7 @@ def step_trotter(
     blocks: np.ndarray,
     amplitudes: np.ndarray,
     record: tuple | None = None,
+    factors: SandwichFactors | None = None,
 ) -> np.ndarray:
     """One symmetric-splitting step.
 
@@ -279,25 +348,26 @@ def step_trotter(
     control groups (ascending), effective-Hamiltonian flow, control
     groups (descending), collapse half, uncertainty drives (descending).
     The palindromic order keeps the one-step error at third order in dt.
+    The control sandwich is one conjugation by its d x d product.
 
     With ``record`` a pair of arrays (pre, mid) shaped like ``blocks``,
     the states just before the first and the second control factor are
-    written into them.
+    written into them; mid takes a second conjugation, so that the step's
+    result is the unrecorded step's to the last bit.
+    ``factors``, this step's :func:`control_factors` (``.at(k)``), saves
+    building them from ``amplitudes``.
     """
     half = 0.5 * plan.dt
+    if factors is None:
+        factors = control_factors(plan, np.asarray(amplitudes)[:, None]).at(0)
+    blocks = kernels.wide(blocks)
     for j in range(mset.m):
         blocks = exp_nilpotent(model, mset, j, blocks, half)
     blocks = _collapse_half(plan, model, blocks, adjoint=False)
     if record is not None:
         record[0][...] = blocks
-    us = _ctl_unitaries(plan, amplitudes)
-    for u, udag in us:
-        blocks = kernels.conjugate_blocks(u, udag, blocks)
-    blocks = kernels.conjugate_blocks(plan.u_eff, plan.u_eff_dag, blocks)
-    if record is not None:
-        record[1][...] = blocks
-    for u, udag in reversed(us):
-        blocks = kernels.conjugate_blocks(u, udag, blocks)
+        record[1][...] = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, blocks)
+    blocks = kernels.conjugate_blocks(factors.whole, factors.whole_dag, blocks)
     blocks = _collapse_half(plan, model, blocks, adjoint=False)
     for j in reversed(range(mset.m)):
         blocks = exp_nilpotent(model, mset, j, blocks, half)
@@ -313,64 +383,45 @@ def step_trotter_adjoint(
     pre: np.ndarray | None = None,
     mid: np.ndarray | None = None,
     grad_col: np.ndarray | None = None,
+    factors: SandwichFactors | None = None,
 ) -> np.ndarray:
     """Hilbert-Schmidt adjoint of :func:`step_trotter` (same amplitudes).
 
     With ``grad_col`` given, the step's exact control gradient is added
     into it, from the states ``pre`` and ``mid`` that
-    :func:`step_trotter` recorded on the forward pass.
+    :func:`step_trotter` recorded on the forward pass.  By the product
+    rule, channel c of group q contributes (dt/2) Im tr(o^dag [H_c, x])
+    per control factor, with x the state and o the co-state at q's
+    insertion point.  Conjugating both by the groups before q leaves this
+    as tr(H_c V M V^dag), where M = :func:`kernels.control_pairing` pairs
+    the factor's starting state with the co-state pulled back through the
+    whole factor: one d x d matrix per factor, which the
+    ``factors.readers`` carry to every group.  ``factors`` as in
+    :func:`step_trotter`.
     """
     half = 0.5 * plan.dt
-    us = _ctl_unitaries(plan, amplitudes)
-    asc = list(range(len(plan.groups)))
+    if factors is None:
+        amps = np.asarray(amplitudes)[:, None]
+        factors = control_factors(plan, amps, readers=grad_col is not None).at(0)
+    blocks = kernels.wide(blocks)
     for j in range(mset.m):
         blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     blocks = _collapse_half(plan, model, blocks, adjoint=True)
-    blocks = _ctl_factor_gradient(plan, model, blocks, us, asc[::-1], mid, grad_col)
-    blocks = kernels.conjugate_blocks(plan.u_eff_dag, plan.u_eff, blocks)
-    blocks = _ctl_factor_gradient(plan, model, blocks, us, asc, pre, grad_col)
+    if grad_col is None:
+        blocks = kernels.conjugate_blocks(factors.whole_dag, factors.whole, blocks)
+    else:
+        blocks = kernels.conjugate_blocks(factors.mid_post_dag, factors.mid_post, blocks)
+        at_mid = kernels.control_pairing(blocks, mid)
+        blocks = kernels.conjugate_blocks(factors.pre_mid_dag, factors.pre_mid, blocks)
+        at_pre = kernels.control_pairing(blocks, pre)
+        # diagonal of readers_f M_f readers_f^dag, summed over both factors
+        carried = factors.readers @ np.stack((at_pre, at_mid))
+        diag = np.sum(carried * factors.readers.conj(), axis=(0, 2))
+        grad_col += half * (plan.readout @ diag.imag)
     blocks = _collapse_half(plan, model, blocks, adjoint=True)
     for j in reversed(range(mset.m)):
         blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
     return blocks
-
-
-def _ctl_factor_gradient(
-    plan: TrotterPlan,
-    model: OpenSystemModel,
-    costate: np.ndarray,
-    us: list,
-    order: list,
-    state_before: np.ndarray | None = None,
-    grad_col: np.ndarray | None = None,
-) -> np.ndarray:
-    """Adjoint of one control factor, optionally with its exact gradient.
-
-    ``order`` lists group indices in application order; the co-state is
-    pulled back through the group unitaries in reverse.  With
-    ``grad_col`` given, the cached pre-factor state is also walked forward
-    through the groups and each channel's commutator is paired with the
-    co-state at its insertion point.  Returns the pulled-back co-state.
-    """
-    half = 0.5 * plan.dt
-    inter = []
-    if grad_col is not None:
-        t = state_before
-        for q in order:
-            u, udag = us[q]
-            t = kernels.conjugate_blocks(u, udag, t)
-            inter.append(t)
-    chi = costate
-    for pos in range(len(order) - 1, -1, -1):
-        q = order[pos]
-        if grad_col is not None:
-            for c in plan.groups[q].channels:
-                grad_col[c] += half * kernels.control_pairing(
-                    chi, inter[pos], model.controls[c]
-                ).imag
-        u, udag = us[q]
-        chi = kernels.conjugate_blocks(udag, u, chi)
-    return chi
 
 
 # ------------------------------------------------------------- expm backend
@@ -438,7 +489,9 @@ def _augmented_rhs(
     :func:`augment.lindblad_terms`."""
     out = kernels.lindblad_rhs_blocks(*terms, blocks, adjoint=adjoint)
     for j in range(mset.m):
-        out += (apply_Ej_adjoint if adjoint else apply_Ej)(model, mset, j, blocks)
+        out = kernels.routed_commutator(
+            blocks, model.uncertainties[j], *mset.drive(j, adjoint), base=out
+        )
     return out
 
 
@@ -462,19 +515,20 @@ def step_ode(
     h = dt / stages
     degree = _taylor_degree(h * generator_norm_bound(model, amplitudes))
     terms = lindblad_terms(model, amplitudes)
-    out = np.array(blocks, dtype=complex)
+    out = np.array(kernels.to_wide(blocks))
     for _ in range(stages):
         term = out
         prev = np.max(np.abs(term))
         for k in range(1, degree + 1):
-            term = _augmented_rhs(model, mset, terms, term, adjoint)
+            rhs = _augmented_rhs(model, mset, terms, kernels.from_wide(term), adjoint)
+            term = kernels.to_wide(rhs)
             term *= h / k
             out += term
             size = np.max(np.abs(term))
             if prev + size <= _UNIT_ROUNDOFF * np.max(np.abs(out)):
                 break
             prev = size
-    return out
+    return kernels.from_wide(out)
 
 
 # ------------------------------------------------------------- driver loops
@@ -484,29 +538,36 @@ def _stepper(
     backend: str,
     model: OpenSystemModel,
     mset: MultiIndexSet,
-    dt: float,
+    grid: ControlGrid,
     plan: TrotterPlan | None,
 ):
-    """The backend's one-step map ``step(blocks, amplitudes, adjoint=False,
-    record=None)``; ``record`` is a (pre, mid) pair of slots that only the
-    Trotter forward step fills.
-    A Trotter plan is built when none is given."""
+    """The backend's map ``step(k, blocks, adjoint=False, record=None)``
+    over step k of ``grid``; ``record`` is a (pre, mid) pair of slots that
+    only the Trotter forward step fills.
+    A Trotter plan is built when none is given, and the control factors
+    of every step once, here."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    amps, dt = grid.amplitudes, grid.dt
     if backend == "expm":
-        def step(blocks, amplitudes, adjoint=False, record=None):
-            return step_expm(model, mset, blocks, amplitudes, dt, adjoint=adjoint)
+        def step(k, blocks, adjoint=False, record=None):
+            return step_expm(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
     elif backend == "ode":
-        def step(blocks, amplitudes, adjoint=False, record=None):
-            return step_ode(model, mset, blocks, amplitudes, dt, adjoint=adjoint)
+        def step(k, blocks, adjoint=False, record=None):
+            return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
     else:
         if plan is None:
             plan = make_trotter_plan(model, dt)
+        factors = control_factors(plan, amps)
 
-        def step(blocks, amplitudes, adjoint=False, record=None):
+        def step(k, blocks, adjoint=False, record=None):
             if adjoint:
-                return step_trotter_adjoint(plan, model, mset, blocks, amplitudes)
-            return step_trotter(plan, model, mset, blocks, amplitudes, record=record)
+                return step_trotter_adjoint(
+                    plan, model, mset, blocks, amps[:, k], factors=factors.at(k)
+                )
+            return step_trotter(
+                plan, model, mset, blocks, amps[:, k], record=record, factors=factors.at(k)
+            )
     return step
 
 
@@ -521,7 +582,7 @@ def propagate_forward(
     """Propagate an augmented state over the whole grid, caching every
     intermediate state (and, for the Trotter backend, the two intra-step
     states used by the exact control gradient)."""
-    step = _stepper(backend, model, mset, grid.dt, plan)
+    step = _stepper(backend, model, mset, grid, plan)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + state0.shape, dtype=complex)
     states[0] = state0
@@ -532,7 +593,7 @@ def propagate_forward(
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(n_t):
         record = (pre[k], mid[k]) if pre is not None else None
-        blocks = step(blocks, grid.amplitudes[:, k], record=record)
+        blocks = step(k, blocks, record=record)
         states[k + 1] = blocks
     return StepCache(states=states, pre_ctl=pre, mid_ctl=mid)
 
@@ -546,11 +607,11 @@ def propagate_final(
     plan: TrotterPlan | None = None,
 ) -> np.ndarray:
     """Final augmented state only; no caching (line-search fast path)."""
-    step = _stepper(backend, model, mset, grid.dt, plan)
+    step = _stepper(backend, model, mset, grid, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):
-        blocks = step(blocks, grid.amplitudes[:, k])
-    return blocks
+        blocks = step(k, blocks)
+    return np.ascontiguousarray(blocks)
 
 
 def propagate_backward(
@@ -568,13 +629,13 @@ def propagate_backward(
     backends and exactly matches the Trotter map's true adjoint for the
     trotter backend.
     """
-    step = _stepper(backend, model, mset, grid.dt, plan)
+    step = _stepper(backend, model, mset, grid, plan)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + costate_T.shape, dtype=complex)
     states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(n_t - 1, -1, -1):
-        blocks = step(blocks, grid.amplitudes[:, k], adjoint=True)
+        blocks = step(k, blocks, adjoint=True)
         states[k] = blocks
     return StepCache(states=states)
 
@@ -600,11 +661,13 @@ def trotter_backward_with_gradient(
     if fwd.pre_ctl is None or fwd.mid_ctl is None:
         raise ValueError("forward cache lacks intra-step control states")
     grad = np.zeros((grid.n_channels, grid.n_steps))
+    factors = control_factors(plan, grid.amplitudes, readers=True)
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(grid.n_steps - 1, -1, -1):
         blocks = step_trotter_adjoint(
             plan, model, mset, blocks, grid.amplitudes[:, k],
             pre=fwd.pre_ctl[k], mid=fwd.mid_ctl[k], grad_col=grad[:, k],
+            factors=factors.at(k),
         )
     return grad
 

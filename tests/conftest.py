@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from robustpulse.augment import mat_commutator, state_to_vec, vec_to_state
+from robustpulse.linalg import expm, kron
 from robustpulse.model import attach_uncertainties, build_spin_chain, random_grid
 
 
@@ -37,3 +39,65 @@ def random_density(d, rng):
 def random_hermitian(d, rng):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (a + a.conj().T) / 2.0
+
+
+def dense_step_matrix(model, mset, plan, amplitudes):
+    """The splitting step rebuilt as one dense (N d^2) x (N d^2) matrix on
+    :func:`state_to_vec` vectors.
+
+    Every factor is an explicit matrix: true exponentials for the
+    uncertainty drives and unitary flows, the same second-order
+    truncation for the collapse half-steps, and each control group's own
+    flow.  Shares no code with the block-level step.
+    """
+    d = model.dim
+    n_aug = mset.size
+    ident_aug = np.eye(n_aug)
+    half = 0.5 * plan.dt
+
+    drives = [
+        expm(half * kron(mset.routing_matrix(j), mat_commutator(model.uncertainties[j])))
+        for j in range(mset.m)
+    ]
+    collapse = None
+    if model.rates.size:
+        k_jump = np.zeros((d * d, d * d), dtype=complex)
+        for c, gamma in model.lindblads:
+            k_jump += gamma * kron(np.conj(c), c)
+        kc = kron(ident_aug, k_jump)
+        collapse = np.eye(n_aug * d * d, dtype=complex) + half * kc + 0.5 * half**2 * (kc @ kc)
+    group_flows = []
+    for g in plan.groups:
+        h_sum = sum(amplitudes[c] * model.controls[c] for c in g.channels)
+        ug = expm(-1j * half * h_sum)
+        group_flows.append(kron(ident_aug, kron(np.conj(ug), ug)))
+    h_eff = model.drift.astype(complex).copy()
+    for c, gamma in model.lindblads:
+        h_eff = h_eff - 0.5j * gamma * (c.conj().T @ c)
+    ue = expm(-1j * plan.dt * h_eff)
+    eff_flow = kron(ident_aug, kron(np.conj(ue), ue))
+
+    factors = list(drives)
+    if collapse is not None:
+        factors.append(collapse)
+    factors += group_flows
+    factors.append(eff_flow)
+    factors += group_flows[::-1]
+    if collapse is not None:
+        factors.append(collapse)
+    factors += drives[::-1]
+
+    step = np.eye(n_aug * d * d, dtype=complex)
+    for f in factors:  # factors listed in application order
+        step = f @ step
+    return step
+
+
+def dense_step_reference(model, mset, plan, amplitudes, blocks, adjoint=False):
+    """:func:`dense_step_matrix` applied to a state (N, d, d) or a batch
+    (S, N, d, d); with ``adjoint``, its conjugate transpose, the step's
+    Hilbert-Schmidt adjoint."""
+    step = dense_step_matrix(model, mset, plan, amplitudes)
+    if adjoint:
+        step = step.conj().T
+    return vec_to_state(state_to_vec(blocks) @ step.T, mset.size, model.dim)

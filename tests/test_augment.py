@@ -60,6 +60,24 @@ def test_routing_matrix_structure():
             assert r0[k, l] == want
 
 
+def test_drive_indexes_the_routing_pairs():
+    """mset.drive(j) routes the same block pairs as routing(j), each side a
+    slice where its blocks are consecutive (both at order 1), and the
+    adjoint swaps the sides and the sign of the prefactor."""
+    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2), (2, 4)]:
+        mset = MultiIndexSet(m, n)
+        blocks = np.arange(mset.size)
+        for j in range(m):
+            dst, src, prefactor = mset.drive(j)
+            want_dst, want_src = mset.routing(j)
+            assert np.array_equal(blocks[dst], want_dst)
+            assert np.array_equal(blocks[src], want_src)
+            assert prefactor == -1.0j
+            if n == 1:
+                assert isinstance(dst, slice) and isinstance(src, slice)
+            assert mset.drive(j, adjoint=True) == (src, dst, 1.0j)
+
+
 def test_routing_nilpotency():
     """Each routing matrix (and their sum) vanishes at power n+1."""
     for m, n in [(1, 1), (2, 2), (3, 2), (2, 4)]:

@@ -24,6 +24,8 @@ TRACER_ONLY = [
     "cli.robust_J",
     "optimize.robust_J",
     "optimize._StateTask",
+    "propagate.apply_Ej",
+    "propagate.apply_Ej_adjoint",
     "propagate.apply_L",
     "propagate.apply_L_adjoint",
     "propagate.assemble_supermatrix",

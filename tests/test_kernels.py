@@ -63,6 +63,33 @@ def test_routed_commutator_routes_on_block_axis(lead):
     assert np.all(got[..., [1, 4], :, :] == 0)
 
 
+def test_routed_commutator_adds_to_a_copy_of_base():
+    rng = np.random.default_rng(9)
+    blocks = _random(rng, 4, 5, D, D)
+    base = _random(rng, 4, 5, D, D)
+    kept = base.copy()
+    e = _random(rng, D, D)
+    dst, src = np.array([2, 3], dtype=np.int64), np.array([4, 0], dtype=np.int64)
+    got = kernels.routed_commutator(blocks, e, dst, src, 0.3j, base=base)
+    want = base + kernels.routed_commutator(blocks, e, dst, src, 0.3j)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(base, kept)
+
+
+def test_kernels_chain_without_relayout():
+    """A kernel's result is laid out wide, so that the next kernel reads it
+    in place: wide() of it is a view, and a state laid out otherwise is
+    copied once."""
+    rng = np.random.default_rng(10)
+    blocks = _random(rng, 4, 5, D, D)
+    u = _random(rng, D, D)
+    laid = kernels.wide(blocks)
+    assert not np.shares_memory(laid, blocks)
+    out = kernels.conjugate_blocks(u, u.conj().T, laid)
+    assert kernels.wide(out).base is out.base
+    assert np.array_equal(kernels.wide(laid), blocks)
+
+
 def test_routed_commutator_without_routes_is_zero():
     rng = np.random.default_rng(3)
     blocks = _random(rng, 2, 3, D, D)
@@ -76,7 +103,7 @@ def test_collapse_blocks(lead):
     rng = np.random.default_rng(4)
     blocks = _random(rng, *lead, D, D)
     ops, ops_dag, gammas = _collapse_ops(rng)
-    got = kernels.collapse_blocks(ops, ops_dag, gammas, blocks)
+    got = kernels.collapse_blocks(*kernels.jump_factors(ops, ops_dag, gammas), blocks)
     want = _per_block(
         lambda b: sum(g * c @ b @ cd for g, c, cd in zip(gammas, ops, ops_dag)), blocks
     )
@@ -101,7 +128,8 @@ def test_lindblad_rhs_blocks(lead, adjoint):
         return acc
 
     half_decay = 0.5 * np.tensordot(gammas, cdc, axes=1)
-    got = kernels.lindblad_rhs_blocks(h, ops, ops_dag, half_decay, gammas, blocks, adjoint=adjoint)
+    jumps = kernels.jump_factors(ops, ops_dag, gammas), kernels.jump_factors(ops_dag, ops, gammas)
+    got = kernels.lindblad_rhs_blocks(-1j * h - half_decay, jumps, blocks, adjoint=adjoint)
     assert np.max(np.abs(got - _per_block(longhand, blocks))) < 1e-12
 
 
@@ -110,7 +138,8 @@ def test_lindblad_rhs_without_collapse_is_commutator():
     blocks = _random(rng, 2, 3, D, D)
     h = random_hermitian(D, rng)
     none = np.zeros((0, D, D), dtype=complex)
-    got = kernels.lindblad_rhs_blocks(h, none, none, np.zeros((D, D)), np.zeros(0), blocks)
+    jumps = (kernels.jump_factors(none, none, np.zeros(0)),) * 2
+    got = kernels.lindblad_rhs_blocks(-1j * h, jumps, blocks)
     want = _per_block(lambda b: -1j * (h @ b - b @ h), blocks)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -121,7 +150,11 @@ def test_control_pairing_sums_over_batch(lead):
     o = _random(rng, *lead, D, D)
     s = _random(rng, *lead, D, D)
     hc = random_hermitian(D, rng)
-    want = sum(
+    got = kernels.control_pairing(o, s)
+    want = sum(s[idx] @ o[idx].conj().T - o[idx].conj().T @ s[idx] for idx in np.ndindex(*lead))
+    assert got.shape == (D, D)
+    assert np.max(np.abs(got - want)) < 1e-12
+    pairing = sum(
         np.trace(o[idx].conj().T @ (hc @ s[idx] - s[idx] @ hc)) for idx in np.ndindex(*lead)
     )
-    assert abs(kernels.control_pairing(o, s, hc) - want) < 1e-12
+    assert abs(np.trace(hc @ got) - pairing) < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, small_grid
-from robustpulse import optimize
+from robustpulse import kernels, optimize
 from robustpulse.augment import MultiIndexSet, initial_state
 from robustpulse.gates import preset_unitary
 from robustpulse.model import (
@@ -207,6 +207,20 @@ class TestGradients:
 
         ratio = rel_err(6, 0.5) / rel_err(12, 0.25)
         assert 1.6 < ratio < 2.4, ratio
+
+    def test_grape_gradient_takes_one_pairing_matrix_per_step(self, monkeypatch):
+        """Every channel reads its first-order gradient from the step's one
+        d x d pairing matrix: one pairing per step, not per channel."""
+        model, mset, grid, obj = _state_problem()
+        calls = []
+        real = kernels.control_pairing
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(kernels, "control_pairing", spy)
+        grape_gradient(model, mset, grid, obj)
+        assert len(calls) == grid.n_steps
 
     def test_grape_gradient_rejects_splitting_backend(self):
         model, mset, grid, obj = _state_problem()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg._expm_multiply import _theta
@@ -39,66 +41,16 @@ from robustpulse.propagate import (
     step_ode,
     step_trotter,
     step_trotter_adjoint,
+    trotter_backward_with_gradient,
 )
 
-from conftest import random_density, small_grid
+from conftest import dense_step_reference, random_density, small_grid
 
 
 def _random_blocks(rng, n, d):
     return np.ascontiguousarray(
         rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     )
-
-
-def dense_step_reference(model, mset, plan, amplitudes, blocks):
-    """The splitting step rebuilt from dense supermatrix factors.
-
-    Every factor is an explicit (N d^2) x (N d^2) matrix: true
-    exponentials for the uncertainty drives and unitary flows, the same
-    second-order truncation for the collapse half-steps.  Shares no code
-    with the block-level step.
-    """
-    d = model.dim
-    n_aug = mset.size
-    ident_aug = np.eye(n_aug)
-    half = 0.5 * plan.dt
-
-    drives = [
-        expm(half * kron(mset.routing_matrix(j), mat_commutator(model.uncertainties[j])))
-        for j in range(mset.m)
-    ]
-    collapse = None
-    if model.rates.size:
-        k_jump = np.zeros((d * d, d * d), dtype=complex)
-        for c, gamma in model.lindblads:
-            k_jump += gamma * kron(np.conj(c), c)
-        kc = kron(ident_aug, k_jump)
-        collapse = np.eye(n_aug * d * d, dtype=complex) + half * kc + 0.5 * half**2 * (kc @ kc)
-    group_flows = []
-    for g in plan.groups:
-        h_sum = sum(amplitudes[c] * model.controls[c] for c in g.channels)
-        ug = expm(-1j * half * h_sum)
-        group_flows.append(kron(ident_aug, kron(np.conj(ug), ug)))
-    h_eff = model.drift.astype(complex).copy()
-    for c, gamma in model.lindblads:
-        h_eff = h_eff - 0.5j * gamma * (c.conj().T @ c)
-    ue = expm(-1j * plan.dt * h_eff)
-    eff_flow = kron(ident_aug, kron(np.conj(ue), ue))
-
-    factors = list(drives)
-    if collapse is not None:
-        factors.append(collapse)
-    factors += group_flows
-    factors.append(eff_flow)
-    factors += group_flows[::-1]
-    if collapse is not None:
-        factors.append(collapse)
-    factors += drives[::-1]
-
-    v = state_to_vec(blocks)
-    for f in factors:  # factors listed in application order
-        v = f @ v
-    return vec_to_state(v, n_aug, d)
 
 
 # ----------------------------------------------------------------- analytics
@@ -158,6 +110,48 @@ def test_trotter_step_matches_dense_factors_no_decay():
     got = step_trotter(plan, model, mset, blocks.copy(), amps)
     want = dense_step_reference(model, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
+    """The control sandwich is one d x d conjugation of the blocks per
+    step: one kernel call for a forward or adjoint step, two when the
+    forward pass records pre and mid or the adjoint sweep takes the
+    gradient, which pairs through one d x d matrix per control factor.
+    A propagation builds the control factors of all its steps once."""
+    mset = MultiIndexSet(2, 1)
+    grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=34)
+    n = grid.n_steps
+    plan = make_trotter_plan(two_qubit, grid.dt)
+    rng = np.random.default_rng(35)
+    s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(2)]))
+    calls = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(propagate.kernels, "conjugate_blocks")
+    spy(propagate.kernels, "control_pairing")
+    spy(propagate, "control_factors")
+
+    step_trotter(plan, two_qubit, mset, s0, grid.amplitudes[:, 0])
+    assert calls == Counter(control_factors=1, conjugate_blocks=1)
+    calls.clear()
+    propagate_final("trotter", two_qubit, mset, grid, s0, plan=plan)
+    assert calls == Counter(control_factors=1, conjugate_blocks=n)
+    calls.clear()
+    fwd = propagate_forward("trotter", two_qubit, mset, grid, s0, plan=plan)
+    assert calls == Counter(control_factors=1, conjugate_blocks=2 * n)
+    calls.clear()
+    propagate_backward("trotter", two_qubit, mset, grid, fwd.final, plan=plan)
+    assert calls == Counter(control_factors=1, conjugate_blocks=n)
+    calls.clear()
+    trotter_backward_with_gradient(plan, two_qubit, mset, grid, fwd, fwd.final)
+    assert calls == Counter(control_factors=1, conjugate_blocks=2 * n, control_pairing=2 * n)
 
 
 def test_exp_nilpotent_matches_dense_expm(two_qubit):

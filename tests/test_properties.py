@@ -35,10 +35,12 @@ from robustpulse.propagate import (
     propagate_backward,
     propagate_final,
     propagate_forward,
+    step_trotter,
+    step_trotter_adjoint,
     trotter_backward_with_gradient,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import dense_step_reference, random_density, random_hermitian
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -93,6 +95,34 @@ def test_forward_backward_pairing(problem, batch):
         lhs = np.vdot(a, fwd.final)
         rhs = np.vdot(bwd.states[0], b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), backend
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 2]))
+def test_trotter_step_equals_dense_factors(problem, batch):
+    """The splitting step, its control sandwich fused into d x d
+    conjugations, equals the product of its dense factors, and its
+    adjoint that product's conjugate transpose, to 1e-12 relative: with
+    a group of two channels and a discovered diagonalizer, non-monomial
+    collapse operators, for one state or a batch; also with the intra-step
+    states recorded."""
+    model, mset, grid, rng = problem
+    d = model.dim
+    plan = make_trotter_plan(model, grid.dt)
+    amps = grid.amplitudes[:, 0]
+    shape = (mset.size, d, d) if batch is None else (batch, mset.size, d, d)
+    b = _random_blocks(rng, shape)
+    record = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+    for adjoint in (False, True):
+        want = dense_step_reference(model, mset, plan, amps, b, adjoint=adjoint)
+        if adjoint:
+            got = [step_trotter_adjoint(plan, model, mset, b, amps)]
+        else:
+            got = [step_trotter(plan, model, mset, b, amps),
+                   step_trotter(plan, model, mset, b, amps, record=record)]
+        for g in got:
+            assert g.shape == shape
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), adjoint
 
 
 @PROPERTY_SETTINGS
