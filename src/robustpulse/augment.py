@@ -53,12 +53,12 @@ __all__ = [
     "vec_to_state",
 ]
 
-DEFAULT_SUPERMATRIX_CAP = 20000  # on N*d^2, bounding the block exponential's cost
+DEFAULT_SUPERMATRIX_CAP = 2**22  # on N*d^4, the numbers in one block-algebra element
 
 
 class CapExceeded(ValueError):
-    """Supermatrix dimension N*d^2 exceeds DEFAULT_SUPERMATRIX_CAP; the cap
-    bounds the cost of the block exponential."""
+    """A block-algebra element of the generator, N*d^4 numbers (64 MiB at
+    the cap, with about a dozen alive in the Pade-13), exceeds the cap."""
 
 
 def enumerate_orders(m: int, n: int) -> list:
@@ -215,15 +215,16 @@ def apply_Ej_adjoint(
 
 def _check_dense_size(model: OpenSystemModel, mset: MultiIndexSet) -> None:
     """Reject a set whose uncertainty count differs from the model's, and,
-    with :class:`CapExceeded`, a dense generator over the cap."""
+    with :class:`CapExceeded`, a generator whose block-algebra element is
+    over the cap."""
     if mset.m not in (0, model.n_uncertainties):
         raise ValueError(
             f"index set has {mset.m} uncertainties, model has {model.n_uncertainties}"
         )
-    dim = mset.size * model.dim * model.dim
-    if dim > DEFAULT_SUPERMATRIX_CAP:
+    size = mset.size * model.dim**4
+    if size > DEFAULT_SUPERMATRIX_CAP:
         raise CapExceeded(
-            f"supermatrix dimension {dim} exceeds cap {DEFAULT_SUPERMATRIX_CAP}"
+            f"block exponential size N*d^4 = {size} exceeds cap {DEFAULT_SUPERMATRIX_CAP}"
         )
 
 
@@ -234,8 +235,8 @@ def assemble_supermatrix(
 ) -> np.ndarray:
     """Full augmented generator as a dense (N d^2) x (N d^2) matrix.
 
-    Raises :class:`CapExceeded` when N*d^2 > DEFAULT_SUPERMATRIX_CAP,
-    signalling callers to switch to the block backends.
+    Raises :class:`CapExceeded` when N*d^4 > DEFAULT_SUPERMATRIX_CAP;
+    the dense matrix holds N times as many numbers (reference use only).
     """
     _check_dense_size(model, mset)
     big = kron(np.eye(mset.size), mat_lindblad(model.hamiltonian(amplitudes), model.lindblads))

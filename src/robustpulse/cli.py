@@ -5,8 +5,7 @@ data, so rerunning a command with the same config and seed reproduces
 them byte for byte; timings go to a separate sidecar file.
 
 Exit codes: 2 for configuration problems (the message names the field),
-3 when an objective or gradient turns non-finite, 1 for oversized
-problems.
+3 when an objective or gradient turns non-finite.
 """
 
 from __future__ import annotations
@@ -141,9 +140,6 @@ def _guard(fn):
         except FloatingPointError as exc:
             click.echo(f"numerical failure - {exc}", err=True)
             raise SystemExit(3)
-        except CapExceeded as exc:
-            click.echo(f"problem too large - {exc}", err=True)
-            raise SystemExit(1)
 
     return wrapper
 
@@ -203,7 +199,7 @@ def simulate(config_path, out, seed):
             abs(float(np.trace(f[-1]).real) - 1.0) for f in finals
         )
 
-    exact = finals_by_backend.get("expm")  # None over the supermatrix cap
+    exact = finals_by_backend.get("expm")  # None over the size cap
     dev = None if exact is None else splitting_deviation(exact, finals_by_backend["trotter"])
     for backend, value in objective_by_backend.items():
         if value is not None and not np.isfinite([value, trace_defect[backend]]).all():
@@ -264,7 +260,7 @@ def optimize(config_path, out, seed, verbose):
     with _progress_on_stderr(verbose):
         report_opt = run_gate_synthesis(
             model, mset, grid0, obj, ocfg,
-            method=cfg.optimizer.method, backend=cfg.optimizer.backend,
+            method=cfg.optimizer.method,
         )
     total = time.perf_counter() - t_start
 

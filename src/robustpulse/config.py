@@ -98,7 +98,6 @@ class TaskSection:
 @dataclass
 class OptimizerSection:
     method: str = "stgrape"  # stgrape | grape
-    backend: str = "expm"  # gradient backend for grape
     max_iters: int = 200
     grad_tol: float = 1e-8
     monitor_interval: int = 50
@@ -134,8 +133,11 @@ _CHOICES = {
     "task.initial": ("ground", "uniform"),
     "task.target": ("ground", "uniform"),
     "optimizer.method": ("stgrape", "grape"),
-    "optimizer.backend": ("expm", "ode"),
 }
+
+# The model's operators are dense 2^n x 2^n matrices, built before any size
+# check: each takes 64 KiB at 6 qubits, and 4x as much per added qubit.
+_MAX_QUBITS = 6
 
 # Tuples, not sets: with several bad fields the first one in this order is
 # reported, whatever the string hash seed.
@@ -223,6 +225,10 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(getattr(cfg, section), key)
         if value < 0:
             raise ConfigError(path, f"must be non-negative, got {value!r}")
+    if cfg.system.n_qubits > _MAX_QUBITS:
+        raise ConfigError(
+            "system.n_qubits", f"must be at most {_MAX_QUBITS}, got {cfg.system.n_qubits}"
+        )
     if cfg.task.kind == "gate":
         dim = 2 ** cfg.system.n_qubits
         need = PRESET_QUBITS[cfg.task.gate]

@@ -1,7 +1,8 @@
 """Gradient-based pulse optimisation.
 
 Two gradient routes: the first-order route pairs co-states and states
-around each step under an exact backend (expm or ode), while the
+around each step under an exact backend, ``expm`` or ``ode`` as
+:func:`propagate.exact_backend` picks it for a gradient, while the
 splitting route differentiates the Trotter step's two control factors
 exactly via the product rule, making the gradient of the splitting
 objective exact to machine precision.  Both routes optimise a gate
@@ -11,8 +12,9 @@ into the terminal co-states so that one backward sweep gives the
 weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
-``monitor_interval`` iterations the true objective is evaluated with an
-exact backend; if it decreased since the previous checkpoint the run
+``monitor_interval`` iterations the true objective is evaluated with the
+exact backend that :func:`propagate.exact_backend` picks for one forward
+pass; if it decreased since the previous checkpoint the run
 stops and returns the best checkpointed control.
 
 The update rule is a hand-rolled memory-limited quasi-Newton step with
@@ -30,7 +32,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .augment import CapExceeded, MultiIndexSet, initial_state
+from .augment import MultiIndexSet, initial_state
 from .model import ControlGrid, OpenSystemModel
 from .objective import (
     GateObjective,
@@ -42,12 +44,13 @@ from .objective import (
 )
 from .propagate import (
     TrotterPlan,
-    apply_supermatrix,
+    apply_supermatrix,  # not called here: perfbench/tracer.py wraps it here
+    exact_backend,
     make_trotter_plan,
     propagate_backward,
     propagate_final,
     propagate_forward,
-    step_propagator_expm,
+    step_propagator_expm,  # not called here: perfbench/tracer.py wraps it here
     trotter_backward_with_gradient,
 )
 from . import kernels
@@ -243,7 +246,7 @@ def grape_gradient(
     backend: str = "expm",
     timers: _Timers | None = None,
 ):
-    """First-order objective gradient under an exact backend.
+    """First-order objective gradient under the exact ``backend``.
 
     ``obj``'s input states are propagated as one batch; a state objective
     is taken as its one-state gate objective.  Returns (J, gradient) with
@@ -255,32 +258,14 @@ def grape_gradient(
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
     obj = as_gate_objective(obj)
     clock = timers or _Timers()
-    n_t = grid.n_steps
     with clock.phase("forward"):
         state0 = initial_state(mset, np.stack(obj.state0s))
-        if backend == "expm":
-            # one exponential per step, shared by the forward and adjoint sweeps
-            props = [
-                step_propagator_expm(model, mset, grid.amplitudes[:, k], grid.dt)
-                for k in range(n_t)
-            ]
-            fwd = np.empty((n_t + 1,) + state0.shape, dtype=complex)
-            fwd[0] = state0
-            for k in range(n_t):
-                fwd[k + 1] = apply_supermatrix(mset.algebra, props[k], fwd[k])
-        else:
-            fwd = propagate_forward(backend, model, mset, grid, state0).states
-        j_val = gate_objective(fwd[-1], obj)
+        fwd = propagate_forward(backend, model, mset, grid, state0)
+        j_val = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
-        costate_T = _terminal_costates(fwd[-1], obj)
-        if backend == "expm":
-            bwd = np.empty_like(fwd)
-            bwd[n_t] = costate_T
-            for k in range(n_t - 1, -1, -1):
-                bwd[k] = apply_supermatrix(mset.algebra, props[k], bwd[k + 1], adjoint=True)
-        else:
-            bwd = propagate_backward(backend, model, mset, grid, costate_T).states
-        grad = _pair_gradient(model, grid, fwd, bwd)
+        costate_T = _terminal_costates(fwd.final, obj)
+        bwd = propagate_backward(backend, model, mset, grid, costate_T, fwd=fwd)
+        grad = _pair_gradient(model, grid, fwd.states, bwd.states)
     return j_val, grad
 
 
@@ -321,16 +306,17 @@ class _GateTask:
     Every input state of the gate objective (d+1 or three for a gate, one
     for a state task) is propagated in one batched pass.  ``stgrape`` runs
     the splitting backend under a true-objective monitor; ``grape`` runs
-    the given exact backend.
+    the exact backend that :func:`exact_backend` picks for a gradient, the
+    monitor the one it picks for a forward pass.
     """
 
-    def __init__(self, model, mset, grid0, obj, method, backend):
+    def __init__(self, model, mset, grid0, obj, method):
         self.timers = _Timers()
         self.model, self.mset, self.grid0 = model, mset, grid0
         self.obj = as_gate_objective(obj)
         self.method = method
         self.use_monitor = method == "stgrape"
-        self.backend = "trotter" if self.use_monitor else backend
+        self.backend = "trotter" if self.use_monitor else exact_backend(model, mset, 2)
         self.plan = make_trotter_plan(model, grid0.dt) if self.use_monitor else None
         self.state0 = initial_state(mset, np.stack(self.obj.state0s))
 
@@ -362,11 +348,7 @@ class _GateTask:
     def true_objective(self, x) -> float:
         """Exact-backend evaluation (monitor and final reporting)."""
         with self.timers.phase("monitor"):
-            grid = self._grid(x)
-            try:
-                final = self._final(grid, "expm")
-            except CapExceeded:
-                final = self._final(grid, "ode")
+            final = self._final(self._grid(x), exact_backend(self.model, self.mset, 1))
             return gate_objective(final, self.obj)
 
 
@@ -459,10 +441,9 @@ def run_grape(
     grid0: ControlGrid,
     obj: RobustStateObjective,
     cfg: OptimizerConfig | None = None,
-    backend: str = "expm",
 ) -> OptimizationReport:
     """First-order-gradient optimisation under an exact backend."""
-    return run_gate_synthesis(model, mset, grid0, obj, cfg, method="grape", backend=backend)
+    return run_gate_synthesis(model, mset, grid0, obj, cfg, method="grape")
 
 
 def run_stgrape(
@@ -484,10 +465,9 @@ def run_gate_synthesis(
     gobj: RobustStateObjective | GateObjective,
     cfg: OptimizerConfig | None = None,
     method: str = "stgrape",
-    backend: str = "expm",
 ) -> OptimizationReport:
     """Optimise a gate objective, or a state objective as its one-state one."""
     if method not in ("grape", "stgrape"):
         raise ValueError("method must be grape|stgrape")
-    task = _GateTask(model, mset, grid0, gobj, method, backend)
+    task = _GateTask(model, mset, grid0, gobj, method)
     return _optimize_loop(task, cfg or OptimizerConfig())

@@ -5,7 +5,8 @@ piecewise-constant control step:
 
 * ``expm``   - the step propagator exp(dt * G), exponentiated in the
   block algebra of the generator (``augment.step_propagator_expm``) and
-  applied to the blocks pair by pair in that algebra (reference).
+  applied to the blocks pair by pair in that algebra; the adjoint sweep
+  reuses the forward sweep's propagators.
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -15,6 +16,9 @@ piecewise-constant control step:
   control sandwich around the non-Hermitian effective-Hamiltonian flow;
   the sandwich is one conjugation by its d x d product, whose factors
   :func:`control_factors` builds for all steps of a grid at once.
+
+``expm`` and ``ode`` agree to roundoff; :func:`exact_backend` picks the
+faster from the problem size and the sweeps per step exponential.
 
 All backends expose exact Hilbert-Schmidt adjoints so co-states can be
 propagated backwards, and the Trotter backend additionally supports an
@@ -52,6 +56,7 @@ from .model import ControlGrid, OpenSystemModel
 
 __all__ = [
     "BACKENDS",
+    "exact_backend",
     "StepCache",
     "GroupPlan",
     "TrotterPlan",
@@ -59,7 +64,6 @@ __all__ = [
     "SandwichFactors",
     "control_factors",
     "exp_nilpotent",
-    "step_expm",
     "step_ode",
     "step_trotter",
     "step_trotter_adjoint",
@@ -83,21 +87,46 @@ _TAYLOR_THETA = {
 }
 _UNIT_ROUNDOFF = 2.0**-53
 
+# Per-step cost (ms) of the exact backends on d+1 input states, 2 CPUs and
+# one BLAS thread, median of 5 rounds interleaved in one process; "grad" is
+# a forward and an adjoint sweep:
+#   size    N d^2   expm fwd   ode fwd   expm grad   ode grad
+#   1q o1       8       0.31      1.00        0.35       2.01
+#   2q o1      48       0.50      1.91        0.61       4.09
+#   2q o2      96       0.91      2.70        1.08       5.47
+#   3q o1     192       4.31      4.62        4.84       8.76
+#   3q o2     384       11.6      7.97        11.5       15.6
+#   4q o1     768        191      36.5         186       72.3
+# At 3 qubits the forward pass is near parity: 3q o1 reads 4.9 / 4.7 in a
+# second run and 6.5-7.0 / 3.5-5.2 in fresh processes, where 3q o2 is at
+# parity both ways (15-16 / 11-17 forward, 11-16 / 14-19 grad): ode pays
+# there for glibc malloc's unraised mmap threshold.  expm pays its
+# exponential (~ N d^6) once per step however many sweeps apply it.
+# Largest N d^2 that runs expm, by sweeps per step:
+_EXPM_UP_TO = {1: 128, 2: 512}
+
+
+def exact_backend(model: OpenSystemModel, mset: MultiIndexSet, passes: int) -> str:
+    """``expm`` or ``ode``, whichever is faster for ``passes`` sweeps per step
+    exponential: 1 for a forward pass, 2 for a gradient (forward and adjoint)."""
+    return "expm" if mset.size * model.dim**2 <= _EXPM_UP_TO[passes] else "ode"
+
 
 @dataclass
 class StepCache:
-    """Recorded states at every grid time, plus Trotter intra-step states.
+    """Recorded states at every grid time, plus what the adjoint sweep reuses.
 
     ``states[k]`` is the block state at t_k for k = 0..N_T, shaped
     (N, d, d) or, for a batch, (S, N, d, d).
     For the Trotter forward pass, ``pre_ctl[k]`` and ``mid_ctl[k]`` hold
     the state immediately before the first and the second control factor
-    of step k.
+    of step k.  For ``expm``, ``props[k]`` is step k's block propagator.
     """
 
     states: np.ndarray
     pre_ctl: np.ndarray | None = None
     mid_ctl: np.ndarray | None = None
+    props: list | None = None
 
     @property
     def final(self) -> np.ndarray:
@@ -432,19 +461,6 @@ def step_trotter_adjoint(
 apply_supermatrix = BlockAlgebra.apply
 
 
-def step_expm(
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    blocks: np.ndarray,
-    amplitudes: np.ndarray,
-    dt: float,
-    adjoint: bool = False,
-) -> np.ndarray:
-    """One exact step via the supermatrix exponential."""
-    prop = step_propagator_expm(model, mset, amplitudes, dt)
-    return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
-
-
 # -------------------------------------------------------------- ode backend
 
 
@@ -540,18 +556,20 @@ def _stepper(
     mset: MultiIndexSet,
     grid: ControlGrid,
     plan: TrotterPlan | None,
+    props: list | None = None,
 ):
     """The backend's map ``step(k, blocks, adjoint=False, record=None)``
     over step k of ``grid``; ``record`` is a (pre, mid) pair of slots that
     only the Trotter forward step fills.
     A Trotter plan is built when none is given, and the control factors
-    of every step once, here."""
+    of every step once, here; ``props`` are the ``expm`` step propagators."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     amps, dt = grid.amplitudes, grid.dt
     if backend == "expm":
         def step(k, blocks, adjoint=False, record=None):
-            return step_expm(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
+            prop = step_propagator_expm(model, mset, amps[:, k], dt) if props is None else props[k]
+            return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
     elif backend == "ode":
         def step(k, blocks, adjoint=False, record=None):
             return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
@@ -580,10 +598,17 @@ def propagate_forward(
     plan: TrotterPlan | None = None,
 ) -> StepCache:
     """Propagate an augmented state over the whole grid, caching every
-    intermediate state (and, for the Trotter backend, the two intra-step
-    states used by the exact control gradient)."""
-    step = _stepper(backend, model, mset, grid, plan)
-    n_t = grid.n_steps
+    intermediate state and what the adjoint sweep reuses: the Trotter
+    intra-step states of the exact control gradient, or the ``expm`` step
+    propagators.  Those are all built before the first step and held
+    together, n_t block elements of N d^4 numbers each; a forward-only
+    caller that needs just the final state uses :func:`propagate_final`,
+    which holds one at a time."""
+    n_t, amps = grid.n_steps, grid.amplitudes
+    props = None if backend != "expm" else [
+        step_propagator_expm(model, mset, amps[:, k], grid.dt) for k in range(n_t)
+    ]
+    step = _stepper(backend, model, mset, grid, plan, props)
     states = np.empty((n_t + 1,) + state0.shape, dtype=complex)
     states[0] = state0
     pre = mid = None
@@ -595,7 +620,7 @@ def propagate_forward(
         record = (pre[k], mid[k]) if pre is not None else None
         blocks = step(k, blocks, record=record)
         states[k + 1] = blocks
-    return StepCache(states=states, pre_ctl=pre, mid_ctl=mid)
+    return StepCache(states=states, pre_ctl=pre, mid_ctl=mid, props=props)
 
 
 def propagate_final(
@@ -621,15 +646,17 @@ def propagate_backward(
     grid: ControlGrid,
     costate_T: np.ndarray,
     plan: TrotterPlan | None = None,
+    fwd: StepCache | None = None,
 ) -> StepCache:
     """Pull a terminal co-state back through the adjoint steps.
 
     Returns a cache whose ``states[k]`` is the co-state at t_k; the
     pairing <costate(t_k), state(t_k)> is step-invariant for the exact
     backends and exactly matches the Trotter map's true adjoint for the
-    trotter backend.
+    trotter backend.  ``fwd``, the same backend's forward cache on the
+    same grid, lends the ``expm`` sweep its step propagators.
     """
-    step = _stepper(backend, model, mset, grid, plan)
+    step = _stepper(backend, model, mset, grid, plan, None if fwd is None else fwd.props)
     n_t = grid.n_steps
     states = np.empty((n_t + 1,) + costate_T.shape, dtype=complex)
     states[n_t] = costate_T

@@ -20,8 +20,8 @@ def two_qubit():
 
 @pytest.fixture
 def over_cap_chain():
-    """Six-qubit chain at order 2: N d^2 = 6 * 64^2 = 24576 exceeds the
-    fixed supermatrix cap of 20000."""
+    """Six-qubit chain at order 2: N d^4 = 6 * 64^4 = 100663296 exceeds the
+    fixed cap of 2^22 on the numbers in one block-algebra element."""
     return attach_uncertainties(build_spin_chain(6), "edges")
 
 

@@ -231,7 +231,7 @@ def test_state_vec_roundtrip():
 
 def test_supermatrix_cap(over_cap_chain):
     mset = MultiIndexSet(2, 2)
-    with pytest.raises(CapExceeded, match="24576 exceeds cap 20000"):
+    with pytest.raises(CapExceeded, match="N\\*d\\^4 = 100663296 exceeds cap 4194304"):
         assemble_supermatrix(over_cap_chain, mset, np.zeros(12))
 
 

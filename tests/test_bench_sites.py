@@ -2,6 +2,7 @@
 at the names their callers look up.  A renamed or removed function breaks
 the traced benchmark run, so every name it looks up is checked here."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -24,6 +25,8 @@ TRACER_ONLY = [
     "cli.robust_J",
     "optimize.robust_J",
     "optimize._StateTask",
+    "optimize.apply_supermatrix",
+    "optimize.step_propagator_expm",
     "propagate.apply_Ej",
     "propagate.apply_Ej_adjoint",
     "propagate.apply_L",
@@ -65,6 +68,27 @@ def test_tracer_only_names_are_still_traced():
         if ("robustpulse." + name.split(".")[0], name.split(".")[1]) not in traced
     ]
     assert untraced == [], f"no longer traced, so deletable: {untraced}"
+
+
+def test_untraced_imports_are_listed_as_tracer_only():
+    """The reverse check: every name that SITES wraps where a module
+    imports it, and that the module never uses beyond that import, is
+    listed in TRACER_ONLY, so a new tracer-only import cannot go unlisted."""
+    sites = _load_tracer().SITES
+    unlisted = []
+    for module_name in sorted({m for m, _path, _span, _hook in sites}):
+        tree = ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        short = module_name.split(".")[-1]
+        for name in {path.split(".")[0] for m, path, _s, _h in sites if m == module_name}:
+            if name in imported and name not in used and f"{short}.{name}" not in TRACER_ONLY:
+                unlisted.append(f"{short}.{name}")
+    assert unlisted == [], f"traced imports unused in their module: {unlisted}"
 
 
 def test_propagate_final_takes_the_backend_first():

@@ -126,6 +126,30 @@ class TestConfigErrors:
         assert res.exit_code == 2
         assert "optimizer.method" in res.stderr
 
+    def test_optimizer_backend_is_not_an_option(self, tmp_path, runner):
+        """The exact backend follows from the problem size, so a config
+        that still chooses one is rejected, naming the field."""
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG.replace(
+            "method: stgrape", "method: grape\n  backend: ode"))
+        res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "optimizer.backend" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_qubit_count_is_bounded(self, tmp_path, runner):
+        """Too many qubits is a config error, raised before any operator
+        is built; every size up to 6 qubits is accepted."""
+        state = {"kind": "state"}
+        assert load_config({"system": {"n_qubits": 6}, "task": state}).system.n_qubits == 6
+        for n_qubits in (7, 16):
+            with pytest.raises(ConfigError, match="at most 6") as info:
+                load_config({"system": {"n_qubits": n_qubits}, "task": state})
+            assert info.value.field == "system.n_qubits"
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG.replace("n_qubits: 1", "n_qubits: 16"))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert "system.n_qubits" in res.stderr
+
     def test_couplings_on_two_qubits_names_the_uncertainty(self, tmp_path, runner):
         """The coupling set needs a third qubit; a shorter chain is a
         config error, not a traceback."""
@@ -251,7 +275,7 @@ def test_simulate_propagates_the_exact_chain_once(tmp_path, runner, monkeypatch)
 def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
     """At 3 qubits, order 2, no array with a side of N d^2 = 384 passes
     through the expm step propagator, its application, the block algebra
-    or an exponential, on the paths of step_expm, grape_gradient,
+    or an exponential, on the paths of one expm step, grape_gradient,
     true_objective and simulate."""
     shapes = []
 
@@ -281,10 +305,11 @@ def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
     obj = build_state_objective(cfg, mset, model.dim)
     assert mset.size * model.dim**2 == 384
     blocks = initial_state(mset, np.stack(obj.state0s))
+    prop = propagate.step_propagator_expm(model, mset, grid.amplitudes[:, 0], grid.dt)
     for adjoint in (False, True):
-        propagate.step_expm(model, mset, blocks, grid.amplitudes[:, 0], grid.dt, adjoint=adjoint)
+        propagate.apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
     optimize.grape_gradient(model, mset, grid, obj, backend="expm")
-    optimize._GateTask(model, mset, grid, obj, "stgrape", "expm").true_objective(grid.amplitudes.ravel())
+    optimize._GateTask(model, mset, grid, obj, "stgrape").true_objective(grid.amplitudes.ravel())
     res = runner.invoke(main, ["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
     assert (6, 64, 64) in shapes

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, small_grid
-from robustpulse import kernels, optimize
+from robustpulse import kernels, optimize, propagate
 from robustpulse.augment import MultiIndexSet, initial_state
 from robustpulse.gates import preset_unitary
 from robustpulse.model import (
@@ -32,7 +32,7 @@ from robustpulse.optimize import (
     run_stgrape,
     stgrape_gradient,
 )
-from robustpulse.propagate import make_trotter_plan, propagate_final
+from robustpulse.propagate import exact_backend, make_trotter_plan, propagate_final
 
 
 class TestLbfgsHistory:
@@ -222,6 +222,20 @@ class TestGradients:
         grape_gradient(model, mset, grid, obj)
         assert len(calls) == grid.n_steps
 
+    def test_expm_gradient_exponentiates_each_step_once(self, monkeypatch):
+        """The adjoint sweep reuses the forward sweep's step propagators:
+        an n-step expm gradient makes n exponentials, not 2n."""
+        model, mset, grid, obj = _state_problem()
+        calls = []
+        real = propagate.step_propagator_expm
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(propagate, "step_propagator_expm", spy)
+        grape_gradient(model, mset, grid, obj, backend="expm")
+        assert len(calls) == grid.n_steps
+
     def test_grape_gradient_rejects_splitting_backend(self):
         model, mset, grid, obj = _state_problem()
         with pytest.raises(ValueError):
@@ -263,7 +277,9 @@ class TestBatchedGate:
     @pytest.mark.parametrize("method,backend", [
         ("stgrape", "trotter"), ("grape", "expm"), ("grape", "ode"),
     ])
-    def test_batch_equals_weighted_sum_of_single_states(self, method, backend):
+    def test_batch_equals_weighted_sum_of_single_states(self, method, backend, monkeypatch):
+        if backend == "ode":  # the rule picks expm at this size; make the task run ode
+            monkeypatch.setitem(propagate._EXPM_UP_TO, 2, 0)
         model, mset, grid, gobj = _random_gate_problem()
         plan = make_trotter_plan(model, grid.dt)
         assert sorted(len(g.channels) for g in plan.groups) == [1, 2]
@@ -284,9 +300,10 @@ class TestBatchedGate:
 
         # the task's evaluations agree with the one-state tasks too
         x = grid.amplitudes.ravel()
-        gate = _GateTask(model, mset, grid, gobj, method, backend)
+        gate = _GateTask(model, mset, grid, gobj, method)
+        assert gate.backend == backend
         singles = [
-            _GateTask(model, mset, grid, as_gate_objective(obj), method, backend)
+            _GateTask(model, mset, grid, as_gate_objective(obj), method)
             for obj in _single_state_objectives(gobj)
         ]
         for name in ("evaluate", "true_objective"):
@@ -315,6 +332,30 @@ def test_expm_gradient_keeps_its_step_propagators_as_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak / 2**20
+
+
+def test_monitor_runs_the_rule_backend(monkeypatch):
+    """At 3 qubits, order 1 (N d^2 = 192) the monitor's forward pass runs
+    ``ode``, and its true J agrees with the ``expm`` propagation's."""
+    model = attach_uncertainties(build_spin_chain(3), "edges")
+    mset = MultiIndexSet(len(model.uncertainties), 1)
+    grid = small_grid(model, n_steps=4)
+    obj = as_gate_objective(RobustStateObjective.make(
+        mset, uniform_state(model.dim), rho0=ground_state(model.dim), lam=0.05
+    ))
+    task = _GateTask(model, mset, grid, obj, "stgrape")
+    backends = []
+    real = optimize.propagate_final
+
+    def spy(backend, *args, **kwargs):
+        backends.append(backend)
+        return real(backend, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "propagate_final", spy)
+    got = task.true_objective(grid.amplitudes.ravel())
+    assert backends == ["ode"]
+    want = optimize.gate_objective(real("expm", model, mset, grid, task.state0), obj)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestRunDrivers:
@@ -386,17 +427,20 @@ class TestRunDrivers:
             run_gate_synthesis(model, mset, grid, gobj, cfg, method="bfgs")
 
     @pytest.mark.parametrize("backend", ["expm", "ode"])
-    def test_gate_synthesis_grape_smoke(self, backend):
+    def test_gate_synthesis_grape_smoke(self, backend, monkeypatch):
+        """The grape route runs the backend the rule picks: ``expm`` at this
+        size, ``ode`` once the rule's gradient threshold sits below it."""
+        if backend == "ode":
+            monkeypatch.setitem(propagate._EXPM_UP_TO, 2, 0)
         model = build_spin_chain(1)
         mset = MultiIndexSet(0, 0)
         grid = small_grid(model, n_steps=6, dt=0.5, seed=9)
         u = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         gobj = make_gate_objective(mset, u)
         cfg = OptimizerConfig(max_iters=8)
-        report = run_gate_synthesis(
-            model, mset, grid, gobj, cfg, method="grape", backend=backend
-        )
-        assert report.method == "grape" and report.backend == backend
+        report = run_gate_synthesis(model, mset, grid, gobj, cfg, method="grape")
+        assert report.method == "grape"
+        assert report.backend == exact_backend(model, mset, 2) == backend
         assert report.checkpoints == []
         assert np.all(np.diff(report.iterations) > 0)
         assert report.best_J == report.iterations[-1] > report.iterations[0]

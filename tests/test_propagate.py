@@ -31,13 +31,13 @@ from robustpulse.propagate import (
     _taylor_degree,
     default_substeps,
     delta_st,
+    exact_backend,
     exp_nilpotent,
     generator_norm_bound,
     make_trotter_plan,
     propagate_backward,
     propagate_final,
     propagate_forward,
-    step_expm,
     step_ode,
     step_trotter,
     step_trotter_adjoint,
@@ -51,6 +51,12 @@ def _random_blocks(rng, n, d):
     return np.ascontiguousarray(
         rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     )
+
+
+def _expm_step(model, mset, blocks, amps, dt, adjoint=False):
+    """One ``expm`` step: the step propagator applied in its block algebra."""
+    prop = propagate.step_propagator_expm(model, mset, amps, dt)
+    return propagate.apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
 
 
 # ----------------------------------------------------------------- analytics
@@ -220,8 +226,8 @@ def test_step_adjoint_pairing_all_backends(one_qubit):
     rhs = np.vdot(step_trotter_adjoint(plan, one_qubit, mset, a.copy(), amps), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
-    lhs = np.vdot(a, step_expm(one_qubit, mset, b, amps, 0.5))
-    rhs = np.vdot(step_expm(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
+    lhs = np.vdot(a, _expm_step(one_qubit, mset, b, amps, 0.5))
+    rhs = np.vdot(_expm_step(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
 
     lhs = np.vdot(a, step_ode(one_qubit, mset, b, amps, 0.5))
@@ -264,7 +270,7 @@ def test_ode_step_matches_expm(one_qubit, two_qubit):
                 stages = default_substeps(model, amps, dt)
                 assert (stages > 1) == (dt == 4.0), (d, order, dt, stages)
                 for adjoint in (False, True):
-                    want = step_expm(model, mset, blocks, amps, dt, adjoint=adjoint)
+                    want = _expm_step(model, mset, blocks, amps, dt, adjoint=adjoint)
                     got = step_ode(model, mset, blocks, amps, dt, adjoint=adjoint)
                     err = quadrature_norm(got - want) / quadrature_norm(want)
                     assert err < 1e-13, (d, order, dt, adjoint, err)
@@ -387,8 +393,39 @@ def test_forward_cache_layout(one_qubit):
     assert np.array_equal(fwd.states[0], s0)
     assert fwd.pre_ctl.shape == (5, 2, 2, 2)
     assert fwd.mid_ctl.shape == (5, 2, 2, 2)
+    assert fwd.props is None
     no_rec = propagate_forward("expm", one_qubit, mset, grid, s0)
     assert no_rec.pre_ctl is None
+    assert [p.shape for p in no_rec.props] == [(2, 4, 4)] * 5
+
+
+def test_exact_backend_picks_the_measured_winner():
+    """Every row of the per-step cost table in propagate.py: the faster
+    backend of a forward pass and of a gradient at each size."""
+    rows = [  # qubits, order, N d^2, forward winner, gradient winner
+        (1, 1, 8, "expm", "expm"), (2, 1, 48, "expm", "expm"), (2, 2, 96, "expm", "expm"),
+        (3, 1, 192, "ode", "expm"), (3, 2, 384, "ode", "expm"), (4, 1, 768, "ode", "ode"),
+    ]
+    for n_qubits, order, size, fwd, grad in rows:
+        model = attach_uncertainties(build_spin_chain(n_qubits), "edges")
+        mset = MultiIndexSet(len(model.uncertainties), order)
+        assert mset.size * model.dim**2 == size
+        assert exact_backend(model, mset, 1) == fwd, (n_qubits, order)
+        assert exact_backend(model, mset, 2) == grad, (n_qubits, order)
+
+
+def test_cap_counts_the_numbers_of_one_block_element():
+    """The cap bounds N d^4: 3 qubits at order 2 (24,576) and 5 qubits at
+    order 1 (3 * 2^20) pass; 6 qubits at order 1 (3 * 2^24, 805 MB per
+    element) is rejected although its N d^2 is only 12,288."""
+    for n_qubits, order, ok in ((3, 2, True), (5, 1, True), (6, 1, False)):
+        model = attach_uncertainties(build_spin_chain(n_qubits), "edges")
+        mset = MultiIndexSet(len(model.uncertainties), order)
+        if ok:
+            augment._check_dense_size(model, mset)
+        else:
+            with pytest.raises(CapExceeded, match="N\\*d\\^4 = 50331648 exceeds"):
+                propagate.step_propagator_expm(model, mset, np.zeros(len(model.controls)), 0.5)
 
 
 def test_expm_backend_respects_cap(over_cap_chain):
@@ -423,8 +460,8 @@ def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     assert s.shape == (6, 64, 64)
     assert [c for c in calls if c[0] == "assemble"] == []
     assert all(shape[-1] <= 64 for _, shape in calls), calls
-    monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 383)
-    with pytest.raises(CapExceeded, match="384 exceeds cap 383"):
+    monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 6 * 64**2 - 1)
+    with pytest.raises(CapExceeded, match="N\\*d\\^4 = 24576 exceeds cap 24575"):
         propagate.step_propagator_expm(model, mset, amps, 0.5)
 
 
@@ -446,8 +483,8 @@ def test_batch_axis_matches_single_states(two_qubit):
     steps = {
         "trotter": lambda b: step_trotter(plan, two_qubit, mset, b, amps),
         "trotter adjoint": lambda b: step_trotter_adjoint(plan, two_qubit, mset, b, amps),
-        "expm": lambda b: step_expm(two_qubit, mset, b, amps, 0.5),
-        "expm adjoint": lambda b: step_expm(two_qubit, mset, b, amps, 0.5, adjoint=True),
+        "expm": lambda b: _expm_step(two_qubit, mset, b, amps, 0.5),
+        "expm adjoint": lambda b: _expm_step(two_qubit, mset, b, amps, 0.5, adjoint=True),
         "ode": lambda b: step_ode(two_qubit, mset, b, amps, 0.5),
         "ode adjoint": lambda b: step_ode(two_qubit, mset, b, amps, 0.5, adjoint=True),
     }
