@@ -15,7 +15,11 @@ piecewise-constant control step:
   uncertainty drives and truncated collapse channel wrap a unitary
   control sandwich around the non-Hermitian effective-Hamiltonian flow;
   the sandwich is one conjugation by its d x d product, whose factors
-  :func:`control_factors` builds for all steps of a grid at once.
+  :func:`control_factors` builds for all steps of a grid at once.  The
+  drives and collapse halves on either side do not depend on the step:
+  up to N d^4 = ``_FUSED_UP_TO`` the plan composes each side once per
+  index set and model into one block-algebra element, applied like an
+  ``expm`` step propagator; above it each factor runs as its own kernel.
 
 ``expm`` and ``ode`` agree to roundoff; :func:`exact_backend` picks the
 faster from the problem size and the sweeps per step exponential.
@@ -33,7 +37,7 @@ exponential) across its states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +55,7 @@ from .augment import (
     quadrature_norm,
     step_propagator_expm,
 )
-from .linalg import expm, one_and_inf_norms
+from .linalg import expm, kron, one_and_inf_norms
 from .model import ControlGrid, OpenSystemModel
 
 __all__ = [
@@ -105,6 +109,31 @@ _UNIT_ROUNDOFF = 2.0**-53
 # Largest N d^2 that runs expm, by sweeps per step:
 _EXPM_UP_TO = {1: 128, 2: 512}
 
+# Per-step cost (ms) of a whole Trotter step with its outer halves fused
+# into two block-algebra elements or run factor by factor, on one state
+# and on d+1 states, 2 CPUs and one BLAS thread, median of 5 rounds
+# interleaved in one process; "build" is the one-off cost of the two
+# elements (d+1 states' run):
+#   size     N d^4    fused / factored, S=1    S=d+1              build
+#   1q o1        32       0.051 / 0.153        0.059 / 0.158        0.2
+#   2q o1       768       0.055 / 0.230        0.094 / 0.270        0.3
+#   2q o2     1,536       0.108 / 0.411        0.181 / 0.507        0.4
+#   2q o4     3,840       0.521 / 0.793        0.786 / 1.289        0.7
+#   3q o1    12,288       0.084 / 0.246        0.264 / 0.600        1.9
+#   3q o2    24,576       0.185 / 0.488        0.770 / 2.838        3.2
+#   3q o3    40,960       0.468 / 0.827        1.620 / 2.936        6.2
+#   3q o4    61,440       1.021 / 1.177        3.077 / 5.300        8.6
+#   4q o1   196,608       0.654 / 0.591        4.404 / 6.369         53
+#   4q o2   393,216       2.260 / 1.265        12.53 / 16.16        102
+#   5q o0 1,048,576       2.841 / 0.966        19.14 / 29.70        613
+#   5q o1 3,145,728       12.89 / 2.340        86.92 / 93.15      1,387
+# A fused block is a d^2 x d^2 product where the factors make d x d
+# ones, so from 4 qubits on the fused step wins only on many states and
+# loses on one.  Up to 3 qubits it wins on both.  No rule on S N d^4 is
+# drawn until workloads at 4 qubits run both one and d+1 states.
+# Largest N d^4 whose Trotter step applies its outer halves fused:
+_FUSED_UP_TO = 2**16
+
 
 def exact_backend(model: OpenSystemModel, mset: MultiIndexSet, passes: int) -> str:
     """``expm`` or ``ode``, whichever is faster for ``passes`` sweeps per step
@@ -150,13 +179,18 @@ class TrotterPlan:
 
     ``readout`` (n_channels, G d) puts each channel's diagonal in its
     group's d columns, so that readout @ diag(r_q^dag M r_q), stacked
-    over the groups q, is tr(H_c M) for every channel c.
+    over the groups q, is tr(H_c M) for every channel c.  ``halves``
+    holds, per index set (m, n), the model they were built from and the
+    step's two outer halves as :func:`_build_halves` builds them on first
+    use; a step with another model (say, other uncertainty operators)
+    builds them again.
     """
 
     dt: float
     u_eff: np.ndarray
     groups: list
     readout: np.ndarray
+    halves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _commutes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -288,6 +322,87 @@ def _collapse_half(
     return kernels.collapse_blocks(*jump, inner, scale=half, base=blocks)
 
 
+def _fuses(model: OpenSystemModel, mset: MultiIndexSet) -> bool:
+    """Whether the step applies its outer halves as block-algebra elements
+    (else factor by factor): N d^4 at most ``_FUSED_UP_TO``."""
+    return mset.size * model.dim**4 <= _FUSED_UP_TO
+
+
+def _build_halves(plan: TrotterPlan, model: OpenSystemModel, mset: MultiIndexSet) -> tuple:
+    """The step's outer halves (P, Q) as :class:`BlockAlgebra` elements:
+    P = C D_m ... D_1, the drives in ascending order and then the collapse
+    half, and its mirror Q = D_1 ... D_m C.
+
+    With tau = dt/2, the drive D_j = exp(tau U_j (x) S_{e_j}) has the
+    block (tau U_j)^k / k! at k e_j, so P_p = C prod_j (tau U_j)^{p_j} /
+    p_j! with the factors in descending j, and Q_p has them ascending,
+    then C; C = 1 + (dt/2) J (1 + (dt/4) J), J = sum_i gamma_i conj(c_i)
+    (x) c_i.  Each block is one product by tau U_j / p_j onto the block
+    of p - e_j, for the largest j with p_j > 0, and one by C."""
+    d2, tau = model.dim**2, 0.5 * plan.dt
+    collapse = None
+    if model.rates.size:
+        jump = sum(g * kron(np.conj(c), c) for c, g in model.lindblads)
+        collapse = np.eye(d2) + tau * jump @ (np.eye(d2) + 0.5 * tau * jump)
+    drives = tau * model.uncertainty_supers
+    z = mset.zero_index
+    down = np.empty((mset.size, d2, d2), dtype=complex)  # prod_j descending
+    up = np.empty_like(down)  # prod_j ascending
+    down[z] = up[z] = np.eye(d2)
+    # the zero order is last and every p - e_j comes after p
+    for k in range(z - 1, -1, -1):
+        p = mset.orders[k]
+        j = max(i for i, x in enumerate(p) if x)
+        prev = mset.index[p[:j] + (p[j] - 1,) + p[j + 1:]]
+        factor = drives[j] / p[j]
+        down[k] = factor if prev == z else factor @ down[prev]
+        up[k] = factor if prev == z else up[prev] @ factor
+    if collapse is not None:
+        down[:z], down[z] = collapse @ down[:z], collapse
+        up[:z], up[z] = up[:z] @ collapse, collapse
+    return down, up
+
+
+def _halves(plan: TrotterPlan, model: OpenSystemModel, mset: MultiIndexSet) -> tuple | None:
+    """``mset``'s (P, Q) of :func:`_build_halves`, built once per plan,
+    index set and model; None when the step applies its halves factor by
+    factor."""
+    if not _fuses(model, mset):
+        return None
+    key = (mset.m, mset.n)
+    built = plan.halves.get(key)
+    if built is None or built[0] is not model:
+        built = plan.halves[key] = (model, *_build_halves(plan, model, mset))
+    return built[1:]
+
+
+def _outer_half(
+    plan: TrotterPlan,
+    model: OpenSystemModel,
+    mset: MultiIndexSet,
+    blocks: np.ndarray,
+    second: bool,
+    adjoint: bool,
+) -> np.ndarray:
+    """The first half of the step outside its control sandwich (drives
+    ascending, then collapse) or the ``second`` (collapse, then drives
+    descending), of the step or, with ``adjoint``, of its adjoint: P, Q,
+    Q^dag or P^dag in the block algebra, or at N d^4 above
+    ``_FUSED_UP_TO`` the factors' own kernels."""
+    halves = _halves(plan, model, mset)
+    if halves is not None:
+        return mset.algebra.apply(halves[second != adjoint], blocks, adjoint=adjoint)
+    half = 0.5 * plan.dt
+    blocks = kernels.wide(blocks)
+    if second:
+        blocks = _collapse_half(plan, model, blocks, adjoint)
+    for j in reversed(range(mset.m)) if second else range(mset.m):
+        blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=adjoint)
+    if not second:
+        blocks = _collapse_half(plan, model, blocks, adjoint)
+    return blocks
+
+
 class SandwichFactors(NamedTuple):
     """The control sandwich of a grid's steps as d x d conjugations, every
     field stacked over the steps; :meth:`at` gives one step's.
@@ -377,7 +492,11 @@ def step_trotter(
     control groups (ascending), effective-Hamiltonian flow, control
     groups (descending), collapse half, uncertainty drives (descending).
     The palindromic order keeps the one-step error at third order in dt.
-    The control sandwich is one conjugation by its d x d product.
+    The control sandwich is one conjugation by its d x d product.  The
+    drives and collapse half before it are one block-algebra element P,
+    those after it its mirror Q, which the plan builds once per index set
+    (:func:`_build_halves`); above ``_FUSED_UP_TO`` they run factor by
+    factor.
 
     With ``record`` a pair of arrays (pre, mid) shaped like ``blocks``,
     the states just before the first and the second control factor are
@@ -386,21 +505,14 @@ def step_trotter(
     ``factors``, this step's :func:`control_factors` (``.at(k)``), saves
     building them from ``amplitudes``.
     """
-    half = 0.5 * plan.dt
     if factors is None:
         factors = control_factors(plan, np.asarray(amplitudes)[:, None]).at(0)
-    blocks = kernels.wide(blocks)
-    for j in range(mset.m):
-        blocks = exp_nilpotent(model, mset, j, blocks, half)
-    blocks = _collapse_half(plan, model, blocks, adjoint=False)
+    blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=False)
     if record is not None:
         record[0][...] = blocks
         record[1][...] = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, blocks)
     blocks = kernels.conjugate_blocks(factors.whole, factors.whole_dag, blocks)
-    blocks = _collapse_half(plan, model, blocks, adjoint=False)
-    for j in reversed(range(mset.m)):
-        blocks = exp_nilpotent(model, mset, j, blocks, half)
-    return blocks
+    return _outer_half(plan, model, mset, blocks, second=True, adjoint=False)
 
 
 def step_trotter_adjoint(
@@ -432,10 +544,7 @@ def step_trotter_adjoint(
     if factors is None:
         amps = np.asarray(amplitudes)[:, None]
         factors = control_factors(plan, amps, readers=grad_col is not None).at(0)
-    blocks = kernels.wide(blocks)
-    for j in range(mset.m):
-        blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
-    blocks = _collapse_half(plan, model, blocks, adjoint=True)
+    blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=True)
     if grad_col is None:
         blocks = kernels.conjugate_blocks(factors.whole_dag, factors.whole, blocks)
     else:
@@ -447,10 +556,7 @@ def step_trotter_adjoint(
         carried = factors.readers @ np.stack((at_pre, at_mid))
         diag = np.sum(carried * factors.readers.conj(), axis=(0, 2))
         grad_col += half * (plan.readout @ diag.imag)
-    blocks = _collapse_half(plan, model, blocks, adjoint=True)
-    for j in reversed(range(mset.m)):
-        blocks = exp_nilpotent(model, mset, j, blocks, half, adjoint=True)
-    return blocks
+    return _outer_half(plan, model, mset, blocks, second=True, adjoint=True)
 
 
 # ------------------------------------------------------------- expm backend

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,136 @@ def test_trotter_step_matches_dense_factors_no_decay():
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def _count_calls(monkeypatch, sites) -> Counter:
+    """Wrap each (owner, name) of ``sites`` to count its calls by name."""
+    calls = Counter()
+    for owner, name in sites:
+        real = getattr(owner, name)
+
+        def wrapped(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+# the kernels of the factored drives and collapse halves, and the build
+# of the fused halves that replaces them
+_HALF_SITES = [
+    (propagate.kernels, "collapse_blocks"),
+    (propagate.kernels, "routed_commutator"),
+    (propagate, "exp_nilpotent"),
+    (propagate, "_build_halves"),
+]
+
+
+def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
+    """At the cnot_2q size (2 qubits, first order, d+1 = 5 states) a
+    40-step forward sweep and its gradient sweep run no drive or collapse
+    kernel: every step applies the two outer halves that the plan builds
+    once."""
+    model = attach_uncertainties(build_spin_chain(2), "edges")
+    mset = MultiIndexSet(2, 1)
+    grid = small_grid(model, n_steps=40, dt=0.5, seed=36)
+    plan = make_trotter_plan(model, grid.dt)
+    rng = np.random.default_rng(37)
+    s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
+    calls = _count_calls(monkeypatch, _HALF_SITES)
+    fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
+    trotter_backward_with_gradient(plan, model, mset, grid, fwd, fwd.final)
+    assert calls == Counter(_build_halves=1)
+
+
+def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qubit):
+    """With N d^4 above _FUSED_UP_TO (lowered here to one below 2 qubits
+    at order 2) a step applies every factor by its kernels, forward,
+    adjoint and with the gradient: 2 m n drive commutators in 2 m
+    exp_nilpotent calls, and 4 collapse kernels; at the constant itself
+    it applies the halves, built once."""
+    mset = MultiIndexSet(2, 2)
+    plan = make_trotter_plan(two_qubit, 0.5)
+    rng = np.random.default_rng(38)
+    amps = rng.standard_normal(4) * 0.3
+    s0 = _random_blocks(rng, mset.size, 4)
+    record = (np.empty_like(s0), np.empty_like(s0))
+    size = mset.size * 4**4
+    factored = Counter(routed_commutator=8, exp_nilpotent=4, collapse_blocks=4)
+    for limit, per_step, built in ((size - 1, factored, 0), (size, Counter(), 1)):
+        monkeypatch.setattr(propagate, "_FUSED_UP_TO", limit)
+        calls = _count_calls(monkeypatch, _HALF_SITES)
+        step_trotter(plan, two_qubit, mset, s0, amps, record=record)
+        step_trotter_adjoint(plan, two_qubit, mset, s0, amps)
+        step_trotter_adjoint(
+            plan, two_qubit, mset, s0, amps, pre=record[0], mid=record[1], grad_col=np.zeros(4)
+        )
+        want = Counter({k: 3 * v for k, v in per_step.items()})
+        want["_build_halves"] = built
+        assert +calls == +want, limit
+        monkeypatch.undo()
+
+
+def test_fused_halves_rule_picks_the_measured_winner():
+    """Every row of the per-step cost table beside _FUSED_UP_TO: the step
+    fuses its outer halves exactly where that measured faster on one
+    state and on d+1 states."""
+    rows = [  # qubits, order, N d^4, fused faster on one and on d+1 states
+        (1, 1, 32, True), (2, 1, 768, True), (2, 2, 1536, True), (2, 4, 3840, True),
+        (3, 1, 12288, True), (3, 2, 24576, True), (3, 3, 40960, True), (3, 4, 61440, True),
+        (4, 1, 196608, False), (4, 2, 393216, False),
+        (5, 0, 1048576, False), (5, 1, 3145728, False),
+    ]
+    for n_qubits, order, size, fused in rows:
+        model = attach_uncertainties(build_spin_chain(n_qubits), "edges")
+        mset = MultiIndexSet(len(model.uncertainties), order)
+        assert mset.size * model.dim**4 == size
+        assert propagate._fuses(model, mset) == fused, (n_qubits, order)
+
+
+def test_one_plan_keeps_each_index_sets_halves(two_qubit):
+    """One plan stepping two index sets in turn hands each set its own
+    halves: every step equals the step with a fresh plan for that set."""
+    plan = make_trotter_plan(two_qubit, 0.5)
+    rng = np.random.default_rng(39)
+    amps = rng.standard_normal(4) * 0.3
+    sets = [MultiIndexSet(2, 1), MultiIndexSet(2, 2)]
+    for mset in sets + sets[::-1]:
+        s0 = _random_blocks(rng, mset.size, 4)
+        p, q = propagate._halves(plan, two_qubit, mset)
+        assert p.shape == q.shape == (mset.size, 16, 16)
+        fresh = make_trotter_plan(two_qubit, 0.5)
+        for step in (step_trotter, step_trotter_adjoint):
+            assert np.array_equal(
+                step(plan, two_qubit, mset, s0, amps), step(fresh, two_qubit, mset, s0, amps)
+            ), (mset.n, step.__name__)
+
+
+def test_one_plan_rebuilds_halves_for_another_model():
+    """A plan holds the drift, controls and collapse operators; the
+    uncertainty operators come with the model each step is called with.
+    One plan stepped with models that differ only in those (two preset
+    kinds, and the edge set doubled, whose index set is the same) gives
+    every step the fresh plan's result."""
+    chain = build_spin_chain(3)
+    edges = attach_uncertainties(chain, "edges")
+    models = [
+        edges,
+        attach_uncertainties(chain, "couplings"),
+        replace(edges, uncertainties=[2.0 * u for u in edges.uncertainties]),
+    ]
+    plan = make_trotter_plan(chain, 0.5)
+    rng = np.random.default_rng(40)
+    amps = rng.standard_normal(len(chain.controls)) * 0.3
+    for model in models + models[:1]:
+        mset = MultiIndexSet(model.n_uncertainties, 1)
+        assert propagate._fuses(model, mset)
+        s0 = _random_blocks(rng, mset.size, 8)
+        fresh = make_trotter_plan(model, 0.5)
+        for step in (step_trotter, step_trotter_adjoint):
+            assert np.array_equal(
+                step(plan, model, mset, s0, amps), step(fresh, model, mset, s0, amps)
+            ), (model.n_uncertainties, step.__name__)
+
+
 def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     """The control sandwich is one d x d conjugation of the blocks per
     step: one kernel call for a forward or adjoint step, two when the
@@ -130,19 +261,11 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     plan = make_trotter_plan(two_qubit, grid.dt)
     rng = np.random.default_rng(35)
     s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(2)]))
-    calls = Counter()
-
-    def spy(owner, name):
-        real = getattr(owner, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapped)
-
-    spy(propagate.kernels, "conjugate_blocks")
-    spy(propagate.kernels, "control_pairing")
-    spy(propagate, "control_factors")
+    calls = _count_calls(monkeypatch, [
+        (propagate.kernels, "conjugate_blocks"),
+        (propagate.kernels, "control_pairing"),
+        (propagate, "control_factors"),
+    ])
 
     step_trotter(plan, two_qubit, mset, s0, grid.amplitudes[:, 0])
     assert calls == Counter(control_factors=1, conjugate_blocks=1)

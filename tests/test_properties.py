@@ -7,7 +7,10 @@ with the first, so the Trotter plan's greedy grouping forms a group of two
 channels with a discovered diagonalizer.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustpulse.augment import (
@@ -27,6 +30,7 @@ from robustpulse.linalg import expm, scaling_exponent
 from robustpulse.model import ControlGrid, NoiseDistribution, OpenSystemModel
 from robustpulse.objective import avg_gate_fidelity
 from robustpulse.oracle import noise_sweep, propagate_noisy_exact
+from robustpulse import propagate
 from robustpulse.propagate import (
     BACKENDS,
     exp_nilpotent,
@@ -123,6 +127,64 @@ def test_trotter_step_equals_dense_factors(problem, batch):
         for g in got:
             assert g.shape == shape
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), adjoint
+
+
+def _relative_gap(got, want) -> float:
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
+
+
+@PROPERTY_SETTINGS
+@given(
+    problems(),
+    st.integers(0, 2),
+    st.sampled_from([(), ("lindblads",), ("uncertainties",), ("lindblads", "uncertainties")]),
+)
+def test_fused_halves_equal_their_factors(problem, order, dropped):
+    """The step's outer halves P = C D_m ... D_1 and Q = D_1 ... D_m C,
+    applied by the block algebra, equal the factored half-steps
+    (exp_nilpotent and the truncated collapse half) to 1e-12 relative,
+    forward and adjoint, at orders 0-2, with and without collapse
+    operators and uncertainties.  A whole step equals the factored step
+    in its result, its pre/mid records, its adjoint and its gradient
+    column."""
+    model, _, grid, rng = problem
+    model = dataclasses.replace(model, **{field: [] for field in dropped})
+    mset = MultiIndexSet(model.n_uncertainties, order)
+    plan = make_trotter_plan(model, grid.dt)
+    b = _random_blocks(rng, (2, mset.size, model.dim, model.dim))
+
+    def drives(x, js, adjoint):
+        for j in js:
+            x = exp_nilpotent(model, mset, j, x, 0.5 * grid.dt, adjoint=adjoint)
+        return x
+
+    p, q = propagate._halves(plan, model, mset)
+    for adjoint in (False, True):
+        collapse = lambda x: propagate._collapse_half(plan, model, x, adjoint)  # noqa: E731
+        first = collapse(drives(b, range(mset.m), adjoint))  # P, or Q^dag
+        second = drives(collapse(b), reversed(range(mset.m)), adjoint)  # Q, or P^dag
+        for elem, want in zip((q, p) if adjoint else (p, q), (first, second)):
+            got = mset.algebra.apply(elem, b, adjoint=adjoint)
+            assert _relative_gap(got, want) <= 1e-12, adjoint
+
+    amps = grid.amplitudes[:, 0]
+    costate = _random_blocks(rng, b.shape)
+
+    def whole_step():
+        pre, mid = np.empty_like(b), np.empty_like(b)
+        out = step_trotter(plan, model, mset, b, amps, record=(pre, mid))
+        grad = np.zeros(amps.size)
+        back = step_trotter_adjoint(
+            plan, model, mset, costate, amps, pre=pre, mid=mid, grad_col=grad
+        )
+        return out, pre, mid, back, grad
+
+    fused = whole_step()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_FUSED_UP_TO", -1)
+        factored = whole_step()
+    for name, got, want in zip(("step", "pre", "mid", "adjoint", "grad"), fused, factored):
+        assert _relative_gap(got, want) <= 1e-12, name
 
 
 @PROPERTY_SETTINGS
