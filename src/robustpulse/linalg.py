@@ -1,12 +1,14 @@
 """Dense complex linear algebra used by every layer of the package.
 
-Everything here works on plain ``numpy.ndarray`` with dtype complex128.
-The matrix exponential is a fixed Pade(13) scaling-and-squaring
-implementation; it is the accuracy reference for the propagation
-backends, so it deliberately avoids shortcuts.  Its scaling rule and its
-Pade polynomials take the algebra's product and identity, so the
-exponential of the augmented generator runs the same algorithm on its
-coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
+Everything here works on plain ``numpy.ndarray`` with dtype complex128,
+except where a map is real: :class:`HermitianBasis` writes a
+Hermiticity-preserving superoperator as a real matrix, and :func:`expm`
+keeps real input real.  The matrix exponential is a fixed Pade(13)
+scaling-and-squaring implementation; it is the accuracy reference for
+the propagation backends, so it deliberately avoids shortcuts.  Its
+scaling rule and its Pade polynomials take the algebra's product and
+identity, so the exponential of the augmented generator runs the same
+algorithm on its coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
 superoperator matrices of the Lindblad generator follow the
 column-stacking convention of :func:`vec`.
 """
@@ -22,6 +24,7 @@ __all__ = [
     "mat_commutator",
     "mat_dissipator",
     "mat_lindblad",
+    "HermitianBasis",
     "one_and_inf_norms",
     "expm",
     "scaling_exponent",
@@ -82,6 +85,87 @@ def mat_dissipator(lindblads, d: int) -> np.ndarray:
 def mat_lindblad(h: np.ndarray, lindblads) -> np.ndarray:
     """d^2 x d^2 matrix of the Lindblad generator, column-stacking convention."""
     return mat_commutator(h) + mat_dissipator(lindblads, h.shape[0])
+
+
+class HermitianBasis:
+    """Orthonormal basis of the Hermitian d x d matrices under column-stacking
+    :func:`vec`: the diagonal units E_ii, then (E_ij + E_ji)/sqrt(2) for
+    i < j, then i(E_ij - E_ji)/sqrt(2) for i < j.
+
+    Its D x D unitary T (D = d^2) has vec(B_k) as column k.  A map that
+    preserves Hermiticity, such as rho -> -i[H, rho] or a dissipator, is
+    the real matrix T^dag M T in this basis (the Pauli-transfer form).  T
+    has at most two nonzeros in each row and each column, so each change of
+    basis is four gathers and scalings, O(D^2) per matrix.
+    """
+
+    def __init__(self, d: int):
+        iu, ju = np.triu_indices(d, 1)
+        diag = np.arange(d) * (d + 1)  # vec position of (i, i)
+        upper, lower = iu + ju * d, ju + iu * d  # of (i, j) and (j, i), i < j
+        n_pairs, s = iu.size, np.sqrt(0.5)
+        # T^dag and T as (columns, values) of the two nonzeros in each row; a
+        # row with one nonzero is padded with a zero.  Row k of T^dag holds
+        # the conjugated entries of B_k at their vec positions.
+        pairs = np.stack([upper, lower], axis=1)
+        self._tdag = (
+            np.concatenate([np.stack([diag, diag], axis=1), pairs, pairs]),
+            np.concatenate([
+                np.tile([1.0, 0.0], (d, 1)),
+                np.tile([s, s], (n_pairs, 1)),
+                np.tile([-1.0j * s, 1.0j * s], (n_pairs, 1)),
+            ]).astype(complex),
+        )
+        # row (i, j) of T draws on the pair's two basis elements, as does (j, i)
+        cols = np.empty((d * d, 2), dtype=np.int64)
+        vals = np.empty((d * d, 2), dtype=complex)
+        sym = d + np.arange(n_pairs)
+        cols[diag] = np.arange(d)[:, None]
+        vals[diag] = [1.0, 0.0]
+        cols[upper] = cols[lower] = np.stack([sym, sym + n_pairs], axis=1)
+        vals[upper] = [s, 1.0j * s]
+        vals[lower] = [s, -1.0j * s]
+        self._t = (cols, vals)
+
+    @staticmethod
+    def _apply(rows, v):
+        """A v for A given as two (column, value) nonzeros per row."""
+        cols, vals = rows
+        return vals[:, 0] * v[cols[:, 0]] + vals[:, 1] * v[cols[:, 1]]
+
+    @staticmethod
+    def _sandwich(rows, m):
+        """A M A^dag over the last two axes, A as in :meth:`_apply`."""
+        cols, vals = rows
+        return np.ascontiguousarray(sum(
+            (vals[:, a][:, None] * np.conj(vals[:, b])) * m[..., cols[:, a][:, None], cols[:, b]]
+            for a in range(2) for b in range(2)
+        ))
+
+    def real_map(self, m: np.ndarray, name: str) -> np.ndarray:
+        """T^dag M T of a superoperator (or a stack of them) as a real
+        array.  Raises if its imaginary part exceeds roundoff, 1e-12
+        relative, which means ``name`` does not preserve Hermiticity."""
+        m = np.asarray(m)
+        out = self._sandwich(self._tdag, m)
+        if np.max(np.abs(out.imag), initial=0.0) > 1e-12 * np.max(np.abs(m), initial=0.0):
+            raise ValueError(f"{name} does not preserve Hermiticity: it is not real "
+                             "in the Hermitian basis")
+        return np.ascontiguousarray(out.real)
+
+    def complex_map(self, r: np.ndarray) -> np.ndarray:
+        """T R T^dag: a basis-form superoperator (or a stack of them) back
+        in the column-stacking convention."""
+        return self._sandwich(self._t, r)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """T^dag v: coordinates of vec(rho) in the basis; real when rho is
+        Hermitian, complex in general."""
+        return self._apply(self._tdag, v)
+
+    def vec(self, x: np.ndarray) -> np.ndarray:
+        """T x: the column-stacking vector with basis coordinates x."""
+        return self._apply(self._t, x)
 
 
 def one_and_inf_norms(ops: np.ndarray) -> tuple:
@@ -165,16 +249,17 @@ def expm(a: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     a : ndarray
-        Square complex matrix, or a stack of them with shape (..., n, n).
+        Square matrix, or a stack of them with shape (..., n, n).
 
     Returns
     -------
     ndarray
-        exp(a), complex128, with the shape of ``a``.  Each member of a
-        stack keeps its own scaling exponent and equals the exponential
-        of that matrix on its own bit for bit.
+        exp(a) with the shape of ``a``: float64 for real input, complex128
+        otherwise.  Each member of a stack keeps its own scaling exponent
+        and equals the exponential of that matrix on its own bit for bit.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
     shape = a.shape
     if a.ndim < 2 or shape[-1] != shape[-2]:
         raise ValueError("expm expects a square matrix or a stack of them")
@@ -188,7 +273,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     if s.any():
         a = a / (2.0**s)[:, None, None]
 
-    u, v = pade13(a, np.matmul, np.eye(n, dtype=np.complex128))
+    u, v = pade13(a, np.matmul, np.eye(n, dtype=a.dtype))
     r = np.linalg.solve(v - u, v + u)
     # round i squares only the members scaled down by more than i halvings;
     # when that is all of them, without the copies that masking makes

@@ -177,16 +177,24 @@ def gate_objective(states_T: list, gobj: GateObjective) -> float:
     )
 
 
-def process_fidelity(channel_super: np.ndarray, u_target: np.ndarray) -> float:
-    """tr(S_U^dag S_Lambda) / d^2 for a column-stacking channel matrix."""
+def process_fidelity(channel_super: np.ndarray, u_target: np.ndarray):
+    """tr(S_U^dag S_Lambda) / d^2 for a column-stacking channel matrix, or
+    for each member of a (..., d^2, d^2) stack of them (then an array)."""
     d = u_target.shape[0]
-    if channel_super.shape != (d * d, d * d):
+    if channel_super.shape[-2:] != (d * d, d * d):
         raise ValueError("channel matrix dimension does not match the target")
     s_u = kron(np.conj(u_target), u_target)
-    return float(np.real(np.sum(np.conj(s_u) * channel_super)) / d**2)
+    # one sum over the d^4 contiguous entries of each member, in the same
+    # order whatever the stack's size or layout: a member's fidelity is bit
+    # for bit that of its lone call
+    prods = np.ascontiguousarray(np.conj(s_u) * channel_super)
+    prods = prods.reshape(channel_super.shape[:-2] + (d**4,))
+    f_pro = np.real(np.sum(prods, axis=-1)) / d**2
+    return float(f_pro) if channel_super.ndim == 2 else f_pro
 
 
-def avg_gate_fidelity(channel_super: np.ndarray, u_target: np.ndarray) -> float:
-    """Average gate fidelity (d F_pro + 1) / (d + 1)."""
+def avg_gate_fidelity(channel_super: np.ndarray, u_target: np.ndarray):
+    """Average gate fidelity (d F_pro + 1) / (d + 1), of one channel or of
+    each member of a stack."""
     d = u_target.shape[0]
     return (d * process_fidelity(channel_super, u_target) + 1.0) / (d + 1.0)

@@ -4,8 +4,16 @@ Everything in this module deliberately bypasses the augmented-block
 machinery and the splitting factors: the uncertain system is propagated
 as a plain density matrix under the full generator with the uncertainty
 strengths inserted numerically, one supermatrix exponential per step.
-The vectorised generator is rebuilt here from first principles so a bug
-in the production assembly cannot hide in its own verification.
+The generator is rebuilt here from first principles, with ``np.kron`` on
+the model's operators, so a bug in the production assembly of
+``augment`` cannot hide in its own verification.
+
+The propagation runs in real arithmetic.  A Lindblad generator, and each
+of its -i[H, .] terms, preserves Hermiticity, so in an orthonormal basis
+of Hermitian matrices (``linalg.HermitianBasis``, the Pauli-transfer
+form) it is a real matrix.  Each term is moved into that basis once per
+propagation, and the result is moved back once at the end; the steps
+multiply float64 exponentials, a quarter of the complex flops.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import expm
+from .linalg import HermitianBasis, expm
 from .model import ControlGrid, NoiseDistribution, OpenSystemModel
 from .objective import avg_gate_fidelity
 
@@ -30,63 +38,79 @@ __all__ = [
 ]
 
 
-def _collapse_terms(model: OpenSystemModel) -> list:
-    """One d^2 x d^2 generator term per collapse operator; they depend on
-    neither the time step nor the uncertainty strengths."""
-    ident = np.eye(model.dim, dtype=complex)
-    cdcs = [c.conj().T @ c for c, _ in model.lindblads]
-    return [
-        gamma * (np.kron(np.conj(c), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident))
-        for (c, gamma), cdc in zip(model.lindblads, cdcs)
-    ]
+def _generator_terms(model: OpenSystemModel, basis: HermitianBasis) -> tuple:
+    """The real d^2 x d^2 terms of the generator in the Hermitian basis:
+    drift plus dissipator as one matrix, then a (n_controls, d^2, d^2) and
+    a (n_uncertainties, d^2, d^2) stack of the -i[H, .] terms.  They depend
+    on neither the time step nor the uncertainty strengths."""
+    d = model.dim
+    ident = np.eye(d, dtype=complex)
+    ops = np.array([model.drift, *model.controls, *model.uncertainties])
+    # column-stacking: rho A B -> (B^T kron A) vec(rho); all -i[H, .] at once
+    comm = -1.0j * (np.kron(ident[None], ops) - np.kron(ops.swapaxes(-1, -2), ident[None]))
+    fixed = comm[0]
+    for c, gamma in model.lindblads:
+        cdc = c.conj().T @ c
+        fixed = fixed + gamma * (
+            np.kron(np.conj(c), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident)
+        )
+    n_c = len(model.controls)
+    names = [f"control {i}" for i in range(n_c)]
+    names += [f"uncertainty {j}" for j in range(model.n_uncertainties)]
+    real = [basis.real_map(term, name) for term, name in zip(comm[1:], names)]
+    real = np.array(real).reshape(-1, d * d, d * d)
+    return basis.real_map(fixed, "drift plus dissipator"), real[:n_c], real[n_c:]
 
 
 def noisy_liouvillian(
-    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray, *, _collapse=None
+    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray, *, _terms=None
 ) -> np.ndarray:
-    """d^2 x d^2 generator of the plain master equation at strengths eps.
+    """Real d^2 x d^2 generator of the plain master equation at strengths
+    eps, in the Hermitian basis ``linalg.HermitianBasis(d)``.
 
     ``eps`` is one sample of shape (m,) or a batch of shape (count, m);
-    a batch gives a (count, d^2, d^2) stack.  Column-stacking convention:
-    rho A B -> vec as (B^T kron A) applied to vec(rho); assembled directly
-    from the Hamiltonian and collapse terms, each collapse term once for
-    the whole batch.  A propagation loop passes ``_collapse_terms(model)``
-    as ``_collapse``, so that it builds them once.
+    a batch gives a (count, d^2, d^2) stack.  The generator is the fixed
+    term plus sum_c u_c R_c plus sum_j eps_j R_j, each sum taken
+    elementwise, so a batch member equals its lone run bit for bit.  A
+    propagation loop passes ``_generator_terms(model, basis)`` as
+    ``_terms``, so that it builds the terms once.
     """
-    d = model.dim
     eps = np.asarray(eps, dtype=float)
     single = eps.ndim <= 1
     batch = eps.reshape(1, -1) if single else eps
     if batch.ndim != 2 or batch.shape[1] != model.n_uncertainties:
         raise ValueError("need one strength per uncertainty operator")
-    h = np.broadcast_to(model.hamiltonian(amplitudes), (batch.shape[0], d, d))
-    for e_j, op in zip(batch.T, model.uncertainties):
-        h = h + e_j[:, None, None] * op
-    ident = np.eye(d, dtype=complex)
-    gen = -1.0j * (np.kron(ident, h) - np.kron(h.swapaxes(-1, -2), ident))
-    for term in _collapse_terms(model) if _collapse is None else _collapse:
-        gen += term
+    if _terms is None:
+        _terms = _generator_terms(model, HermitianBasis(model.dim))
+    fixed, controls, uncertainties = _terms
+    gen = fixed
+    for u, r in zip(np.asarray(amplitudes, dtype=float), controls):
+        gen = gen + u * r
+    gen = np.broadcast_to(gen, (batch.shape[0],) + gen.shape)
+    for e_j, r in zip(batch.T, uncertainties):
+        gen = gen + e_j[:, None, None] * r
     return gen[0] if single else gen
 
 
 def noisy_channel_super(
     model: OpenSystemModel, grid: ControlGrid, eps: np.ndarray
 ) -> np.ndarray:
-    """Full-evolution channel matrix: ordered product of per-step
-    supermatrix exponentials at fixed strengths eps.
+    """Full-evolution channel matrix (column-stacking, complex): ordered
+    product of per-step supermatrix exponentials at fixed strengths eps.
 
     ``eps`` of shape (count, m) gives the (count, d^2, d^2) channels of
     all samples, advanced together one step at a time: per step one
-    stacked generator and one stacked exponential.
+    stacked real generator and one stacked real exponential.  The product
+    leaves the Hermitian basis once, at the end.
     """
-    d = model.dim
-    collapse = _collapse_terms(model)
-    chan = np.eye(d * d, dtype=complex)
+    basis = HermitianBasis(model.dim)
+    terms = _generator_terms(model, basis)
+    chan = np.eye(model.dim**2)
     for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _collapse=collapse)
+        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _terms=terms)
         # linalg.expm: perfbench's tracer wraps oracle.expm with a 2-D-only hook
         chan = linalg.expm(grid.dt * gen) @ chan
-    return chan
+    return basis.complex_map(chan)
 
 
 def propagate_noisy_exact(
@@ -95,12 +119,15 @@ def propagate_noisy_exact(
     """Terminal density matrix of the plain (non-augmented) master
     equation with uncertainty strengths eps."""
     d = model.dim
-    v = np.asarray(rho0, dtype=complex).reshape(d * d, order="F")
-    collapse = _collapse_terms(model)
+    basis = HermitianBasis(d)
+    terms = _generator_terms(model, basis)
+    coords = basis.coords(np.asarray(rho0, dtype=complex).reshape(d * d, order="F"))
+    # real and imaginary parts as two real columns: rho0 need not be Hermitian
+    x = np.stack([coords.real, coords.imag], axis=1)
     for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _collapse=collapse)
-        v = expm(grid.dt * gen) @ v
-    return v.reshape(d, d, order="F")
+        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _terms=terms)
+        x = expm(grid.dt * gen) @ x
+    return basis.vec(x[:, 0] + 1.0j * x[:, 1]).reshape(d, d, order="F")
 
 
 def fd_taylor_block(
@@ -185,9 +212,9 @@ def haar_mc_agf(
 
 
 # Bytes of one (chunk, d^2, d^2) complex channel stack in noise_sweep.  The
-# stacked Pade keeps about a dozen stacks of that size alive, so this bounds
-# a sweep's memory at any sample count; a 2-qubit sweep of up to 4096
-# samples is still a single chunk.
+# stacked Pade keeps about a dozen stacks of that count alive, real ones of
+# half that size, so this bounds a sweep's memory at any sample count; a
+# 2-qubit sweep of up to 4096 samples is still a single chunk.
 _SWEEP_STACK_BYTES = 2**24
 
 
@@ -221,16 +248,15 @@ def noise_sweep(
     count: int,
 ) -> NoiseSweepResult:
     """Average-gate-fidelity statistics of a control under sampled
-    uncertainty strengths; one exact channel construction per chunk of
-    samples (each chunk's channel stack within _SWEEP_STACK_BYTES), then
-    each sample's fidelity."""
+    uncertainty strengths; per chunk of samples (each chunk's channel
+    stack within _SWEEP_STACK_BYTES) one exact channel construction and
+    one stacked fidelity."""
     if dist.sigmas.size != model.n_uncertainties:
         raise ValueError("distribution dimension must match the uncertainty count")
     eps = dist.sample(count)
     chunk = max(1, _SWEEP_STACK_BYTES // (16 * model.dim**4))
-    fids = np.array([
-        avg_gate_fidelity(c, u_target)
-        for lo in range(0, count, chunk)
-        for c in noisy_channel_super(model, grid, eps[lo:lo + chunk])
-    ])
+    fids = np.empty(count)
+    for lo in range(0, count, chunk):
+        chans = noisy_channel_super(model, grid, eps[lo:lo + chunk])
+        fids[lo:lo + chunk] = avg_gate_fidelity(chans, u_target)
     return NoiseSweepResult(eps=eps, fidelities=fids)

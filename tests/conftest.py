@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustpulse.augment import mat_commutator, state_to_vec, vec_to_state
-from robustpulse.linalg import expm, kron
+from robustpulse.linalg import HermitianBasis, expm, kron
 from robustpulse.model import attach_uncertainties, build_spin_chain, random_grid
 
 
@@ -27,6 +27,12 @@ def over_cap_chain():
 
 def small_grid(model, n_steps=8, dt=0.5, seed=3, max_amp=0.3):
     return random_grid(len(model.controls), n_steps, dt, -max_amp, max_amp, seed=seed)
+
+
+def hermitian_basis_matrix(d):
+    """The dense unitary T of linalg.HermitianBasis(d), column by column."""
+    basis = HermitianBasis(d)
+    return np.stack([basis.vec(e) for e in np.eye(d * d)], axis=1)
 
 
 def random_density(d, rng):

@@ -3,12 +3,17 @@ import pytest
 import scipy.linalg
 
 from robustpulse.linalg import (
+    HermitianBasis,
     expm,
     is_hermitian,
     kron,
     kron_all,
+    mat_commutator,
+    mat_lindblad,
     vec,
 )
+
+from conftest import hermitian_basis_matrix
 
 
 def test_expm_identity_and_zero():
@@ -54,10 +59,13 @@ def test_expm_rejects_bad_input():
         expm(np.array([[np.nan, 0], [0, 1.0]]))
 
 
-def _stack_straddling_theta13(rng, n, count):
-    """Random complex stack whose 1-norms run from well below to well above
-    the Pade(13) threshold, so the scaling exponent differs by member."""
-    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+def _stack_straddling_theta13(rng, n, count, real=False):
+    """Random stack, complex unless ``real``, whose 1-norms run from well
+    below to well above the Pade(13) threshold, so the scaling exponent
+    differs by member."""
+    a = rng.standard_normal((count, n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((count, n, n))
     norms = 5.371920351148152 * 2.0 ** np.linspace(-3.0, 6.5, count)
     return a * (norms / np.linalg.norm(a, 1, axis=(-2, -1)))[:, None, None]
 
@@ -81,6 +89,23 @@ def test_stacked_expm_matches_scipy():
         want = scipy.linalg.expm(a[j])
         denom = max(np.max(np.abs(want)), 1.0)
         assert np.max(np.abs(got[j] - want)) / denom < 1e-13, j
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_real_expm_stays_real_and_matches_scipy(n):
+    """Real input gives a float64 exponential, equal to scipy's to 1e-12
+    relative (the bound of the complex scales test), including members whose norm forces squarings; each member
+    equals its lone run bit for bit."""
+    a = _stack_straddling_theta13(np.random.default_rng(20 + n), n, 9, real=True)
+    got = expm(a)
+    assert got.dtype == np.float64
+    for j in range(a.shape[0]):
+        lone = expm(a[j])
+        assert lone.dtype == np.float64
+        assert np.array_equal(got[j], lone), j
+        want = scipy.linalg.expm(a[j])
+        denom = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got[j] - want)) / denom < 1e-12, j
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -123,3 +148,50 @@ def test_kron_all_matches_chained_kron():
 def test_is_hermitian():
     assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
     assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_hermitian_basis_is_unitary_and_sparse(d):
+    """T is unitary, has at most two nonzeros per row and per column, and
+    maps real coordinates to Hermitian matrices."""
+    t = hermitian_basis_matrix(d)
+    assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) < 1e-15
+    assert np.count_nonzero(t, axis=0).max() <= 2
+    assert np.count_nonzero(t, axis=1).max() <= 2
+    for col in t.T:
+        assert is_hermitian(col.reshape(d, d, order="F"), tol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_basis_round_trips(d):
+    """A Lindblad generator becomes the real T^dag M T and maps back; a
+    real matrix maps to T R T^dag and back; a vector's coordinates map
+    back to the vector."""
+    rng = np.random.default_rng(d)
+    basis = HermitianBasis(d)
+    t = hermitian_basis_matrix(d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    gen = mat_lindblad(a + a.conj().T, [(rng.standard_normal((d, d)) + 0j, 0.3)])
+    real = basis.real_map(gen, "generator")
+    assert real.dtype == np.float64
+    assert np.max(np.abs(real - t.conj().T @ gen @ t)) < 1e-14
+    assert np.max(np.abs(basis.complex_map(real) - gen)) < 1e-14
+    r = rng.standard_normal((3, d * d, d * d))
+    back = basis.complex_map(r)
+    assert np.max(np.abs(back - t @ r @ t.conj().T)) < 1e-14
+    assert np.max(np.abs(basis.real_map(back, "stack") - r)) < 1e-14
+    v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    assert np.max(np.abs(basis.coords(v) - t.conj().T @ v)) < 1e-15
+    assert np.max(np.abs(basis.vec(basis.coords(v)) - v)) < 1e-15
+
+
+def test_hermitian_basis_rejects_a_map_that_breaks_hermiticity():
+    """-i[e, .] with e not Hermitian, and rho -> A rho, have no real form;
+    the error names the term."""
+    rng = np.random.default_rng(9)
+    basis = HermitianBasis(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="control 2 does not preserve Hermiticity"):
+        basis.real_map(mat_commutator(a), "control 2")
+    with pytest.raises(ValueError, match="left product"):
+        basis.real_map(kron(np.eye(3), a + a.conj().T), "left product")

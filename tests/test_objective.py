@@ -164,6 +164,24 @@ def test_process_fidelity_identity_and_depolarizing():
         assert avg_gate_fidelity(s_dep, u) == pytest.approx(1.0 / d)
 
 
+def test_stacked_fidelities_equal_their_lone_calls_bit_for_bit():
+    """A (..., d^2, d^2) stack gives one fidelity per member, each equal to
+    the 2-D call on that member, whatever the stack's memory layout."""
+    rng = np.random.default_rng(6)
+    d = 4
+    u = preset_unitary("cnot", d)
+    chans = rng.standard_normal((6, d * d, d * d)) + 1j * rng.standard_normal((6, d * d, d * d))
+    for stack in (chans, np.asfortranarray(chans), chans.reshape(2, 3, d * d, d * d)):
+        got = avg_gate_fidelity(stack, u)
+        assert got.shape == stack.shape[:-2]
+        flat = got.reshape(-1)
+        for j in range(6):
+            assert flat[j] == avg_gate_fidelity(chans[j], u), j
+            assert isinstance(avg_gate_fidelity(chans[j], u), float)
+    with pytest.raises(ValueError, match="dimension"):
+        process_fidelity(chans[:, :4], u)
+
+
 def test_avg_gate_fidelity_matches_haar_average():
     """The closed-form fidelity equals the Haar integral (Monte Carlo)."""
     rng = np.random.default_rng(5)

@@ -8,12 +8,19 @@ certify.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustpulse import oracle
 from robustpulse.augment import MultiIndexSet, initial_state, mat_lindblad
-from robustpulse.linalg import kron, vec
+from robustpulse.linalg import HermitianBasis, kron, vec
 from robustpulse.gates import preset_unitary
-from robustpulse.model import NoiseDistribution, build_spin_chain, attach_uncertainties
+from robustpulse.model import (
+    ControlGrid,
+    NoiseDistribution,
+    attach_uncertainties,
+    build_spin_chain,
+    mhz_to_radns,
+)
 from robustpulse.objective import avg_gate_fidelity
 from robustpulse.oracle import (
     fd_taylor_block,
@@ -25,14 +32,22 @@ from robustpulse.oracle import (
 )
 from robustpulse.propagate import propagate_final
 
-from conftest import random_density, small_grid
+from conftest import hermitian_basis_matrix, random_density, small_grid
+
+
+def _in_basis(m, d):
+    """T^dag M T with the dense unitary T of the Hermitian basis."""
+    t = hermitian_basis_matrix(d)
+    return t.conj().T @ m @ t
 
 
 def test_noisy_liouvillian_nominal_matches_block_generator(one_qubit):
-    """At eps = 0 the oracle generator equals the package's Lindblad matrix."""
+    """At eps = 0 the oracle generator is the package's Lindblad matrix in
+    the Hermitian basis, and it is real."""
     amps = np.array([0.2, -0.1])
     got = noisy_liouvillian(one_qubit, amps, np.zeros(1))
-    want = mat_lindblad(one_qubit.hamiltonian(amps), one_qubit.lindblads)
+    want = _in_basis(mat_lindblad(one_qubit.hamiltonian(amps), one_qubit.lindblads), 2)
+    assert got.dtype == np.float64
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -43,7 +58,7 @@ def test_noisy_liouvillian_adds_uncertainty(one_qubit):
     base = noisy_liouvillian(one_qubit, amps, np.zeros(1))
     e = one_qubit.uncertainties[0]
     ident = np.eye(2, dtype=complex)
-    drive = -1j * (kron(ident, e) - kron(e.T, ident)) * 0.3
+    drive = _in_basis(-1j * (kron(ident, e) - kron(e.T, ident)) * 0.3, 2)
     assert np.max(np.abs(got - base - drive)) < 1e-13
 
 
@@ -259,35 +274,81 @@ def test_wrong_strength_width_is_rejected(two_qubit, eps):
 
 
 def test_collapse_terms_are_built_once_per_propagation(two_qubit, monkeypatch):
-    """The collapse terms depend on neither the step nor the sample: an
-    n-step channel or state propagation builds them once (three np.kron per
-    collapse operator), not once per step; each step's Hamiltonian part
-    takes two more."""
+    """The generator terms depend on neither the step nor the sample: an
+    n-step channel or state propagation builds them once (two np.kron for
+    all the -i[H, .] terms, three per collapse operator), and no step calls
+    np.kron, so the count stays within the 2n + 3k of a per-step rebuild."""
     grid = small_grid(two_qubit, n_steps=5)
     eps = np.array([[0.07, -0.02], [0.3, 0.11]])
     n, k = grid.n_steps, len(two_qubit.lindblads)
-    calls = []
-    real = np.kron
+    calls, builds = [], []
+    real_kron, real_terms = np.kron, oracle._generator_terms
 
     def counted(*args):
         calls.append(1)
-        return real(*args)
+        return real_kron(*args)
+
+    def built(*args):
+        builds.append(1)
+        return real_terms(*args)
 
     monkeypatch.setattr(np, "kron", counted)
+    monkeypatch.setattr(oracle, "_generator_terms", built)
     noisy_channel_super(two_qubit, grid, eps)
-    assert len(calls) == 2 * n + 3 * k
+    assert len(builds) == 1
+    assert len(calls) == 2 + 3 * k <= 2 * n + 3 * k
     calls.clear()
+    builds.clear()
     propagate_noisy_exact(two_qubit, grid, np.eye(4, dtype=complex) / 4, eps[0])
-    assert len(calls) == 2 * n + 3 * k
+    assert len(builds) == 1
+    assert len(calls) == 2 + 3 * k
 
 
 def test_channel_steps_equal_the_direct_generator(two_qubit):
-    """Reusing the collapse terms changes no bit: the channel equals the
-    product of step exponentials of noisy_liouvillian's direct result."""
+    """Reusing the generator terms changes no bit: the channel equals the
+    product of step exponentials of noisy_liouvillian's direct result,
+    mapped back from the Hermitian basis."""
     grid = small_grid(two_qubit, n_steps=4, seed=5)
     eps = np.array([[0.07, -0.02], [0.3, 0.11]])
-    want = np.eye(16, dtype=complex)
+    want = np.eye(16)
     for step in range(grid.n_steps):
         gen = noisy_liouvillian(two_qubit, grid.amplitudes[:, step], eps)
         want = oracle.linalg.expm(grid.dt * gen) @ want
+    assert want.dtype == np.float64
+    want = HermitianBasis(4).complex_map(want)
     assert np.array_equal(noisy_channel_super(two_qubit, grid, eps), want)
+
+
+def _agf_scipy(model, grid, eps, u_target):
+    """Average gate fidelity of the noisy channel built from the model
+    operators with np.kron and scipy's expm, column-stacking convention."""
+    d = model.dim
+    ident = np.eye(d)
+    s = np.eye(d * d, dtype=complex)
+    for amps in grid.amplitudes.T:
+        h = model.drift + sum(u * hc for u, hc in zip(amps, model.controls))
+        h = h + sum(e * op for e, op in zip(eps, model.uncertainties))
+        gen = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+        for c, gamma in model.lindblads:
+            cdc = c.conj().T @ c
+            gen = gen + gamma * (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
+                                 - 0.5 * np.kron(cdc.T, ident))
+        s = scipy.linalg.expm(grid.dt * gen) @ s
+    s_u = np.kron(u_target.conj(), u_target)
+    f_pro = float(np.real(np.vdot(s_u, s))) / d**2
+    return (d * f_pro + 1.0) / (d + 1.0)
+
+
+def test_sweep_agrees_with_an_independent_scipy_reference():
+    """Three samples of a 2-qubit CNOT sweep of a pulse spanning the full
+    +-100 MHz box agree to 1e-10 with channels that use neither the
+    Hermitian basis nor the package's expm."""
+    model = attach_uncertainties(build_spin_chain(2), "edges")
+    bound = mhz_to_radns(100.0)
+    amps = np.random.default_rng(901).uniform(-bound, bound, (len(model.controls), 40))
+    grid = ControlGrid(0.5, amps, -bound, bound)
+    u = preset_unitary("cnot", 4)
+    dist = NoiseDistribution("normal", [mhz_to_radns(2.0)] * 2, seed=902)
+    result = noise_sweep(model, grid, u, dist, 9)
+    for i in (0, 4, 8):
+        assert abs(result.fidelities[i] - _agf_scipy(model, grid, result.eps[i], u)) <= 1e-10, i

@@ -26,10 +26,11 @@ from robustpulse.augment import (
     step_propagator_expm,
     vec_to_state,
 )
-from robustpulse.linalg import expm, scaling_exponent
+from robustpulse import oracle
+from robustpulse.linalg import HermitianBasis, expm, mat_lindblad, scaling_exponent
 from robustpulse.model import ControlGrid, NoiseDistribution, OpenSystemModel
 from robustpulse.objective import avg_gate_fidelity
-from robustpulse.oracle import noise_sweep, propagate_noisy_exact
+from robustpulse.oracle import noise_sweep, noisy_liouvillian, propagate_noisy_exact
 from robustpulse import propagate
 from robustpulse.propagate import (
     BACKENDS,
@@ -44,7 +45,7 @@ from robustpulse.propagate import (
     trotter_backward_with_gradient,
 )
 
-from conftest import dense_step_reference, random_density, random_hermitian
+from conftest import dense_step_reference, hermitian_basis_matrix, random_density, random_hermitian
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -348,3 +349,22 @@ def test_noise_sweep_matches_per_sample_state_propagation(problem, kind):
             for e in units
         ], axis=1)
         assert abs(fid - avg_gate_fidelity(chan, u_target)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_oracle_generator_terms_are_real(problem):
+    """Every term of the oracle's generator passes the Hermitian basis's
+    realness check, and the generator they sum to is the Lindblad matrix
+    in that basis."""
+    model, _mset, grid, rng = problem
+    d, m = model.dim, model.n_uncertainties
+    fixed, controls, uncertainties = oracle._generator_terms(model, HermitianBasis(d))
+    for terms, count in ((fixed[None], 1), (controls, len(model.controls)), (uncertainties, m)):
+        assert terms.dtype == np.float64
+        assert terms.shape == (count, d * d, d * d)
+    amps, eps = grid.amplitudes[:, 0], rng.uniform(-0.3, 0.3, m)
+    h = model.hamiltonian(amps) + sum(e * op for e, op in zip(eps, model.uncertainties))
+    t = hermitian_basis_matrix(d)
+    want = t.conj().T @ mat_lindblad(h, model.lindblads) @ t
+    assert np.max(np.abs(noisy_liouvillian(model, amps, eps) - want)) <= 1e-13
