@@ -142,13 +142,16 @@ class HermitianBasis:
             for a in range(2) for b in range(2)
         ))
 
-    def real_map(self, m: np.ndarray, name: str) -> np.ndarray:
+    def real_map(self, m: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
         """T^dag M T of a superoperator (or a stack of them) as a real
         array.  Raises if its imaginary part exceeds roundoff, 1e-12
-        relative, which means ``name`` does not preserve Hermiticity."""
+        relative to ``scale`` (the size of what built M, by default M's
+        largest entry), which means ``name`` does not preserve Hermiticity."""
         m = np.asarray(m)
         out = self._sandwich(self._tdag, m)
-        if np.max(np.abs(out.imag), initial=0.0) > 1e-12 * np.max(np.abs(m), initial=0.0):
+        if scale is None:
+            scale = np.max(np.abs(m), initial=0.0)
+        if np.max(np.abs(out.imag), initial=0.0) > 1e-12 * scale:
             raise ValueError(f"{name} does not preserve Hermiticity: it is not real "
                              "in the Hermitian basis")
         return np.ascontiguousarray(out.real)

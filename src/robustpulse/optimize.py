@@ -1,14 +1,16 @@
 """Gradient-based pulse optimisation.
 
-Two gradient routes: the first-order route pairs co-states and states
-around each step under an exact backend, ``expm`` or ``ode`` as
-:func:`propagate.exact_backend` picks it for a gradient, while the
-splitting route differentiates the Trotter step's two control factors
-exactly via the product rule, making the gradient of the splitting
-objective exact to machine precision.  Both routes optimise a gate
-objective (a state task is the gate objective with one input state):
-its input states are propagated as one batch, with the weights folded
-into the terminal co-states so that one backward sweep gives the
+One gradient sweep with two pairings: GRAPE runs the exact backend,
+``expm`` or ``ode`` as :func:`propagate.exact_backend` picks it for a
+gradient, and ST-GRAPE the splitting backend; both take a forward sweep
+and then :func:`propagate.propagate_backward` given its cache.  The
+exact backends pair co-state and state after each step, a gradient
+first order in dt; the splitting backend differentiates the Trotter
+step's two control factors by the product rule, making the gradient of
+the splitting objective exact to machine precision.  Both optimise a
+gate objective (a state task is the gate objective with one input
+state): its input states are propagated as one batch, with the weights
+folded into the terminal co-states so that one backward sweep gives the
 weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
@@ -51,9 +53,8 @@ from .propagate import (
     propagate_final,
     propagate_forward,
     step_propagator_expm,  # not called here: perfbench/tracer.py wraps it here
-    trotter_backward_with_gradient,
+    trotter_backward_with_gradient,  # not called here: perfbench/tracer.py wraps it here
 )
-from . import kernels
 
 __all__ = [
     "OptimizerConfig",
@@ -175,7 +176,7 @@ def lbfgs_bounded_step(
     return None, None
 
 
-# ----------------------------------------------------------- gradient routes
+# ------------------------------------------------------------------ gradient
 
 
 class _Timers:
@@ -221,21 +222,29 @@ def _terminal_costates(finals: np.ndarray, obj: GateObjective) -> np.ndarray:
     return np.stack([w * costate_J(f, o) for w, f, o in zip(obj.weights, finals, obj.per_state)])
 
 
-def _pair_gradient(
+def _gradient(
+    backend: str,
     model: OpenSystemModel,
+    mset: MultiIndexSet,
     grid: ControlGrid,
-    fwd_states: np.ndarray,
-    bwd_states: np.ndarray,
-) -> np.ndarray:
-    """First-order gradient: dt * Im sum_b tr(O_b(t_{k+1})^dag [H_c, rho_b(t_{k+1})]),
-    summed over the blocks of every state in the batch.  That sum is
-    tr(H_c M_k), with M_k the step's one d x d pairing matrix."""
-    pairings = np.stack([
-        kernels.control_pairing(bwd_states[k + 1], fwd_states[k + 1])
-        for k in range(grid.n_steps)
-    ])
-    # tr(H M) = sum_ij H[i, j] M[j, i]
-    return grid.dt * np.einsum("cij,kji->ck", np.stack(model.controls), pairings).imag
+    obj: GateObjective,
+    plan: TrotterPlan | None = None,
+    timers: _Timers | None = None,
+):
+    """(J, gradient) of ``obj`` under ``backend``: the input states forward
+    as one batch, then one adjoint sweep from the weighted terminal
+    co-states, whose gradient pairing the backend picks (see
+    :func:`propagate.propagate_backward`).  ``timers`` books the forward
+    and backward sweeps."""
+    clock = timers or _Timers()
+    with clock.phase("forward"):
+        state0 = initial_state(mset, np.stack(obj.state0s))
+        fwd = propagate_forward(backend, model, mset, grid, state0, plan=plan)
+        j_val = gate_objective(fwd.final, obj)
+    with clock.phase("backward"):
+        costate_T = _terminal_costates(fwd.final, obj)
+        bwd = propagate_backward(backend, model, mset, grid, costate_T, plan=plan, fwd=fwd)
+    return j_val, bwd.grad
 
 
 def grape_gradient(
@@ -244,29 +253,17 @@ def grape_gradient(
     grid: ControlGrid,
     obj: RobustStateObjective | GateObjective,
     backend: str = "expm",
-    timers: _Timers | None = None,
 ):
     """First-order objective gradient under the exact ``backend``.
 
     ``obj``'s input states are propagated as one batch; a state objective
     is taken as its one-state gate objective.  Returns (J, gradient) with
     gradient shaped (n_channels, n_steps).  The gradient's error relative
-    to finite differences of J shrinks linearly with dt.  ``timers`` books
-    the forward and backward sweeps.
+    to finite differences of J shrinks linearly with dt.
     """
     if backend not in ("expm", "ode"):
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
-    obj = as_gate_objective(obj)
-    clock = timers or _Timers()
-    with clock.phase("forward"):
-        state0 = initial_state(mset, np.stack(obj.state0s))
-        fwd = propagate_forward(backend, model, mset, grid, state0)
-        j_val = gate_objective(fwd.final, obj)
-    with clock.phase("backward"):
-        costate_T = _terminal_costates(fwd.final, obj)
-        bwd = propagate_backward(backend, model, mset, grid, costate_T, fwd=fwd)
-        grad = _pair_gradient(model, grid, fwd.states, bwd.states)
-    return j_val, grad
+    return _gradient(backend, model, mset, grid, as_gate_objective(obj))
 
 
 def stgrape_gradient(
@@ -275,26 +272,15 @@ def stgrape_gradient(
     mset: MultiIndexSet,
     grid: ControlGrid,
     obj: RobustStateObjective | GateObjective,
-    timers: _Timers | None = None,
 ):
     """Exact gradient of the splitting-propagated objective.
 
     ``obj``'s input states are propagated as one batch; a state objective
     is taken as its one-state gate objective.  Returns (J_hat, gradient);
     the gradient matches central finite differences of the splitting
-    objective to roundoff.  ``timers`` books the forward and backward sweeps.
+    objective to roundoff.
     """
-    obj = as_gate_objective(obj)
-    clock = timers or _Timers()
-    with clock.phase("forward"):
-        state0 = initial_state(mset, np.stack(obj.state0s))
-        fwd = propagate_forward("trotter", model, mset, grid, state0, plan=plan)
-        j_hat = gate_objective(fwd.final, obj)
-    with clock.phase("backward"):
-        grad = trotter_backward_with_gradient(
-            plan, model, mset, grid, fwd, _terminal_costates(fwd.final, obj)
-        )
-    return j_hat, grad
+    return _gradient("trotter", model, mset, grid, as_gate_objective(obj), plan=plan)
 
 
 # --------------------------------------------------------------- run drivers
@@ -333,16 +319,9 @@ class _GateTask:
             return gate_objective(self._final(self._grid(x), self.backend), self.obj)
 
     def eval_grad(self, x):
-        grid = self._grid(x)
-        if self.method == "stgrape":
-            j_val, grad = stgrape_gradient(
-                self.plan, self.model, self.mset, grid, self.obj, timers=self.timers
-            )
-        else:
-            j_val, grad = grape_gradient(
-                self.model, self.mset, grid, self.obj, backend=self.backend,
-                timers=self.timers,
-            )
+        j_val, grad = _gradient(
+            self.backend, self.model, self.mset, self._grid(x), self.obj, self.plan, self.timers
+        )
         return j_val, grad.ravel()
 
     def true_objective(self, x) -> float:

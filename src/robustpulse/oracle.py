@@ -48,18 +48,22 @@ def _generator_terms(model: OpenSystemModel, basis: HermitianBasis) -> tuple:
     ops = np.array([model.drift, *model.controls, *model.uncertainties])
     # column-stacking: rho A B -> (B^T kron A) vec(rho); all -i[H, .] at once
     comm = -1.0j * (np.kron(ident[None], ops) - np.kron(ops.swapaxes(-1, -2), ident[None]))
-    fixed = comm[0]
+    # realness is judged against the operators that build a term, which can
+    # cancel to roundoff; max |cdc| bounds every entry of a collapse term
+    scales = np.max(np.abs(ops), axis=(1, 2))
+    fixed, fixed_scale = comm[0], scales[0]
     for c, gamma in model.lindblads:
         cdc = c.conj().T @ c
         fixed = fixed + gamma * (
             np.kron(np.conj(c), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident)
         )
+        fixed_scale = max(fixed_scale, gamma * np.max(np.abs(cdc)))
     n_c = len(model.controls)
     names = [f"control {i}" for i in range(n_c)]
     names += [f"uncertainty {j}" for j in range(model.n_uncertainties)]
-    real = [basis.real_map(term, name) for term, name in zip(comm[1:], names)]
+    real = [basis.real_map(t, name, s) for t, name, s in zip(comm[1:], names, scales[1:])]
     real = np.array(real).reshape(-1, d * d, d * d)
-    return basis.real_map(fixed, "drift plus dissipator"), real[:n_c], real[n_c:]
+    return basis.real_map(fixed, "drift plus dissipator", fixed_scale), real[:n_c], real[n_c:]
 
 
 def noisy_liouvillian(

@@ -5,8 +5,8 @@ piecewise-constant control step:
 
 * ``expm``   - the step propagator exp(dt * G), exponentiated in the
   block algebra of the generator (``augment.step_propagator_expm``) and
-  applied to the blocks pair by pair in that algebra; the adjoint sweep
-  reuses the forward sweep's propagators.
+  applied to the blocks pair by pair in that algebra; the forward sweep
+  keeps each step's propagator as it builds it, for the adjoint sweep.
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -24,10 +24,10 @@ piecewise-constant control step:
 ``expm`` and ``ode`` agree to roundoff; :func:`exact_backend` picks the
 faster from the problem size and the sweeps per step exponential.
 
-All backends expose exact Hilbert-Schmidt adjoints so co-states can be
-propagated backwards, and the Trotter backend additionally supports an
-exact control-gradient sweep based on two cached intra-step states,
-which pairs each control factor through one d x d matrix.
+All backends expose exact Hilbert-Schmidt adjoints.  The one adjoint
+sweep, :func:`propagate_backward`, given a forward cache also pairs each
+step for the control gradient: by the product rule over the Trotter
+step's two control factors, or to first order after an exact step.
 
 Every step and propagation loop takes one augmented state (N, d, d) or a
 batch of independent states (S, N, d, d) with the same controls; the
@@ -143,19 +143,17 @@ def exact_backend(model: OpenSystemModel, mset: MultiIndexSet, passes: int) -> s
 
 @dataclass
 class StepCache:
-    """Recorded states at every grid time, plus what the adjoint sweep reuses.
-
-    ``states[k]`` is the block state at t_k for k = 0..N_T, shaped
-    (N, d, d) or, for a batch, (S, N, d, d).
-    For the Trotter forward pass, ``pre_ctl[k]`` and ``mid_ctl[k]`` hold
-    the state immediately before the first and the second control factor
-    of step k.  For ``expm``, ``props[k]`` is step k's block propagator.
-    """
+    """A sweep's block (or co-state) ``states[k]`` at t_k for k = 0..N_T,
+    shaped (N, d, d) or, for a batch, (S, N, d, d).  ``records[k]`` is
+    what forward step k leaves its adjoint, built as the step runs: the
+    ``expm`` step's block propagator, or the Trotter states (pre, mid)
+    just before its two control factors; ``ode`` leaves none.  ``grad`` is
+    the control gradient of an adjoint sweep given a forward cache."""
 
     states: np.ndarray
-    pre_ctl: np.ndarray | None = None
-    mid_ctl: np.ndarray | None = None
-    props: list | None = None
+    backend: str
+    records: list = field(default_factory=list)
+    grad: np.ndarray | None = None
 
     @property
     def final(self) -> np.ndarray:
@@ -662,37 +660,68 @@ def _stepper(
     mset: MultiIndexSet,
     grid: ControlGrid,
     plan: TrotterPlan | None,
-    props: list | None = None,
+    fwd: StepCache | None = None,
 ):
     """The backend's map ``step(k, blocks, adjoint=False, record=None)``
-    over step k of ``grid``; ``record`` is a (pre, mid) pair of slots that
-    only the Trotter forward step fills.
-    A Trotter plan is built when none is given, and the control factors
-    of every step once, here; ``props`` are the ``expm`` step propagators."""
+    over step k of ``grid``, and ``gradient()``, the control gradient
+    (n_channels, n_steps) that its adjoint steps gather given ``fwd``.
+
+    A forward step appends to the list ``record`` what its adjoint
+    reuses.  Given ``fwd``, the same backend's forward cache, adjoint
+    step k reuses ``fwd.records[k]`` and pairs for the gradient: by the
+    product rule over the Trotter step's two control factors, or for
+    ``expm`` and ``ode`` to first order, dt Im tr(O_{k+1}^dag [H_c,
+    rho_{k+1}]) summed over all blocks, which is tr(H_c M_k) with M_k the
+    step's one d x d pairing matrix.  A Trotter plan is built when none
+    is given, and the control factors of every step once, here."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    amps, dt = grid.amplitudes, grid.dt
-    if backend == "expm":
-        def step(k, blocks, adjoint=False, record=None):
-            prop = step_propagator_expm(model, mset, amps[:, k], dt) if props is None else props[k]
-            return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
-    elif backend == "ode":
-        def step(k, blocks, adjoint=False, record=None):
-            return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
-    else:
+    amps, dt, n_t = grid.amplitudes, grid.dt, grid.n_steps
+    if fwd is not None and fwd.backend != backend:
+        raise ValueError(f"forward cache comes from the {fwd.backend!r} backend, not {backend!r}")
+    if fwd is not None and len(fwd.states) != n_t + 1:
+        raise ValueError(
+            f"forward cache has {len(fwd.states) - 1} steps where the grid has {n_t}"
+        )
+    if backend == "trotter":
         if plan is None:
             plan = make_trotter_plan(model, dt)
-        factors = control_factors(plan, amps)
+        factors = control_factors(plan, amps, readers=fwd is not None)
+        grad = np.zeros((grid.n_channels, n_t))
 
         def step(k, blocks, adjoint=False, record=None):
             if adjoint:
+                pre, mid = (None, None) if fwd is None else fwd.records[k]
                 return step_trotter_adjoint(
-                    plan, model, mset, blocks, amps[:, k], factors=factors.at(k)
+                    plan, model, mset, blocks, amps[:, k], pre=pre, mid=mid,
+                    grad_col=None if fwd is None else grad[:, k], factors=factors.at(k),
                 )
+            slots = None
+            if record is not None:
+                slots = (np.empty_like(blocks), np.empty_like(blocks))
+                record.append(slots)
             return step_trotter(
-                plan, model, mset, blocks, amps[:, k], record=record, factors=factors.at(k)
+                plan, model, mset, blocks, amps[:, k], record=slots, factors=factors.at(k)
             )
-    return step
+        return step, lambda: grad
+
+    pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
+
+    def step(k, blocks, adjoint=False, record=None):
+        reuse = adjoint and fwd is not None
+        if reuse:
+            pairings[k] = kernels.control_pairing(blocks, fwd.states[k + 1])
+        if backend == "ode":
+            return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
+        prop = fwd.records[k] if reuse else step_propagator_expm(model, mset, amps[:, k], dt)
+        if record is not None:
+            record.append(prop)
+        return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
+
+    def gradient():
+        # tr(H M) = sum_ij H[i, j] M[j, i]
+        return dt * np.einsum("cij,kji->ck", np.stack(model.controls), pairings).imag
+    return step, gradient
 
 
 def propagate_forward(
@@ -704,29 +733,18 @@ def propagate_forward(
     plan: TrotterPlan | None = None,
 ) -> StepCache:
     """Propagate an augmented state over the whole grid, caching every
-    intermediate state and what the adjoint sweep reuses: the Trotter
-    intra-step states of the exact control gradient, or the ``expm`` step
-    propagators.  Those are all built before the first step and held
-    together, n_t block elements of N d^4 numbers each; a forward-only
-    caller that needs just the final state uses :func:`propagate_final`,
-    which holds one at a time."""
-    n_t, amps = grid.n_steps, grid.amplitudes
-    props = None if backend != "expm" else [
-        step_propagator_expm(model, mset, amps[:, k], grid.dt) for k in range(n_t)
-    ]
-    step = _stepper(backend, model, mset, grid, plan, props)
-    states = np.empty((n_t + 1,) + state0.shape, dtype=complex)
-    states[0] = state0
-    pre = mid = None
-    if backend == "trotter":
-        pre = np.empty((n_t,) + state0.shape, dtype=complex)
-        mid = np.empty((n_t,) + state0.shape, dtype=complex)
+    intermediate state and what each step's adjoint reuses, as the steps
+    build it (:class:`StepCache`): by the end, for ``expm``, n_t block
+    elements of N d^4 numbers each; a forward-only caller that needs just
+    the final state uses :func:`propagate_final`, which holds one at a time."""
+    step, _ = _stepper(backend, model, mset, grid, plan)
+    cache = StepCache(np.empty((grid.n_steps + 1,) + state0.shape, dtype=complex), backend)
+    cache.states[0] = state0
     blocks = np.ascontiguousarray(state0, dtype=complex)
-    for k in range(n_t):
-        record = (pre[k], mid[k]) if pre is not None else None
-        blocks = step(k, blocks, record=record)
-        states[k + 1] = blocks
-    return StepCache(states=states, pre_ctl=pre, mid_ctl=mid, props=props)
+    for k in range(grid.n_steps):
+        blocks = step(k, blocks, record=cache.records)
+        cache.states[k + 1] = blocks
+    return cache
 
 
 def propagate_final(
@@ -738,7 +756,7 @@ def propagate_final(
     plan: TrotterPlan | None = None,
 ) -> np.ndarray:
     """Final augmented state only; no caching (line-search fast path)."""
-    step = _stepper(backend, model, mset, grid, plan)
+    step, _ = _stepper(backend, model, mset, grid, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):
         blocks = step(k, blocks)
@@ -759,18 +777,24 @@ def propagate_backward(
     Returns a cache whose ``states[k]`` is the co-state at t_k; the
     pairing <costate(t_k), state(t_k)> is step-invariant for the exact
     backends and exactly matches the Trotter map's true adjoint for the
-    trotter backend.  ``fwd``, the same backend's forward cache on the
-    same grid, lends the ``expm`` sweep its step propagators.
+    trotter backend.  Given ``fwd``, the same backend's forward cache on
+    the same grid, ``grad`` is the control gradient of the objective
+    whose terminal derivative is ``costate_T``: exact for the Trotter map,
+    first order in dt for the exact backends.  The pairings sum over a
+    batch, so weights folded into the co-states give the weighted
+    gradient in one sweep.
     """
-    step = _stepper(backend, model, mset, grid, plan, None if fwd is None else fwd.props)
+    step, gradient = _stepper(backend, model, mset, grid, plan, fwd)
     n_t = grid.n_steps
-    states = np.empty((n_t + 1,) + costate_T.shape, dtype=complex)
-    states[n_t] = costate_T
+    cache = StepCache(np.empty((n_t + 1,) + costate_T.shape, dtype=complex), backend)
+    cache.states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(n_t - 1, -1, -1):
         blocks = step(k, blocks, adjoint=True)
-        states[k] = blocks
-    return StepCache(states=states)
+        cache.states[k] = blocks
+    if fwd is not None:
+        cache.grad = gradient()
+    return cache
 
 
 def trotter_backward_with_gradient(
@@ -781,28 +805,9 @@ def trotter_backward_with_gradient(
     fwd: StepCache,
     costate_T: np.ndarray,
 ) -> np.ndarray:
-    """Exact gradient of the Trotter-propagated objective.
-
-    Uses the product rule over the two control factors of every step;
-    the forward cache must come from the Trotter backend.
-    Returns gradient array of shape (n_channels, n_steps) for the
-    objective whose terminal derivative is ``costate_T``.  For a batch,
-    ``costate_T`` holds one co-state per state and the pairings sum over
-    the batch, so weights folded into the co-states give the weighted
-    gradient in one sweep.
-    """
-    if fwd.pre_ctl is None or fwd.mid_ctl is None:
-        raise ValueError("forward cache lacks intra-step control states")
-    grad = np.zeros((grid.n_channels, grid.n_steps))
-    factors = control_factors(plan, grid.amplitudes, readers=True)
-    blocks = np.ascontiguousarray(costate_T, dtype=complex)
-    for k in range(grid.n_steps - 1, -1, -1):
-        blocks = step_trotter_adjoint(
-            plan, model, mset, blocks, grid.amplitudes[:, k],
-            pre=fwd.pre_ctl[k], mid=fwd.mid_ctl[k], grad_col=grad[:, k],
-            factors=factors.at(k),
-        )
-    return grad
+    """The Trotter :func:`propagate_backward` sweep's gradient; only the
+    benchmark's tracer still looks this name up."""
+    return propagate_backward("trotter", model, mset, grid, costate_T, plan=plan, fwd=fwd).grad
 
 
 def delta_st(

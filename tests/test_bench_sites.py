@@ -27,6 +27,7 @@ TRACER_ONLY = [
     "optimize._StateTask",
     "optimize.apply_supermatrix",
     "optimize.step_propagator_expm",
+    "optimize.trotter_backward_with_gradient",
     "propagate.apply_Ej",
     "propagate.apply_Ej_adjoint",
     "propagate.apply_L",

@@ -334,6 +334,29 @@ def test_expm_gradient_keeps_its_step_propagators_as_blocks():
     assert peak < 8 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("method", ["grape", "stgrape"])
+def test_eval_grad_runs_one_forward_and_one_backward_sweep(method, monkeypatch):
+    """Both methods take the gradient the same way: one forward sweep and
+    one adjoint sweep that reuses it, whatever the backend."""
+    model, mset, grid, obj = _state_problem()
+    task = _GateTask(model, mset, grid, as_gate_objective(obj), method)
+    calls = []
+
+    def spy(name):
+        real = getattr(optimize, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("propagate_forward", "propagate_backward", "trotter_backward_with_gradient"):
+        monkeypatch.setattr(optimize, name, spy(name))
+    _, grad = task.eval_grad(grid.amplitudes.ravel())
+    assert calls == ["propagate_forward", "propagate_backward"]
+    assert grad.shape == (grid.amplitudes.size,)
+
+
 def test_monitor_runs_the_rule_backend(monkeypatch):
     """At 3 qubits, order 1 (N d^2 = 192) the monitor's forward pass runs
     ``ode``, and its true J agrees with the ``expm`` propagation's."""

@@ -17,6 +17,7 @@ from robustpulse.gates import preset_unitary
 from robustpulse.model import (
     ControlGrid,
     NoiseDistribution,
+    OpenSystemModel,
     attach_uncertainties,
     build_spin_chain,
     mhz_to_radns,
@@ -317,6 +318,18 @@ def test_channel_steps_equal_the_direct_generator(two_qubit):
     assert want.dtype == np.float64
     want = HermitianBasis(4).complex_map(want)
     assert np.array_equal(noisy_channel_super(two_qubit, grid, eps), want)
+
+
+def test_a_generator_that_cancels_to_roundoff_is_real():
+    """On one level, a complex collapse operator's dissipator cancels to
+    roundoff; judged against the collapse operator and not against its
+    own entries, it passes the realness check, and the channel is the
+    identity."""
+    model = OpenSystemModel(
+        dim=1, drift=np.zeros((1, 1)), lindblads=[(np.array([[0.3 + 0.7j]]), 0.1)]
+    )
+    grid = ControlGrid(0.5, np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    assert np.array_equal(noisy_channel_super(model, grid, np.zeros(0)), np.eye(1))
 
 
 def _agf_scipy(model, grid, eps, u_target):

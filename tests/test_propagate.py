@@ -42,7 +42,6 @@ from robustpulse.propagate import (
     step_ode,
     step_trotter,
     step_trotter_adjoint,
-    trotter_backward_with_gradient,
 )
 
 from conftest import dense_step_reference, random_density, small_grid
@@ -155,7 +154,7 @@ def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
     s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
     calls = _count_calls(monkeypatch, _HALF_SITES)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    trotter_backward_with_gradient(plan, model, mset, grid, fwd, fwd.final)
+    propagate_backward("trotter", model, mset, grid, fwd.final, plan=plan, fwd=fwd)
     assert calls == Counter(_build_halves=1)
 
 
@@ -279,7 +278,7 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     propagate_backward("trotter", two_qubit, mset, grid, fwd.final, plan=plan)
     assert calls == Counter(control_factors=1, conjugate_blocks=n)
     calls.clear()
-    trotter_backward_with_gradient(plan, two_qubit, mset, grid, fwd, fwd.final)
+    propagate_backward("trotter", two_qubit, mset, grid, fwd.final, plan=plan, fwd=fwd)
     assert calls == Counter(control_factors=1, conjugate_blocks=2 * n, control_pairing=2 * n)
 
 
@@ -514,12 +513,30 @@ def test_forward_cache_layout(one_qubit):
     fwd = propagate_forward("trotter", one_qubit, mset, grid, s0)
     assert fwd.states.shape == (6, 2, 2, 2)
     assert np.array_equal(fwd.states[0], s0)
-    assert fwd.pre_ctl.shape == (5, 2, 2, 2)
-    assert fwd.mid_ctl.shape == (5, 2, 2, 2)
-    assert fwd.props is None
-    no_rec = propagate_forward("expm", one_qubit, mset, grid, s0)
-    assert no_rec.pre_ctl is None
-    assert [p.shape for p in no_rec.props] == [(2, 4, 4)] * 5
+    assert fwd.backend == "trotter" and fwd.grad is None
+    assert [(pre.shape, mid.shape) for pre, mid in fwd.records] == [((2, 2, 2), (2, 2, 2))] * 5
+    expm_fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
+    assert [p.shape for p in expm_fwd.records] == [(2, 4, 4)] * 5
+    assert propagate_forward("ode", one_qubit, mset, grid, s0).records == []
+
+
+def test_backward_sweep_rejects_a_forward_cache_of_another_backend(one_qubit):
+    mset = MultiIndexSet(1, 1)
+    grid = small_grid(one_qubit, n_steps=3, dt=0.5, seed=9)
+    s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
+    fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
+    with pytest.raises(ValueError, match="comes from the 'expm' backend, not 'trotter'"):
+        propagate_backward("trotter", one_qubit, mset, grid, fwd.final, fwd=fwd)
+
+
+def test_backward_sweep_rejects_a_forward_cache_of_another_step_count(one_qubit):
+    mset = MultiIndexSet(1, 1)
+    grid = small_grid(one_qubit, n_steps=3, dt=0.5, seed=9)
+    s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
+    fwd = propagate_forward("ode", one_qubit, mset, grid, s0)
+    longer = ControlGrid(grid.dt, np.tile(grid.amplitudes, 2), grid.lo, grid.hi)
+    with pytest.raises(ValueError, match="forward cache has 3 steps where the grid has 6"):
+        propagate_backward("ode", one_qubit, mset, longer, fwd.final, fwd=fwd)
 
 
 def test_exact_backend_picks_the_measured_winner():
@@ -620,7 +637,7 @@ def test_batch_axis_matches_single_states(two_qubit):
     grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=31)
     fwd = propagate_forward("trotter", two_qubit, mset, grid, batch, plan=plan)
     assert fwd.states.shape == (4,) + batch.shape
-    assert fwd.pre_ctl.shape == fwd.mid_ctl.shape == (3,) + batch.shape
+    assert [(pre.shape, mid.shape) for pre, mid in fwd.records] == [(batch.shape,) * 2] * 3
     for s in range(3):
         alone = propagate_final("trotter", two_qubit, mset, grid, batch[s], plan=plan)
         assert np.max(np.abs(fwd.final[s] - alone)) < 1e-12 * max(1.0, np.max(np.abs(alone)))

@@ -42,7 +42,6 @@ from robustpulse.propagate import (
     propagate_forward,
     step_trotter,
     step_trotter_adjoint,
-    trotter_backward_with_gradient,
 )
 
 from conftest import dense_step_reference, hermitian_basis_matrix, random_density, random_hermitian
@@ -84,7 +83,8 @@ def _random_blocks(rng, shape):
 @given(problems(), st.sampled_from([None, 2]))
 def test_forward_backward_pairing(problem, batch):
     """<a, F b> = <F^dag a, b> through the propagation loops, every backend,
-    for one state or a batch."""
+    for one state or a batch, with the adjoint sweep reusing the forward
+    cache as the gradient does."""
     model, mset, grid, rng = problem
     d = model.dim
     if batch is None:
@@ -96,7 +96,8 @@ def test_forward_backward_pairing(problem, batch):
     plan = make_trotter_plan(model, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, model, mset, grid, b, plan=plan)
-        bwd = propagate_backward(backend, model, mset, grid, a, plan=plan)
+        bwd = propagate_backward(backend, model, mset, grid, a, plan=plan, fwd=fwd)
+        assert bwd.grad.shape == grid.amplitudes.shape, backend
         lhs = np.vdot(a, fwd.final)
         rhs = np.vdot(bwd.states[0], b)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), backend
@@ -198,7 +199,7 @@ def test_trotter_gradient_matches_central_differences(problem):
     s0 = initial_state(mset, random_density(model.dim, rng))
     costate = _random_blocks(rng, s0.shape)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    grad = trotter_backward_with_gradient(plan, model, mset, grid, fwd, costate)
+    grad = propagate_backward("trotter", model, mset, grid, costate, plan=plan, fwd=fwd).grad
 
     def objective(amps):
         final = propagate_final("trotter", model, mset, grid.with_amplitudes(amps), s0, plan=plan)
@@ -223,6 +224,34 @@ def test_exact_backends_agree(problem):
     exact = propagate_final("expm", model, mset, grid, s0)
     action = propagate_final("ode", model, mset, grid, s0)
     assert quadrature_norm(action - exact) <= 1e-12 * quadrature_norm(exact)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 2]))
+def test_exact_backend_gradients_agree(problem, batch):
+    """The first-order gradients of the expm and ode adjoint sweeps, each
+    reusing its own forward cache, are dt Im tr(O_{k+1}^dag [H_c,
+    rho_{k+1}]) summed over every block of the sweeps' own states, and
+    agree to 1e-10 relative."""
+    model, mset, grid, rng = problem
+    d = model.dim
+    rho0 = random_density(d, rng) if batch is None else np.stack(
+        [random_density(d, rng) for _ in range(batch)]
+    )
+    s0 = initial_state(mset, rho0)
+    costate = _random_blocks(rng, s0.shape)
+    grads = []
+    for backend in ("expm", "ode"):
+        fwd = propagate_forward(backend, model, mset, grid, s0)
+        bwd = propagate_backward(backend, model, mset, grid, costate, fwd=fwd)
+        rho, o = fwd.states[1:], bwd.states[1:]
+        want = grid.dt * np.array([
+            [np.vdot(o[k], h @ rho[k] - rho[k] @ h).imag for k in range(grid.n_steps)]
+            for h in model.controls
+        ])
+        assert _relative_gap(bwd.grad, want) <= 1e-12, backend
+        grads.append(bwd.grad)
+    assert _relative_gap(grads[1], grads[0]) <= 1e-10
 
 
 @PROPERTY_SETTINGS
