@@ -91,6 +91,13 @@ def _read_pulse_csv(path: Path, template: ControlGrid) -> ControlGrid:
             "<pulse>",
             f"{path} has {n_channels} channels, model needs {template.n_channels}",
         )
+    wrong = next((i for i, row in enumerate(rows[1:], 1) if len(row) != n_channels + 1), None)
+    if wrong is not None:
+        raise ConfigError(
+            "<pulse>",
+            f"{path} has a malformed row: pulse row {wrong} has {len(rows[wrong])} columns, "
+            f"the header {n_channels + 1}",
+        )
     try:
         body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:

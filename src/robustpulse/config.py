@@ -8,6 +8,7 @@ key is wrong.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -174,12 +175,25 @@ def _coerce(path: str, value, target_type):
     raise ConfigError(path, f"unsupported config field type {target_type}")
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, reading as numbers what YAML 1.2 reads as
+    numbers: its YAML 1.1 resolver leaves an exponent without a dot or
+    without a sign, as in ``1e-8``, a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(source) -> RunConfig:
     """Parse and validate a YAML run file (path, or an already-loaded dict)."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError("<file>", f"not valid YAML ({exc})") from exc
     else:

@@ -115,7 +115,10 @@ class OpenSystemModel:
     """Drift + controls + dissipation + parametric uncertainty operators.
 
     All operators are d x d complex Hermitian except the collapse
-    operators, which are arbitrary d x d.
+    operators, which are arbitrary d x d.  The model says nothing about
+    how its controls split into commuting groups: the Trotter plan
+    (:func:`propagate.make_trotter_plan`) works that out from the control
+    operators themselves.
     """
 
     dim: int
@@ -123,10 +126,6 @@ class OpenSystemModel:
     controls: list = field(default_factory=list)
     lindblads: list = field(default_factory=list)  # (collapse op, rate 1/ns)
     uncertainties: list = field(default_factory=list)
-    # optional hints set by builders: channel index groups whose operators
-    # mutually commute, plus a shared diagonalizer per group
-    commuting_groups: list | None = None
-    group_diagonalizers: list | None = None
 
     def __post_init__(self):
         d = self.dim
@@ -297,22 +296,7 @@ def build_spin_chain(
         if gamma2 > 0:
             lindblads.append((_op_at(excited, i, n_qubits), gamma2))
 
-    # x channels (even indices) mutually commute, as do y channels;
-    # H kron ... kron H maps every sx_i to sz_i, and the y analogue below
-    # maps every sy_i to sz_i.
-    r_x = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    r_y = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
-    groups = [list(range(0, 2 * n_qubits, 2)), list(range(1, 2 * n_qubits, 2))]
-    diagonalizers = [kron_all([r_x] * n_qubits), kron_all([r_y] * n_qubits)]
-
-    return OpenSystemModel(
-        dim=d,
-        drift=drift,
-        controls=controls,
-        lindblads=lindblads,
-        commuting_groups=groups,
-        group_diagonalizers=diagonalizers,
-    )
+    return OpenSystemModel(dim=d, drift=drift, controls=controls, lindblads=lindblads)
 
 
 def attach_uncertainties(model: OpenSystemModel, kind: str) -> OpenSystemModel:

@@ -191,69 +191,52 @@ class TrotterPlan:
     halves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _commutes(a: np.ndarray, b: np.ndarray) -> bool:
-    scale = max(np.max(np.abs(a)) * np.max(np.abs(b)), 1.0)
-    return np.max(np.abs(a @ b - b @ a)) <= 1e-12 * scale
+def _commutes(h: np.ndarray, group: np.ndarray) -> bool:
+    """Whether Hermitian ``h`` commutes with every operator of ``group``
+    (n, d, d): [h, g] = h g - (h g)^dag, so one product per operator."""
+    prod = h @ group
+    scale = np.maximum(np.max(np.abs(h)) * np.max(np.abs(group), axis=(1, 2)), 1.0)
+    comm = np.abs(prod - np.conj(prod).swapaxes(1, 2))
+    return bool(np.all(comm <= 1e-12 * scale[:, None, None]))
 
 
-def _group_diagonalizer(ops, rng: np.random.Generator) -> np.ndarray:
-    """Unitary that simultaneously diagonalises a commuting Hermitian family."""
-    d = ops[0].shape[0]
+def _group_diagonalizer(ops: np.ndarray, rng: np.random.Generator) -> tuple:
+    """A unitary r that simultaneously diagonalises the commuting Hermitian
+    family ``ops`` (n, d, d), and the real diagonals (n, d) of r^dag h r:
+    the eigenbasis of a random combination, accepted once it leaves every
+    operator diagonal."""
+    n, d, _ = ops.shape
+    scale = 1e-10 * np.maximum(1.0, np.max(np.abs(ops), axis=(1, 2)))
     for _ in range(16):
-        weights = rng.standard_normal(len(ops))
-        combo = sum(w * h for w, h in zip(weights, ops))
-        _, r = np.linalg.eigh(combo)
-        ok = True
-        for h in ops:
-            t = r.conj().T @ h @ r
-            if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-10 * max(1.0, np.max(np.abs(h))):
-                ok = False
-                break
-        if ok:
-            return r
+        _, r = np.linalg.eigh((rng.standard_normal(n) @ ops.reshape(n, d * d)).reshape(d, d))
+        t = r.conj().T @ ops @ r
+        diags = np.diagonal(t, axis1=1, axis2=2)
+        off = np.abs(t - diags[:, :, None] * np.eye(d))
+        if np.all(off <= scale[:, None, None]):
+            return r, diags.real
     raise RuntimeError("failed to find a simultaneous diagonalizer")
 
 
 def make_trotter_plan(model: OpenSystemModel, dt: float) -> TrotterPlan:
     """Build the step-independent Trotter factors for ``model`` at ``dt``.
 
-    Control operators are partitioned into mutually commuting groups.
-    When the model carries builder-provided groups and diagonalizers
-    (the spin chain does), those are used directly; otherwise groups are
-    discovered greedily and diagonalizers come from the eigenbasis of a
-    random linear combination.
+    The control operators are split greedily, in channel order, into
+    mutually commuting groups; each group's shared eigenbasis is that of
+    a random combination of its operators, from a fixed seed so that
+    plans are reproducible.
     """
-    d = model.dim
-    rng = np.random.default_rng(1234)  # fixed, so plans are reproducible
-
-    if model.commuting_groups is not None and model.group_diagonalizers is not None:
-        raw_groups = [list(g) for g in model.commuting_groups]
-        diagonalizers = list(model.group_diagonalizers)
-    else:
-        raw_groups: list = []
-        for c, h in enumerate(model.controls):
-            placed = False
-            for g in raw_groups:
-                if all(_commutes(h, model.controls[c2]) for c2 in g):
-                    g.append(c)
-                    placed = True
-                    break
-            if not placed:
-                raw_groups.append([c])
-        diagonalizers = [
-            _group_diagonalizer([model.controls[c] for c in g], rng) for g in raw_groups
-        ]
-
+    d, ops = model.dim, np.asarray(model.controls)
+    members: list = []
+    for c in range(len(ops)):
+        g = next((g for g in members if _commutes(ops[c], ops[g])), None)
+        if g is None:
+            members.append([c])
+        else:
+            g.append(c)
+    rng = np.random.default_rng(1234)
     groups = []
-    for g, r in zip(raw_groups, diagonalizers):
-        r = np.asarray(r, dtype=complex)
-        diags = np.empty((len(g), d))
-        for i, c in enumerate(g):
-            t = r.conj().T @ model.controls[c] @ r
-            off = np.max(np.abs(t - np.diag(np.diag(t))))
-            if off > 1e-10 * max(1.0, np.max(np.abs(t))):
-                raise ValueError(f"diagonalizer for group {g} leaves channel {c} non-diagonal")
-            diags[i] = np.diag(t).real
+    for g in members:
+        r, diags = _group_diagonalizer(ops[g], rng)
         groups.append(
             GroupPlan(
                 channels=np.array(g, dtype=np.int64),
@@ -267,11 +250,7 @@ def make_trotter_plan(model: OpenSystemModel, dt: float) -> TrotterPlan:
     for q, g in enumerate(groups):
         readout[g.channels, q * d:(q + 1) * d] = g.diags
 
-    h_eff = model.drift.astype(complex).copy()
-    for cdc, gamma in zip(model.collapse_cdc_stack, model.rates):
-        h_eff -= 0.5j * gamma * cdc
-    u_eff = expm(-1.0j * dt * h_eff)
-
+    u_eff = expm(-1.0j * dt * model.drift - dt * model.half_decay)
     return TrotterPlan(
         dt=float(dt), u_eff=np.ascontiguousarray(u_eff), groups=groups, readout=readout
     )

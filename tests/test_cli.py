@@ -120,6 +120,21 @@ class TestConfigErrors:
             named.add(proc.stdout.strip())
         assert named == {"control.n_steps"}
 
+    def test_exponent_without_a_dot_is_a_number(self, tmp_path):
+        """Numbers read as YAML 1.2 reads them, so 1e-8, grad_tol's own
+        default, and 4E+1 are numbers."""
+        text = STATE_CFG.replace("max_mhz: 40", "max_mhz: 4E+1") + "  grad_tol: 1e-8\n"
+        cfg = load_config(_write(tmp_path, "c.yaml", text))
+        assert cfg.optimizer.grad_tol == 1e-8
+        assert cfg.control.max_mhz == 40.0
+
+    def test_quoted_exponent_is_a_string(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", STATE_CFG + '  grad_tol: "1e-8"\n')
+        res = runner.invoke(main, ["optimize", "--config", cfg])
+        assert res.exit_code == 2
+        assert "optimizer.grad_tol" in res.stderr
+        assert "expected a number" in res.stderr
+
     def test_bad_choice_names_dotted_field(self, tmp_path, runner):
         cfg = _write(tmp_path, "c.yaml", "optimizer:\n  method: adam\n")
         res = runner.invoke(main, ["optimize", "--config", cfg])
@@ -376,6 +391,23 @@ def test_optimize_outputs_are_reproducible(tmp_path, runner):
     assert report["checkpoints"][0]["iteration"] == 0
 
 
+def test_optimize_outputs_are_reproducible_across_processes(tmp_path):
+    """Two fresh interpreters with different string hash seeds write the
+    same report and pulse, byte for byte."""
+    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "robustpulse.cli", "optimize", "--config", cfg,
+                        "--out", str(out)], env=env, capture_output=True, timeout=300, check=True)
+        outs.append(out)
+    for name in ("report.yaml", "pulse.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_optimize_checkpoints_carry_the_splitting_objective(tmp_path, runner):
     """Each checkpoint reports the splitting (surrogate) J recorded at its
     iteration next to the true J; at iteration 0 it is the Trotter
@@ -590,6 +622,16 @@ class TestPulseCsv:
             path.write_text("t_ns,u_1\n" + body)
             with pytest.raises(ConfigError, match="malformed"):
                 _read_pulse_csv(path, self._template(1))
+
+    @pytest.mark.parametrize("row", ["0.0,1.0", "0.0,1,1,1,1,1"])
+    def test_rows_of_the_wrong_width_rejected(self, tmp_path, row):
+        """Rows that all disagree with the header's width, too short or too
+        long, name the first such row and its width."""
+        path = tmp_path / "p.csv"
+        path.write_text("t_ns,u_1,u_2,u_3,u_4\n" + f"{row}\n" * 5)
+        width = len(row.split(","))
+        with pytest.raises(ConfigError, match=f"pulse row 1 has {width} columns, the header 5"):
+            _read_pulse_csv(path, self._template(4))
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -15,6 +15,7 @@ from robustpulse.model import (
     radns_to_mhz,
     random_grid,
 )
+from robustpulse.propagate import make_trotter_plan
 
 
 def test_unit_conversion_roundtrip():
@@ -98,14 +99,13 @@ class TestSpinChain:
         m = build_spin_chain(1, t1_us=0.0, t2_us=0.0)
         assert len(m.lindblads) == 0
 
-    def test_commuting_group_hints_are_valid(self):
-        m = build_spin_chain(3)
-        for group, r in zip(m.commuting_groups, m.group_diagonalizers):
-            for c in group:
-                h = m.controls[c]
-                t = r.conj().T @ h @ r
-                off = t - np.diag(np.diag(t))
-                assert np.max(np.abs(off)) < 1e-12
+    def test_trotter_plan_groups_x_then_y_channels(self):
+        """The plan's greedy grouping of the chain's controls forms two
+        groups, the x channels and then the y channels."""
+        for n_qubits in range(1, 6):
+            plan = make_trotter_plan(build_spin_chain(n_qubits), 0.5)
+            groups = [g.channels.tolist() for g in plan.groups]
+            assert groups == [list(range(0, 2 * n_qubits, 2)), list(range(1, 2 * n_qubits, 2))]
 
 
 class TestUncertainties:

@@ -243,10 +243,10 @@ class TestGradients:
 
 
 def _random_gate_problem(seed=41):
-    """Random 3-level model with m = 2 uncertainties at order n = 2 and no
-    builder grouping hints: of its three controls only the first two
-    commute, so the splitting plan groups them greedily into a pair and a
-    single.  The target is a random unitary."""
+    """Random 3-level model with m = 2 uncertainties at order n = 2: of its
+    three controls only the first two commute, so the splitting plan
+    groups them greedily into a pair and a single.  The target is a random
+    unitary."""
     rng = np.random.default_rng(seed)
     d = 3
     h = random_hermitian(d, rng)

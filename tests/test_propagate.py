@@ -305,7 +305,8 @@ def test_exp_nilpotent_zero_order_is_identity(two_qubit):
 
 
 def test_greedy_grouping_without_hints():
-    """Models without builder hints get valid groups discovered greedily."""
+    """A model whose commuting controls are not in channel order gets valid
+    groups, discovered greedily."""
     controls = [
         kron(SIGMA_X, np.eye(2)),
         kron(np.eye(2), SIGMA_X),
