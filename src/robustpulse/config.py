@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, field, fields
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .augment import MultiIndexSet
+from .augment import DEFAULT_SUPERMATRIX_CAP, MultiIndexSet
 from .gates import PRESET_QUBITS, preset_unitary
 from .model import (
     ControlGrid,
@@ -285,7 +286,14 @@ def build_model(cfg: RunConfig) -> OpenSystemModel:
 
 
 def build_mset(cfg: RunConfig, model: OpenSystemModel) -> MultiIndexSet:
-    return MultiIndexSet(len(model.uncertainties), cfg.robustness.order)
+    """The index set of ``robustness.order``, rejected unbuilt when one
+    augmented state, N = C(m + n, n) blocks of d^2, is over the cap."""
+    m, n = len(model.uncertainties), cfg.robustness.order
+    size = comb(m + n, n) * model.dim**2
+    if size > DEFAULT_SUPERMATRIX_CAP:
+        msg = f"one augmented state holds N*d^2 = {size} numbers, over the cap"
+        raise ConfigError("robustness.order", f"{msg} {DEFAULT_SUPERMATRIX_CAP}")
+    return MultiIndexSet(m, n)
 
 
 def build_grid(cfg: RunConfig, model: OpenSystemModel, seed: int | None = None) -> ControlGrid:

@@ -3,15 +3,15 @@
 One gradient sweep with two pairings: GRAPE runs the exact backend,
 ``expm`` or ``ode`` as :func:`propagate.exact_backend` picks it for a
 gradient, and ST-GRAPE the splitting backend; both take a forward sweep
-and then :func:`propagate.propagate_backward` given its cache.  The
-exact backends pair co-state and state after each step, a gradient
-first order in dt; the splitting backend differentiates the Trotter
-step's two control factors by the product rule, making the gradient of
-the splitting objective exact to machine precision.  Both optimise a
-gate objective (a state task is the gate objective with one input
-state): its input states are propagated as one batch, with the weights
-folded into the terminal co-states so that one backward sweep gives the
-weighted gradient.
+and then :func:`propagate.propagate_backward` on its cache.  The exact
+backends pair co-state and state after each step, a gradient first
+order in dt; the splitting backend differentiates the Trotter step's
+two control factors by the product rule, making the gradient of the
+splitting objective exact to machine precision.  Both optimise a gate
+objective (a state task is the gate objective with one input state):
+its input states, built once per task, are propagated as one batch,
+with the weights folded into the terminal co-states so that one
+backward sweep gives the weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
 ``monitor_interval`` iterations the true objective is evaluated with the
@@ -228,22 +228,22 @@ def _gradient(
     mset: MultiIndexSet,
     grid: ControlGrid,
     obj: GateObjective,
+    state0: np.ndarray,
     plan: TrotterPlan | None = None,
     timers: _Timers | None = None,
 ):
-    """(J, gradient) of ``obj`` under ``backend``: the input states forward
-    as one batch, then one adjoint sweep from the weighted terminal
-    co-states, whose gradient pairing the backend picks (see
-    :func:`propagate.propagate_backward`).  ``timers`` books the forward
-    and backward sweeps."""
+    """(J, gradient) of ``obj`` under ``backend``: ``state0``, the
+    augmented batch of ``obj``'s input states, forward, then one adjoint
+    sweep from the weighted terminal co-states, whose gradient pairing
+    the backend picks (see :func:`propagate.propagate_backward`).
+    ``timers`` books the forward and backward sweeps."""
     clock = timers or _Timers()
     with clock.phase("forward"):
-        state0 = initial_state(mset, np.stack(obj.state0s))
         fwd = propagate_forward(backend, model, mset, grid, state0, plan=plan)
         j_val = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd.final, obj)
-        bwd = propagate_backward(backend, model, mset, grid, costate_T, plan=plan, fwd=fwd)
+        bwd = propagate_backward(model, mset, grid, costate_T, fwd, plan=plan)
     return j_val, bwd.grad
 
 
@@ -263,7 +263,9 @@ def grape_gradient(
     """
     if backend not in ("expm", "ode"):
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
-    return _gradient(backend, model, mset, grid, as_gate_objective(obj))
+    gobj = as_gate_objective(obj)
+    state0 = initial_state(mset, np.stack(gobj.state0s))
+    return _gradient(backend, model, mset, grid, gobj, state0)
 
 
 def stgrape_gradient(
@@ -280,7 +282,9 @@ def stgrape_gradient(
     the gradient matches central finite differences of the splitting
     objective to roundoff.
     """
-    return _gradient("trotter", model, mset, grid, as_gate_objective(obj), plan=plan)
+    gobj = as_gate_objective(obj)
+    state0 = initial_state(mset, np.stack(gobj.state0s))
+    return _gradient("trotter", model, mset, grid, gobj, state0, plan=plan)
 
 
 # --------------------------------------------------------------- run drivers
@@ -320,7 +324,8 @@ class _GateTask:
 
     def eval_grad(self, x):
         j_val, grad = _gradient(
-            self.backend, self.model, self.mset, self._grid(x), self.obj, self.plan, self.timers
+            self.backend, self.model, self.mset, self._grid(x), self.obj, self.state0,
+            self.plan, self.timers,
         )
         return j_val, grad.ravel()
 

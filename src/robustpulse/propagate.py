@@ -25,9 +25,10 @@ piecewise-constant control step:
 faster from the problem size and the sweeps per step exponential.
 
 All backends expose exact Hilbert-Schmidt adjoints.  The one adjoint
-sweep, :func:`propagate_backward`, given a forward cache also pairs each
-step for the control gradient: by the product rule over the Trotter
-step's two control factors, or to first order after an exact step.
+sweep, :func:`propagate_backward`, runs on a forward sweep's cache and
+pairs each step for the control gradient as it pulls the co-state back:
+by the product rule over the Trotter step's two control factors, or to
+first order after an exact step.
 
 Every step and propagation loop takes one augmented state (N, d, d) or a
 batch of independent states (S, N, d, d) with the same controls; the
@@ -144,11 +145,12 @@ def exact_backend(model: OpenSystemModel, mset: MultiIndexSet, passes: int) -> s
 @dataclass
 class StepCache:
     """A sweep's block (or co-state) ``states[k]`` at t_k for k = 0..N_T,
-    shaped (N, d, d) or, for a batch, (S, N, d, d).  ``records[k]`` is
-    what forward step k leaves its adjoint, built as the step runs: the
-    ``expm`` step's block propagator, or the Trotter states (pre, mid)
-    just before its two control factors; ``ode`` leaves none.  ``grad`` is
-    the control gradient of an adjoint sweep given a forward cache."""
+    shaped (N, d, d) or, for a batch, (S, N, d, d), and the ``backend``
+    that swept it.  ``records[k]`` is what forward step k leaves its
+    adjoint, built as the step runs: the ``expm`` step's block
+    propagator, or the Trotter state just before its control sandwich;
+    ``ode`` leaves none.  ``grad`` is the control gradient of an adjoint
+    sweep."""
 
     states: np.ndarray
     backend: str
@@ -459,9 +461,8 @@ def step_trotter(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     blocks: np.ndarray,
-    amplitudes: np.ndarray,
-    record: tuple | None = None,
-    factors: SandwichFactors | None = None,
+    factors: SandwichFactors,
+    record: list | None = None,
 ) -> np.ndarray:
     """One symmetric-splitting step.
 
@@ -473,21 +474,15 @@ def step_trotter(
     drives and collapse half before it are one block-algebra element P,
     those after it its mirror Q, which the plan builds once per index set
     (:func:`_build_halves`); above ``_FUSED_UP_TO`` they run factor by
-    factor.
+    factor.  ``factors`` is the step's :func:`control_factors` (``.at(k)``).
 
-    With ``record`` a pair of arrays (pre, mid) shaped like ``blocks``,
-    the states just before the first and the second control factor are
-    written into them; mid takes a second conjugation, so that the step's
-    result is the unrecorded step's to the last bit.
-    ``factors``, this step's :func:`control_factors` (``.at(k)``), saves
-    building them from ``amplitudes``.
+    With ``record`` a list, the state just before the control sandwich,
+    for :func:`step_trotter_adjoint`'s gradient, is appended to it; it
+    may share memory with ``blocks``, which the caller then keeps unwritten.
     """
-    if factors is None:
-        factors = control_factors(plan, np.asarray(amplitudes)[:, None]).at(0)
     blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=False)
     if record is not None:
-        record[0][...] = blocks
-        record[1][...] = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, blocks)
+        record.append(blocks)
     blocks = kernels.conjugate_blocks(factors.whole, factors.whole_dag, blocks)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=False)
 
@@ -497,42 +492,36 @@ def step_trotter_adjoint(
     model: OpenSystemModel,
     mset: MultiIndexSet,
     blocks: np.ndarray,
-    amplitudes: np.ndarray,
-    pre: np.ndarray | None = None,
-    mid: np.ndarray | None = None,
-    grad_col: np.ndarray | None = None,
-    factors: SandwichFactors | None = None,
+    factors: SandwichFactors,
+    pre: np.ndarray,
+    grad_col: np.ndarray,
 ) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same amplitudes).
+    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same ``factors``,
+    built with their readers), which adds the step's exact control
+    gradient into ``grad_col``.
 
-    With ``grad_col`` given, the step's exact control gradient is added
-    into it, from the states ``pre`` and ``mid`` that
-    :func:`step_trotter` recorded on the forward pass.  By the product
-    rule, channel c of group q contributes (dt/2) Im tr(o^dag [H_c, x])
-    per control factor, with x the state and o the co-state at q's
-    insertion point.  Conjugating both by the groups before q leaves this
-    as tr(H_c V M V^dag), where M = :func:`kernels.control_pairing` pairs
-    the factor's starting state with the co-state pulled back through the
-    whole factor: one d x d matrix per factor, which the
-    ``factors.readers`` carry to every group.  ``factors`` as in
-    :func:`step_trotter`.
+    ``pre`` is the state that :func:`step_trotter` recorded before its
+    control sandwich; the state before the second control factor is pre
+    carried by u_eff F1, one conjugation.  By the product rule, channel c
+    of group q contributes (dt/2) Im tr(o^dag [H_c, x]) per control
+    factor, with x the state and o the co-state at q's insertion point.
+    Conjugating both by the groups before q leaves this as tr(H_c V M
+    V^dag), where M = :func:`kernels.control_pairing` pairs the factor's
+    starting state with the co-state pulled back through the whole
+    factor: one d x d matrix per factor, which the ``factors.readers``
+    carry to every group.
     """
     half = 0.5 * plan.dt
-    if factors is None:
-        amps = np.asarray(amplitudes)[:, None]
-        factors = control_factors(plan, amps, readers=grad_col is not None).at(0)
     blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=True)
-    if grad_col is None:
-        blocks = kernels.conjugate_blocks(factors.whole_dag, factors.whole, blocks)
-    else:
-        blocks = kernels.conjugate_blocks(factors.mid_post_dag, factors.mid_post, blocks)
-        at_mid = kernels.control_pairing(blocks, mid)
-        blocks = kernels.conjugate_blocks(factors.pre_mid_dag, factors.pre_mid, blocks)
-        at_pre = kernels.control_pairing(blocks, pre)
-        # diagonal of readers_f M_f readers_f^dag, summed over both factors
-        carried = factors.readers @ np.stack((at_pre, at_mid))
-        diag = np.sum(carried * factors.readers.conj(), axis=(0, 2))
-        grad_col += half * (plan.readout @ diag.imag)
+    blocks = kernels.conjugate_blocks(factors.mid_post_dag, factors.mid_post, blocks)
+    mid = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, pre)
+    at_mid = kernels.control_pairing(blocks, mid)
+    blocks = kernels.conjugate_blocks(factors.pre_mid_dag, factors.pre_mid, blocks)
+    at_pre = kernels.control_pairing(blocks, pre)
+    # diagonal of readers_f M_f readers_f^dag, summed over both factors
+    carried = factors.readers @ np.stack((at_pre, at_mid))
+    diag = np.sum(carried * factors.readers.conj(), axis=(0, 2))
+    grad_col += half * (plan.readout @ diag.imag)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=True)
 
 
@@ -643,25 +632,20 @@ def _stepper(
 ):
     """The backend's map ``step(k, blocks, adjoint=False, record=None)``
     over step k of ``grid``, and ``gradient()``, the control gradient
-    (n_channels, n_steps) that its adjoint steps gather given ``fwd``.
+    (n_channels, n_steps) that its adjoint steps gather.
 
     A forward step appends to the list ``record`` what its adjoint
-    reuses.  Given ``fwd``, the same backend's forward cache, adjoint
-    step k reuses ``fwd.records[k]`` and pairs for the gradient: by the
-    product rule over the Trotter step's two control factors, or for
-    ``expm`` and ``ode`` to first order, dt Im tr(O_{k+1}^dag [H_c,
-    rho_{k+1}]) summed over all blocks, which is tr(H_c M_k) with M_k the
-    step's one d x d pairing matrix.  A Trotter plan is built when none
-    is given, and the control factors of every step once, here."""
+    reuses.  The adjoint steps run on ``fwd``, the same backend's forward
+    cache: adjoint step k reuses ``fwd.records[k]`` and pairs for the
+    gradient, by the product rule over the Trotter step's two control
+    factors, or for ``expm`` and ``ode`` to first order, dt Im
+    tr(O_{k+1}^dag [H_c, rho_{k+1}]) summed over all blocks, which is
+    tr(H_c M_k) with M_k the step's one d x d pairing matrix.  A Trotter
+    plan is built when none is given, and the control factors of every
+    step once, here."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     amps, dt, n_t = grid.amplitudes, grid.dt, grid.n_steps
-    if fwd is not None and fwd.backend != backend:
-        raise ValueError(f"forward cache comes from the {fwd.backend!r} backend, not {backend!r}")
-    if fwd is not None and len(fwd.states) != n_t + 1:
-        raise ValueError(
-            f"forward cache has {len(fwd.states) - 1} steps where the grid has {n_t}"
-        )
     if backend == "trotter":
         if plan is None:
             plan = make_trotter_plan(model, dt)
@@ -670,29 +654,20 @@ def _stepper(
 
         def step(k, blocks, adjoint=False, record=None):
             if adjoint:
-                pre, mid = (None, None) if fwd is None else fwd.records[k]
                 return step_trotter_adjoint(
-                    plan, model, mset, blocks, amps[:, k], pre=pre, mid=mid,
-                    grad_col=None if fwd is None else grad[:, k], factors=factors.at(k),
+                    plan, model, mset, blocks, factors.at(k), fwd.records[k], grad[:, k]
                 )
-            slots = None
-            if record is not None:
-                slots = (np.empty_like(blocks), np.empty_like(blocks))
-                record.append(slots)
-            return step_trotter(
-                plan, model, mset, blocks, amps[:, k], record=slots, factors=factors.at(k)
-            )
+            return step_trotter(plan, model, mset, blocks, factors.at(k), record=record)
         return step, lambda: grad
 
     pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
 
     def step(k, blocks, adjoint=False, record=None):
-        reuse = adjoint and fwd is not None
-        if reuse:
+        if adjoint:
             pairings[k] = kernels.control_pairing(blocks, fwd.states[k + 1])
         if backend == "ode":
             return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
-        prop = fwd.records[k] if reuse else step_propagator_expm(model, mset, amps[:, k], dt)
+        prop = fwd.records[k] if adjoint else step_propagator_expm(model, mset, amps[:, k], dt)
         if record is not None:
             record.append(prop)
         return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
@@ -715,11 +690,13 @@ def propagate_forward(
     intermediate state and what each step's adjoint reuses, as the steps
     build it (:class:`StepCache`): by the end, for ``expm``, n_t block
     elements of N d^4 numbers each; a forward-only caller that needs just
-    the final state uses :func:`propagate_final`, which holds one at a time."""
+    the final state uses :func:`propagate_final`, which holds one at a time.
+    The sweep starts from the cache's own copy of ``state0``, so no record
+    shares memory with the caller's array."""
     step, _ = _stepper(backend, model, mset, grid, plan)
     cache = StepCache(np.empty((grid.n_steps + 1,) + state0.shape, dtype=complex), backend)
     cache.states[0] = state0
-    blocks = np.ascontiguousarray(state0, dtype=complex)
+    blocks = cache.states[0]
     for k in range(grid.n_steps):
         blocks = step(k, blocks, record=cache.records)
         cache.states[k + 1] = blocks
@@ -743,36 +720,44 @@ def propagate_final(
 
 
 def propagate_backward(
-    backend: str,
     model: OpenSystemModel,
     mset: MultiIndexSet,
     grid: ControlGrid,
     costate_T: np.ndarray,
+    fwd: StepCache,
     plan: TrotterPlan | None = None,
-    fwd: StepCache | None = None,
 ) -> StepCache:
-    """Pull a terminal co-state back through the adjoint steps.
+    """Pull a terminal co-state back through the adjoint steps of ``fwd``,
+    a forward cache on the same grid, and pair each step for the gradient.
 
-    Returns a cache whose ``states[k]`` is the co-state at t_k; the
-    pairing <costate(t_k), state(t_k)> is step-invariant for the exact
-    backends and exactly matches the Trotter map's true adjoint for the
-    trotter backend.  Given ``fwd``, the same backend's forward cache on
-    the same grid, ``grad`` is the control gradient of the objective
-    whose terminal derivative is ``costate_T``: exact for the Trotter map,
-    first order in dt for the exact backends.  The pairings sum over a
-    batch, so weights folded into the co-states give the weighted
-    gradient in one sweep.
+    Runs ``fwd.backend`` and returns a cache whose ``states[k]`` is the
+    co-state at t_k; the pairing <costate(t_k), state(t_k)> is
+    step-invariant for the exact backends and exactly matches the Trotter
+    map's true adjoint for the trotter backend.  ``grad`` is the control
+    gradient of the objective whose terminal derivative is ``costate_T``:
+    exact for the Trotter map, first order in dt for the exact backends.
+    The pairings sum over a batch, so weights folded into the co-states
+    give the weighted gradient in one sweep.  A cache of another step
+    count, or a co-state shaped unlike its states, raises ValueError.
     """
-    step, gradient = _stepper(backend, model, mset, grid, plan, fwd)
     n_t = grid.n_steps
-    cache = StepCache(np.empty((n_t + 1,) + costate_T.shape, dtype=complex), backend)
+    if len(fwd.states) != n_t + 1:
+        raise ValueError(
+            f"forward cache has {len(fwd.states) - 1} steps where the grid has {n_t}"
+        )
+    if np.shape(costate_T) != fwd.states.shape[1:]:
+        raise ValueError(
+            f"terminal co-state has shape {np.shape(costate_T)} where the forward "
+            f"states have {fwd.states.shape[1:]}"
+        )
+    step, gradient = _stepper(fwd.backend, model, mset, grid, plan, fwd)
+    cache = StepCache(np.empty(fwd.states.shape, dtype=complex), fwd.backend)
     cache.states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(n_t - 1, -1, -1):
         blocks = step(k, blocks, adjoint=True)
         cache.states[k] = blocks
-    if fwd is not None:
-        cache.grad = gradient()
+    cache.grad = gradient()
     return cache
 
 
@@ -786,7 +771,7 @@ def trotter_backward_with_gradient(
 ) -> np.ndarray:
     """The Trotter :func:`propagate_backward` sweep's gradient; only the
     benchmark's tracer still looks this name up."""
-    return propagate_backward("trotter", model, mset, grid, costate_T, plan=plan, fwd=fwd).grad
+    return propagate_backward(model, mset, grid, costate_T, fwd, plan=plan).grad
 
 
 def delta_st(

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from robustpulse import augment, cli, linalg, optimize, propagate
+from robustpulse import augment, cli, config, linalg, optimize, propagate
 from robustpulse.cli import _read_pulse_csv, _write_pulse_csv, main
 from robustpulse.augment import initial_state
 from robustpulse.config import (
@@ -164,6 +165,30 @@ class TestConfigErrors:
         res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2, res.output
         assert "system.n_qubits" in res.stderr
+
+    def test_order_is_bounded_by_the_augmented_state_size(self, tmp_path, runner, monkeypatch):
+        """An order whose augmented state, N = C(m + n, n) blocks of d^2
+        numbers, is over the cap is a config error raised before the index
+        set is built: 3 qubits with the coupling set (m = 4) at order 40
+        has 135,751 blocks, 8.7 M numbers per state, and exits 2 at once.
+        The bound is N d^2 itself: 320 at order 1, accepted up to a cap
+        of 320."""
+        text = STATE_CFG.replace("n_qubits: 1", "n_qubits: 3\n  uncertainty: couplings")
+        cfg = _write(tmp_path, "c.yaml", text.replace("order: 1", "order: 40"))
+        start = time.perf_counter()
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2, res.output
+        assert "robustness.order" in res.stderr and "N*d^2 = 8688064" in res.stderr
+        small = load_config(_write(tmp_path, "s.yaml", text))
+        model = build_model(small)
+        for cap, ok in ((320, True), (319, False)):
+            monkeypatch.setattr(config, "DEFAULT_SUPERMATRIX_CAP", cap)
+            if ok:
+                assert build_mset(small, model).size == 5
+            else:
+                with pytest.raises(ConfigError, match="N\\*d\\^2 = 320"):
+                    build_mset(small, model)
 
     def test_couplings_on_two_qubits_names_the_uncertainty(self, tmp_path, runner):
         """The coupling set needs a third qubit; a shorter chain is a

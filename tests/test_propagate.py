@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from robustpulse.model import (
 from robustpulse import propagate
 from robustpulse.config import build_grid, build_mset, build_model, load_config
 from robustpulse.propagate import (
+    BACKENDS,
     _TAYLOR_THETA,
     _taylor_degree,
     default_substeps,
@@ -57,6 +59,21 @@ def _expm_step(model, mset, blocks, amps, dt, adjoint=False):
     """One ``expm`` step: the step propagator applied in its block algebra."""
     prop = propagate.step_propagator_expm(model, mset, amps, dt)
     return propagate.apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
+
+
+def _factors(plan, amps, readers=False):
+    """The control factors of one step at amplitudes ``amps``."""
+    return propagate.control_factors(plan, np.asarray(amps)[:, None], readers=readers).at(0)
+
+
+def _steps(plan, model, mset, blocks, amps):
+    """One Trotter step of ``blocks``, and one adjoint step of ``blocks``
+    as the gradient sweep runs it, with ``blocks`` as the recorded
+    state, together with the gradient column that it fills."""
+    factors = _factors(plan, amps, readers=True)
+    grad = np.zeros(len(amps))
+    back = step_trotter_adjoint(plan, model, mset, blocks, factors, blocks, grad)
+    return step_trotter(plan, model, mset, blocks, factors), back, grad
 
 
 # ----------------------------------------------------------------- analytics
@@ -101,7 +118,7 @@ def test_trotter_step_matches_dense_factors(two_qubit):
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(4) * 0.3
     blocks = _random_blocks(rng, mset.size, 4)
-    got = step_trotter(plan, two_qubit, mset, blocks.copy(), amps)
+    got = step_trotter(plan, two_qubit, mset, blocks.copy(), _factors(plan, amps))
     want = dense_step_reference(two_qubit, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -113,7 +130,7 @@ def test_trotter_step_matches_dense_factors_no_decay():
     rng = np.random.default_rng(22)
     amps = rng.standard_normal(4) * 0.3
     blocks = _random_blocks(rng, mset.size, 4)
-    got = step_trotter(plan, model, mset, blocks.copy(), amps)
+    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps))
     want = dense_step_reference(model, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -154,33 +171,30 @@ def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
     s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
     calls = _count_calls(monkeypatch, _HALF_SITES)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    propagate_backward("trotter", model, mset, grid, fwd.final, plan=plan, fwd=fwd)
+    propagate_backward(model, mset, grid, fwd.final, fwd, plan=plan)
     assert calls == Counter(_build_halves=1)
 
 
 def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qubit):
     """With N d^4 above _FUSED_UP_TO (lowered here to one below 2 qubits
-    at order 2) a step applies every factor by its kernels, forward,
-    adjoint and with the gradient: 2 m n drive commutators in 2 m
+    at order 2) a step applies every factor by its kernels, forward and
+    adjoint with the gradient: 2 m n drive commutators in 2 m
     exp_nilpotent calls, and 4 collapse kernels; at the constant itself
     it applies the halves, built once."""
     mset = MultiIndexSet(2, 2)
     plan = make_trotter_plan(two_qubit, 0.5)
     rng = np.random.default_rng(38)
-    amps = rng.standard_normal(4) * 0.3
+    factors = _factors(plan, rng.standard_normal(4) * 0.3, readers=True)
     s0 = _random_blocks(rng, mset.size, 4)
-    record = (np.empty_like(s0), np.empty_like(s0))
     size = mset.size * 4**4
     factored = Counter(routed_commutator=8, exp_nilpotent=4, collapse_blocks=4)
     for limit, per_step, built in ((size - 1, factored, 0), (size, Counter(), 1)):
         monkeypatch.setattr(propagate, "_FUSED_UP_TO", limit)
         calls = _count_calls(monkeypatch, _HALF_SITES)
-        step_trotter(plan, two_qubit, mset, s0, amps, record=record)
-        step_trotter_adjoint(plan, two_qubit, mset, s0, amps)
-        step_trotter_adjoint(
-            plan, two_qubit, mset, s0, amps, pre=record[0], mid=record[1], grad_col=np.zeros(4)
-        )
-        want = Counter({k: 3 * v for k, v in per_step.items()})
+        record = []
+        step_trotter(plan, two_qubit, mset, s0, factors, record=record)
+        step_trotter_adjoint(plan, two_qubit, mset, s0, factors, record[0], np.zeros(4))
+        want = Counter({k: 2 * v for k, v in per_step.items()})
         want["_build_halves"] = built
         assert +calls == +want, limit
         monkeypatch.undo()
@@ -205,7 +219,8 @@ def test_fused_halves_rule_picks_the_measured_winner():
 
 def test_one_plan_keeps_each_index_sets_halves(two_qubit):
     """One plan stepping two index sets in turn hands each set its own
-    halves: every step equals the step with a fresh plan for that set."""
+    halves: every step, its adjoint and its gradient column equal those
+    with a fresh plan for that set."""
     plan = make_trotter_plan(two_qubit, 0.5)
     rng = np.random.default_rng(39)
     amps = rng.standard_normal(4) * 0.3
@@ -215,10 +230,10 @@ def test_one_plan_keeps_each_index_sets_halves(two_qubit):
         p, q = propagate._halves(plan, two_qubit, mset)
         assert p.shape == q.shape == (mset.size, 16, 16)
         fresh = make_trotter_plan(two_qubit, 0.5)
-        for step in (step_trotter, step_trotter_adjoint):
-            assert np.array_equal(
-                step(plan, two_qubit, mset, s0, amps), step(fresh, two_qubit, mset, s0, amps)
-            ), (mset.n, step.__name__)
+        got = _steps(plan, two_qubit, mset, s0, amps)
+        want = _steps(fresh, two_qubit, mset, s0, amps)
+        for name, g, w in zip(("step", "adjoint", "grad"), got, want):
+            assert np.array_equal(g, w), (mset.n, name)
 
 
 def test_one_plan_rebuilds_halves_for_another_model():
@@ -226,7 +241,7 @@ def test_one_plan_rebuilds_halves_for_another_model():
     uncertainty operators come with the model each step is called with.
     One plan stepped with models that differ only in those (two preset
     kinds, and the edge set doubled, whose index set is the same) gives
-    every step the fresh plan's result."""
+    every step, adjoint step and gradient column the fresh plan's result."""
     chain = build_spin_chain(3)
     edges = attach_uncertainties(chain, "edges")
     models = [
@@ -242,18 +257,19 @@ def test_one_plan_rebuilds_halves_for_another_model():
         assert propagate._fuses(model, mset)
         s0 = _random_blocks(rng, mset.size, 8)
         fresh = make_trotter_plan(model, 0.5)
-        for step in (step_trotter, step_trotter_adjoint):
-            assert np.array_equal(
-                step(plan, model, mset, s0, amps), step(fresh, model, mset, s0, amps)
-            ), (model.n_uncertainties, step.__name__)
+        got = _steps(plan, model, mset, s0, amps)
+        want = _steps(fresh, model, mset, s0, amps)
+        for name, g, w in zip(("step", "adjoint", "grad"), got, want):
+            assert np.array_equal(g, w), (model.n_uncertainties, name)
 
 
 def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     """The control sandwich is one d x d conjugation of the blocks per
-    step: one kernel call for a forward or adjoint step, two when the
-    forward pass records pre and mid or the adjoint sweep takes the
-    gradient, which pairs through one d x d matrix per control factor.
-    A propagation builds the control factors of all its steps once."""
+    forward step, recorded or not.  The gradient sweep's adjoint step
+    makes three: the co-state through each control factor, and the
+    recorded state on to the second factor; it pairs through one d x d
+    matrix per control factor.  A propagation builds the control factors
+    of all its steps once."""
     mset = MultiIndexSet(2, 1)
     grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=34)
     n = grid.n_steps
@@ -266,20 +282,19 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
         (propagate, "control_factors"),
     ])
 
-    step_trotter(plan, two_qubit, mset, s0, grid.amplitudes[:, 0])
-    assert calls == Counter(control_factors=1, conjugate_blocks=1)
+    factors = _factors(plan, grid.amplitudes[:, 0])
+    calls.clear()
+    step_trotter(plan, two_qubit, mset, s0, factors)
+    assert calls == Counter(conjugate_blocks=1)
     calls.clear()
     propagate_final("trotter", two_qubit, mset, grid, s0, plan=plan)
     assert calls == Counter(control_factors=1, conjugate_blocks=n)
     calls.clear()
     fwd = propagate_forward("trotter", two_qubit, mset, grid, s0, plan=plan)
-    assert calls == Counter(control_factors=1, conjugate_blocks=2 * n)
-    calls.clear()
-    propagate_backward("trotter", two_qubit, mset, grid, fwd.final, plan=plan)
     assert calls == Counter(control_factors=1, conjugate_blocks=n)
     calls.clear()
-    propagate_backward("trotter", two_qubit, mset, grid, fwd.final, plan=plan, fwd=fwd)
-    assert calls == Counter(control_factors=1, conjugate_blocks=2 * n, control_pairing=2 * n)
+    propagate_backward(two_qubit, mset, grid, fwd.final, fwd, plan=plan)
+    assert calls == Counter(control_factors=1, conjugate_blocks=3 * n, control_pairing=2 * n)
 
 
 def test_exp_nilpotent_matches_dense_expm(two_qubit):
@@ -328,7 +343,7 @@ def test_greedy_grouping_without_hints():
     rng = np.random.default_rng(25)
     amps = rng.standard_normal(3) * 0.2
     blocks = _random_blocks(rng, 1, 4)
-    got = step_trotter(plan, model, mset, blocks.copy(), amps)
+    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps))
     want = dense_step_reference(model, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -337,38 +352,33 @@ def test_greedy_grouping_without_hints():
 
 
 def test_step_adjoint_pairing_all_backends(one_qubit):
-    """<a, S b> = <S^dag a, b> exactly, for every backend's one step."""
+    """<a, S b> = <S^dag a, b> exactly, for every backend's one step, the
+    adjoint step run by the gradient sweep on the forward cache."""
     mset = MultiIndexSet(1, 2)
     rng = np.random.default_rng(26)
-    amps = np.array([0.2, -0.15])
+    grid = ControlGrid(0.5, np.array([[0.2], [-0.15]]), -1.0, 1.0)
     a = _random_blocks(rng, mset.size, 2)
     b = _random_blocks(rng, mset.size, 2)
     plan = make_trotter_plan(one_qubit, 0.5)
-
-    lhs = np.vdot(a, step_trotter(plan, one_qubit, mset, b.copy(), amps))
-    rhs = np.vdot(step_trotter_adjoint(plan, one_qubit, mset, a.copy(), amps), b)
-    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
-
-    lhs = np.vdot(a, _expm_step(one_qubit, mset, b, amps, 0.5))
-    rhs = np.vdot(_expm_step(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
-    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
-
-    lhs = np.vdot(a, step_ode(one_qubit, mset, b, amps, 0.5))
-    rhs = np.vdot(step_ode(one_qubit, mset, a, amps, 0.5, adjoint=True), b)
-    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+    for backend in BACKENDS:
+        fwd = propagate_forward(backend, one_qubit, mset, grid, b, plan=plan)
+        bwd = propagate_backward(one_qubit, mset, grid, a, fwd, plan=plan)
+        lhs, rhs = np.vdot(a, fwd.final), np.vdot(bwd.states[0], b)
+        assert abs(lhs - rhs) < 1e-12 * abs(lhs), backend
 
 
 def test_pairing_invariant_along_trajectory(one_qubit):
-    """Co-state/state pairing is conserved step by step for each backend."""
+    """Co-state/state pairing is conserved step by step for each backend,
+    along the gradient sweep."""
     mset = MultiIndexSet(1, 1)
     grid = small_grid(one_qubit, n_steps=6, dt=0.5, seed=5)
     rng = np.random.default_rng(27)
     s0 = initial_state(mset, random_density(2, rng))
     costate_T = _random_blocks(rng, mset.size, 2)
     plan = make_trotter_plan(one_qubit, grid.dt)
-    for backend in ("expm", "ode", "trotter"):
+    for backend in BACKENDS:
         fwd = propagate_forward(backend, one_qubit, mset, grid, s0, plan=plan)
-        bwd = propagate_backward(backend, one_qubit, mset, grid, costate_T, plan=plan)
+        bwd = propagate_backward(one_qubit, mset, grid, costate_T, fwd, plan=plan)
         pairings = [
             np.vdot(bwd.states[k], fwd.states[k]) for k in range(grid.n_steps + 1)
         ]
@@ -515,19 +525,10 @@ def test_forward_cache_layout(one_qubit):
     assert fwd.states.shape == (6, 2, 2, 2)
     assert np.array_equal(fwd.states[0], s0)
     assert fwd.backend == "trotter" and fwd.grad is None
-    assert [(pre.shape, mid.shape) for pre, mid in fwd.records] == [((2, 2, 2), (2, 2, 2))] * 5
+    assert [pre.shape for pre in fwd.records] == [(2, 2, 2)] * 5
     expm_fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
     assert [p.shape for p in expm_fwd.records] == [(2, 4, 4)] * 5
     assert propagate_forward("ode", one_qubit, mset, grid, s0).records == []
-
-
-def test_backward_sweep_rejects_a_forward_cache_of_another_backend(one_qubit):
-    mset = MultiIndexSet(1, 1)
-    grid = small_grid(one_qubit, n_steps=3, dt=0.5, seed=9)
-    s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
-    fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
-    with pytest.raises(ValueError, match="comes from the 'expm' backend, not 'trotter'"):
-        propagate_backward("trotter", one_qubit, mset, grid, fwd.final, fwd=fwd)
 
 
 def test_backward_sweep_rejects_a_forward_cache_of_another_step_count(one_qubit):
@@ -537,7 +538,44 @@ def test_backward_sweep_rejects_a_forward_cache_of_another_step_count(one_qubit)
     fwd = propagate_forward("ode", one_qubit, mset, grid, s0)
     longer = ControlGrid(grid.dt, np.tile(grid.amplitudes, 2), grid.lo, grid.hi)
     with pytest.raises(ValueError, match="forward cache has 3 steps where the grid has 6"):
-        propagate_backward("ode", one_qubit, mset, longer, fwd.final, fwd=fwd)
+        propagate_backward(one_qubit, mset, longer, fwd.final, fwd)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backward_sweep_rejects_a_costate_of_another_shape(backend, one_qubit):
+    """A terminal co-state shaped unlike the forward cache's states (fewer
+    states, one state against a batch, fewer blocks) raises a ValueError
+    that names both shapes, on every backend."""
+    mset = MultiIndexSet(1, 2)
+    grid = small_grid(one_qubit, n_steps=2, dt=0.5, seed=9)
+    rng = np.random.default_rng(43)
+    s0 = initial_state(mset, np.stack([random_density(2, rng) for _ in range(5)]))
+    fwd = propagate_forward(backend, one_qubit, mset, grid, s0)
+    for shape in ((4, 3, 2, 2), (3, 2, 2), (5, 2, 2, 2)):
+        want = f"co-state has shape {shape} where the forward states have (5, 3, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            propagate_backward(one_qubit, mset, grid, np.zeros(shape, dtype=complex), fwd)
+
+
+def test_trotter_record_shares_no_memory_with_later_writes(monkeypatch):
+    """With no uncertainties and no collapse operators, and the halves run
+    factor by factor, the outer halves pass their input through, so the
+    state a forward step records is its input itself.  Overwriting the
+    caller's state0 after the sweep must not reach the cache: the
+    gradient then equals a fresh sweep's."""
+    model = build_spin_chain(1, t1_us=0.0, t2_us=0.0)
+    assert model.rates.size == 0 and model.n_uncertainties == 0
+    monkeypatch.setattr(propagate, "_FUSED_UP_TO", -1)
+    mset = MultiIndexSet(0, 0)
+    grid = small_grid(model, n_steps=4, dt=0.5, seed=41)
+    rng = np.random.default_rng(42)
+    s0 = initial_state(mset, random_density(2, rng))
+    costate = _random_blocks(rng, mset.size, 2)
+    fresh = propagate_forward("trotter", model, mset, grid, s0.copy())
+    want = propagate_backward(model, mset, grid, costate, fresh).grad
+    fwd = propagate_forward("trotter", model, mset, grid, s0)
+    s0[...] = _random_blocks(rng, mset.size, 2)
+    assert np.array_equal(propagate_backward(model, mset, grid, costate, fwd).grad, want)
 
 
 def test_exact_backend_picks_the_measured_winner():
@@ -622,8 +660,8 @@ def test_batch_axis_matches_single_states(two_qubit):
     batch = _random_blocks(rng, 3 * mset.size, 4).reshape(3, mset.size, 4, 4)
     plan = make_trotter_plan(two_qubit, 0.5)
     steps = {
-        "trotter": lambda b: step_trotter(plan, two_qubit, mset, b, amps),
-        "trotter adjoint": lambda b: step_trotter_adjoint(plan, two_qubit, mset, b, amps),
+        "trotter": lambda b: _steps(plan, two_qubit, mset, b, amps)[0],
+        "trotter adjoint": lambda b: _steps(plan, two_qubit, mset, b, amps)[1],
         "expm": lambda b: _expm_step(two_qubit, mset, b, amps, 0.5),
         "expm adjoint": lambda b: _expm_step(two_qubit, mset, b, amps, 0.5, adjoint=True),
         "ode": lambda b: step_ode(two_qubit, mset, b, amps, 0.5),
@@ -638,7 +676,7 @@ def test_batch_axis_matches_single_states(two_qubit):
     grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=31)
     fwd = propagate_forward("trotter", two_qubit, mset, grid, batch, plan=plan)
     assert fwd.states.shape == (4,) + batch.shape
-    assert [(pre.shape, mid.shape) for pre, mid in fwd.records] == [(batch.shape,) * 2] * 3
+    assert [pre.shape for pre in fwd.records] == [batch.shape] * 3
     for s in range(3):
         alone = propagate_final("trotter", two_qubit, mset, grid, batch[s], plan=plan)
         assert np.max(np.abs(fwd.final[s] - alone)) < 1e-12 * max(1.0, np.max(np.abs(alone)))

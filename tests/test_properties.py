@@ -116,7 +116,7 @@ def test_forward_backward_pairing(problem, batch):
     plan = make_trotter_plan(model, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, model, mset, grid, b, plan=plan)
-        bwd = propagate_backward(backend, model, mset, grid, a, plan=plan, fwd=fwd)
+        bwd = propagate_backward(model, mset, grid, a, fwd, plan=plan)
         assert bwd.grad.shape == grid.amplitudes.shape, backend
         lhs = np.vdot(a, fwd.final)
         rhs = np.vdot(bwd.states[0], b)
@@ -128,24 +128,24 @@ def test_forward_backward_pairing(problem, batch):
 def test_trotter_step_equals_dense_factors(problem, batch):
     """The splitting step, its control sandwich fused into d x d
     conjugations, equals the product of its dense factors, and its
-    adjoint that product's conjugate transpose, to 1e-12 relative: with
-    a group of two channels and a discovered diagonalizer, non-monomial
-    collapse operators, for one state or a batch; also with the intra-step
-    states recorded."""
+    adjoint, as the gradient sweep runs it, that product's conjugate
+    transpose, to 1e-12 relative: with a group of two channels and a
+    discovered diagonalizer, non-monomial collapse operators, for one
+    state or a batch; also with the intra-step state recorded."""
     model, mset, grid, rng = problem
     d = model.dim
     plan = make_trotter_plan(model, grid.dt)
     amps = grid.amplitudes[:, 0]
+    factors = propagate.control_factors(plan, amps[:, None], readers=True).at(0)
     shape = (mset.size, d, d) if batch is None else (batch, mset.size, d, d)
     b = _random_blocks(rng, shape)
-    record = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
     for adjoint in (False, True):
         want = dense_step_reference(model, mset, plan, amps, b, adjoint=adjoint)
         if adjoint:
-            got = [step_trotter_adjoint(plan, model, mset, b, amps)]
+            got = [step_trotter_adjoint(plan, model, mset, b, factors, b, np.zeros(amps.size))]
         else:
-            got = [step_trotter(plan, model, mset, b, amps),
-                   step_trotter(plan, model, mset, b, amps, record=record)]
+            got = [step_trotter(plan, model, mset, b, factors),
+                   step_trotter(plan, model, mset, b, factors, record=[])]
         for g in got:
             assert g.shape == shape
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), adjoint
@@ -167,7 +167,7 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
     (exp_nilpotent and the truncated collapse half) to 1e-12 relative,
     forward and adjoint, at orders 0-2, with and without collapse
     operators and uncertainties.  A whole step equals the factored step
-    in its result, its pre/mid records, its adjoint and its gradient
+    in its result, its recorded state, its adjoint and its gradient
     column."""
     model, _, grid, rng = problem
     model = dataclasses.replace(model, **{field: [] for field in dropped})
@@ -190,22 +190,21 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
             assert _relative_gap(got, want) <= 1e-12, adjoint
 
     amps = grid.amplitudes[:, 0]
+    factors = propagate.control_factors(plan, amps[:, None], readers=True).at(0)
     costate = _random_blocks(rng, b.shape)
 
     def whole_step():
-        pre, mid = np.empty_like(b), np.empty_like(b)
-        out = step_trotter(plan, model, mset, b, amps, record=(pre, mid))
+        record = []
+        out = step_trotter(plan, model, mset, b, factors, record=record)
         grad = np.zeros(amps.size)
-        back = step_trotter_adjoint(
-            plan, model, mset, costate, amps, pre=pre, mid=mid, grad_col=grad
-        )
-        return out, pre, mid, back, grad
+        back = step_trotter_adjoint(plan, model, mset, costate, factors, record[0], grad)
+        return out, record[0], back, grad
 
     fused = whole_step()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_FUSED_UP_TO", -1)
         factored = whole_step()
-    for name, got, want in zip(("step", "pre", "mid", "adjoint", "grad"), fused, factored):
+    for name, got, want in zip(("step", "pre", "adjoint", "grad"), fused, factored):
         assert _relative_gap(got, want) <= 1e-12, name
 
 
@@ -219,7 +218,7 @@ def test_trotter_gradient_matches_central_differences(problem):
     s0 = initial_state(mset, random_density(model.dim, rng))
     costate = _random_blocks(rng, s0.shape)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    grad = propagate_backward("trotter", model, mset, grid, costate, plan=plan, fwd=fwd).grad
+    grad = propagate_backward(model, mset, grid, costate, fwd, plan=plan).grad
 
     def objective(amps):
         final = propagate_final("trotter", model, mset, grid.with_amplitudes(amps), s0, plan=plan)
@@ -263,7 +262,7 @@ def test_exact_backend_gradients_agree(problem, batch):
     grads = []
     for backend in ("expm", "ode"):
         fwd = propagate_forward(backend, model, mset, grid, s0)
-        bwd = propagate_backward(backend, model, mset, grid, costate, fwd=fwd)
+        bwd = propagate_backward(model, mset, grid, costate, fwd)
         rho, o = fwd.states[1:], bwd.states[1:]
         want = grid.dt * np.array([
             [np.vdot(o[k], h @ rho[k] - rho[k] @ h).imag for k in range(grid.n_steps)]
