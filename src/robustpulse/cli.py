@@ -39,7 +39,7 @@ from .config import (
 from .gates import preset_unitary
 from .model import ControlGrid, mhz_to_radns, radns_to_mhz
 # robust_J is not called here: perfbench/tracer.py wraps it at cli.robust_J
-from .objective import avg_gate_fidelity, gate_objective, robust_J
+from .objective import avg_gate_fidelity, gate_basis_states, gate_objective, robust_J
 # run_grape and run_stgrape are not called here: perfbench/tracer.py wraps them at cli
 from .optimize import run_gate_synthesis, run_grape, run_stgrape
 from .oracle import noise_sweep, noisy_channel_super
@@ -49,6 +49,11 @@ from .propagate import (
 )
 
 __all__ = ["main"]
+
+# Numbers that optimize's forward cache may hold, n_steps + 1 augmented
+# states per input state: 2 GiB of complex128.  Like config's cap on one
+# augmented state, it bounds the input; it is not a setting.
+_FORWARD_CACHE_CAP = 2**27
 
 
 def _plain(obj):
@@ -258,6 +263,11 @@ def optimize(config_path, out, seed, verbose):
     cfg = load_config(config_path)
     model = build_model(cfg)
     mset = build_mset(cfg, model)
+    states = len(gate_basis_states(model.dim, cfg.task.basis)) if cfg.task.kind == "gate" else 1
+    cache = (cfg.control.n_steps + 1) * states * mset.size * model.dim**2
+    if cache > _FORWARD_CACHE_CAP:
+        raise ConfigError("robustness.order", f"the forward cache holds {cache} numbers, "
+                          f"over the cap {_FORWARD_CACHE_CAP}")
     grid0 = build_grid(cfg, model, seed=seed)
     ocfg = optimizer_config(cfg)
     obj = _objective(cfg, mset, model)

@@ -2,13 +2,14 @@
 
 Everything here works on plain ``numpy.ndarray`` with dtype complex128,
 except where a map is real: :class:`HermitianBasis` writes a
-Hermiticity-preserving superoperator as a real matrix, and :func:`expm`
-keeps real input real.  The matrix exponential is a fixed Pade(13)
-scaling-and-squaring implementation; it is the accuracy reference for
-the propagation backends, so it deliberately avoids shortcuts.  Its
-scaling rule and its Pade polynomials take the algebra's product and
-identity, so the exponential of the augmented generator runs the same
-algorithm on its coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
+Hermiticity-preserving superoperator as a real matrix, by a product with
+its dense unitary on each side, and :func:`expm` keeps real input real.
+The matrix exponential is a fixed Pade(13) scaling-and-squaring
+implementation; it is the accuracy reference for the propagation
+backends, so it deliberately avoids shortcuts.  Its scaling rule and its
+Pade polynomials take the algebra's product and identity, so the
+exponential of the augmented generator runs the same algorithm on its
+coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
 superoperator matrices of the Lindblad generator follow the
 column-stacking convention of :func:`vec`.
 """
@@ -92,65 +93,32 @@ class HermitianBasis:
     :func:`vec`: the diagonal units E_ii, then (E_ij + E_ji)/sqrt(2) for
     i < j, then i(E_ij - E_ji)/sqrt(2) for i < j.
 
-    Its D x D unitary T (D = d^2) has vec(B_k) as column k.  A map that
-    preserves Hermiticity, such as rho -> -i[H, rho] or a dissipator, is
-    the real matrix T^dag M T in this basis (the Pauli-transfer form).  T
-    has at most two nonzeros in each row and each column, so each change of
-    basis is four gathers and scalings, O(D^2) per matrix.
+    ``t`` is the dense D x D unitary (D = d^2) with vec(B_k) as column k,
+    and ``t_dag`` its adjoint.  A map that preserves Hermiticity, such as
+    rho -> -i[H, rho] or a dissipator, is the real matrix T^dag M T in this
+    basis (the Pauli-transfer form); a change of basis is one matrix
+    product on each side.
     """
 
     def __init__(self, d: int):
         iu, ju = np.triu_indices(d, 1)
-        diag = np.arange(d) * (d + 1)  # vec position of (i, i)
-        upper, lower = iu + ju * d, ju + iu * d  # of (i, j) and (j, i), i < j
-        n_pairs, s = iu.size, np.sqrt(0.5)
-        # T^dag and T as (columns, values) of the two nonzeros in each row; a
-        # row with one nonzero is padded with a zero.  Row k of T^dag holds
-        # the conjugated entries of B_k at their vec positions.
-        pairs = np.stack([upper, lower], axis=1)
-        self._tdag = (
-            np.concatenate([np.stack([diag, diag], axis=1), pairs, pairs]),
-            np.concatenate([
-                np.tile([1.0, 0.0], (d, 1)),
-                np.tile([s, s], (n_pairs, 1)),
-                np.tile([-1.0j * s, 1.0j * s], (n_pairs, 1)),
-            ]).astype(complex),
-        )
-        # row (i, j) of T draws on the pair's two basis elements, as does (j, i)
-        cols = np.empty((d * d, 2), dtype=np.int64)
-        vals = np.empty((d * d, 2), dtype=complex)
-        sym = d + np.arange(n_pairs)
-        cols[diag] = np.arange(d)[:, None]
-        vals[diag] = [1.0, 0.0]
-        cols[upper] = cols[lower] = np.stack([sym, sym + n_pairs], axis=1)
-        vals[upper] = [s, 1.0j * s]
-        vals[lower] = [s, -1.0j * s]
-        self._t = (cols, vals)
+        upper, lower = iu + ju * d, ju + iu * d  # vec positions of (i, j) and (j, i)
+        sym = d + np.arange(iu.size)
+        s = np.sqrt(0.5)
+        t = np.zeros((d * d, d * d), dtype=complex)
+        t[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        t[upper, sym] = t[lower, sym] = s
+        t[upper, sym + iu.size] = 1.0j * s
+        t[lower, sym + iu.size] = -1.0j * s
+        self.t, self.t_dag = t, t.conj().T
 
-    @staticmethod
-    def _apply(rows, v):
-        """A v for A given as two (column, value) nonzeros per row."""
-        cols, vals = rows
-        return vals[:, 0] * v[cols[:, 0]] + vals[:, 1] * v[cols[:, 1]]
-
-    @staticmethod
-    def _sandwich(rows, m):
-        """A M A^dag over the last two axes, A as in :meth:`_apply`."""
-        cols, vals = rows
-        return np.ascontiguousarray(sum(
-            (vals[:, a][:, None] * np.conj(vals[:, b])) * m[..., cols[:, a][:, None], cols[:, b]]
-            for a in range(2) for b in range(2)
-        ))
-
-    def real_map(self, m: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
+    def real_map(self, m: np.ndarray, name: str, scale: float) -> np.ndarray:
         """T^dag M T of a superoperator (or a stack of them) as a real
         array.  Raises if its imaginary part exceeds roundoff, 1e-12
-        relative to ``scale`` (the size of what built M, by default M's
-        largest entry), which means ``name`` does not preserve Hermiticity."""
-        m = np.asarray(m)
-        out = self._sandwich(self._tdag, m)
-        if scale is None:
-            scale = np.max(np.abs(m), initial=0.0)
+        relative to ``scale`` (the size of the operators that built M, as
+        M itself can cancel to roundoff), which means ``name`` does not
+        preserve Hermiticity."""
+        out = self.t_dag @ m @ self.t
         if np.max(np.abs(out.imag), initial=0.0) > 1e-12 * scale:
             raise ValueError(f"{name} does not preserve Hermiticity: it is not real "
                              "in the Hermitian basis")
@@ -159,16 +127,7 @@ class HermitianBasis:
     def complex_map(self, r: np.ndarray) -> np.ndarray:
         """T R T^dag: a basis-form superoperator (or a stack of them) back
         in the column-stacking convention."""
-        return self._sandwich(self._t, r)
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """T^dag v: coordinates of vec(rho) in the basis; real when rho is
-        Hermitian, complex in general."""
-        return self._apply(self._tdag, v)
-
-    def vec(self, x: np.ndarray) -> np.ndarray:
-        """T x: the column-stacking vector with basis coordinates x."""
-        return self._apply(self._t, x)
+        return self.t @ r @ self.t_dag
 
 
 def one_and_inf_norms(ops: np.ndarray) -> tuple:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustpulse.augment import mat_commutator, state_to_vec, vec_to_state
-from robustpulse.linalg import HermitianBasis, expm, kron
+from robustpulse.linalg import expm, kron
 from robustpulse.model import attach_uncertainties, build_spin_chain, random_grid
 
 
@@ -30,9 +30,20 @@ def small_grid(model, n_steps=8, dt=0.5, seed=3, max_amp=0.3):
 
 
 def hermitian_basis_matrix(d):
-    """The dense unitary T of linalg.HermitianBasis(d), column by column."""
-    basis = HermitianBasis(d)
-    return np.stack([basis.vec(e) for e in np.eye(d * d)], axis=1)
+    """The unitary T of linalg.HermitianBasis(d), built column by column from
+    the basis definition: vec(B_k) for E_ii, then (E_ij + E_ji)/sqrt(2) for
+    i < j, then i(E_ij - E_ji)/sqrt(2) for i < j, column-stacking."""
+
+    def unit(i, j):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    mats = [unit(i, i) for i in range(d)]
+    mats += [(unit(i, j) + unit(j, i)) * np.sqrt(0.5) for i, j in pairs]
+    mats += [1j * (unit(i, j) - unit(j, i)) * np.sqrt(0.5) for i, j in pairs]
+    return np.stack([m.reshape(d * d, order="F") for m in mats], axis=1)
 
 
 def random_density(d, rng):

@@ -28,6 +28,7 @@ TRACER_ONLY = [
     "optimize.apply_supermatrix",
     "optimize.step_propagator_expm",
     "optimize.trotter_backward_with_gradient",
+    "oracle.expm",
     "propagate.apply_Ej",
     "propagate.apply_Ej_adjoint",
     "propagate.apply_L",

@@ -190,6 +190,32 @@ class TestConfigErrors:
                 with pytest.raises(ConfigError, match="N\\*d\\^2 = 320"):
                     build_mset(small, model)
 
+    def test_order_is_bounded_by_the_forward_cache(self, tmp_path, runner, monkeypatch):
+        """optimize's forward cache, (n_steps + 1) * states * N d^2 numbers,
+        is bounded before anything is built: a 3-qubit coupling-set Toffoli
+        at order 32 passes the one-state cap (N d^2 = 3,769,920) but would
+        cache 1.4e9 numbers over 40 steps, and exits 2 at once.  A 6-step
+        state task at order 1 caches 7 * 1 * 8 = 56, accepted up to a cap
+        of 56."""
+        text = GATE_CFG.replace("n_qubits: 1", "n_qubits: 3\n  uncertainty: couplings")
+        text = text.replace("gate: hadamard_transform", "gate: toffoli")
+        cfg = _write(tmp_path, "c.yaml", text.replace("n_steps: 8", "n_steps: 40").replace(
+            "order: 1", "order: 32"))
+        start = time.perf_counter()
+        res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 2.0
+        assert res.exit_code == 2, res.output
+        assert "robustness.order" in res.stderr and "1391100480 numbers" in res.stderr
+        assert not (tmp_path / "o" / "pulse.csv").exists()
+        small = _write(tmp_path, "s.yaml", STATE_CFG.replace("max_iters: 3", "max_iters: 1"))
+        for cap, code in ((56, 0), (55, 2)):
+            monkeypatch.setattr(cli, "_FORWARD_CACHE_CAP", cap)
+            out = tmp_path / f"cap{cap}"
+            res = runner.invoke(main, ["optimize", "--config", small, "--out", str(out)])
+            assert res.exit_code == code, res.output
+            assert (out / "pulse.csv").exists() == (code == 0)
+        assert "the forward cache holds 56 numbers, over the cap 55" in res.stderr
+
     def test_couplings_on_two_qubits_names_the_uncertainty(self, tmp_path, runner):
         """The coupling set needs a third qubit; a shorter chain is a
         config error, not a traceback."""

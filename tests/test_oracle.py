@@ -63,17 +63,6 @@ def test_noisy_liouvillian_adds_uncertainty(one_qubit):
     assert np.max(np.abs(got - base - drive)) < 1e-13
 
 
-def test_channel_matches_state_propagation(one_qubit):
-    grid = small_grid(one_qubit, n_steps=5, dt=0.5, seed=12)
-    rng = np.random.default_rng(30)
-    rho0 = random_density(2, rng)
-    eps = np.array([0.12])
-    chan = noisy_channel_super(one_qubit, grid, eps)
-    via_channel = (chan @ vec(rho0)).reshape(2, 2, order="F")
-    direct = propagate_noisy_exact(one_qubit, grid, rho0, eps)
-    assert np.max(np.abs(via_channel - direct)) < 1e-12
-
-
 def test_nominal_channel_matches_augmented_zero_block(one_qubit):
     """eps = 0 oracle and the augmented zero-order block agree."""
     mset = MultiIndexSet(1, 2)
@@ -332,12 +321,11 @@ def test_a_generator_that_cancels_to_roundoff_is_real():
     assert np.array_equal(noisy_channel_super(model, grid, np.zeros(0)), np.eye(1))
 
 
-def _agf_scipy(model, grid, eps, u_target):
-    """Average gate fidelity of the noisy channel built from the model
-    operators with np.kron and scipy's expm, column-stacking convention."""
+def _steps_scipy(model, grid, eps):
+    """Each step's channel, built from the model operators with np.kron and
+    scipy's expm, column-stacking convention."""
     d = model.dim
     ident = np.eye(d)
-    s = np.eye(d * d, dtype=complex)
     for amps in grid.amplitudes.T:
         h = model.drift + sum(u * hc for u, hc in zip(amps, model.controls))
         h = h + sum(e * op for e, op in zip(eps, model.uncertainties))
@@ -346,10 +334,35 @@ def _agf_scipy(model, grid, eps, u_target):
             cdc = c.conj().T @ c
             gen = gen + gamma * (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
                                  - 0.5 * np.kron(cdc.T, ident))
-        s = scipy.linalg.expm(grid.dt * gen) @ s
+        yield scipy.linalg.expm(grid.dt * gen)
+
+
+def _agf_scipy(model, grid, eps, u_target):
+    """Average gate fidelity of the noisy channel of :func:`_steps_scipy`."""
+    d = model.dim
+    s = np.eye(d * d, dtype=complex)
+    for step in _steps_scipy(model, grid, eps):
+        s = step @ s
     s_u = np.kron(u_target.conj(), u_target)
     f_pro = float(np.real(np.vdot(s_u, s))) / d**2
     return (d * f_pro + 1.0) / (d + 1.0)
+
+
+@pytest.mark.parametrize(
+    "name, eps", [("one_qubit", [0.12]), ("two_qubit", [0.07, -0.05])], ids=["1q", "2q"]
+)
+def test_state_propagation_agrees_with_an_independent_scipy_reference(name, eps, request):
+    """A noisy state propagation agrees to 1e-12 with vec(rho0) carried
+    through scipy's expm of the complex np.kron Liouvillian, step by step."""
+    model = request.getfixturevalue(name)
+    d = model.dim
+    grid = small_grid(model, n_steps=5, dt=0.5, seed=12)
+    rho0 = random_density(d, np.random.default_rng(30))
+    want = rho0.reshape(d * d, order="F")
+    for step in _steps_scipy(model, grid, eps):
+        want = step @ want
+    got = propagate_noisy_exact(model, grid, rho0, np.array(eps))
+    assert np.max(np.abs(got - want.reshape(d, d, order="F"))) < 1e-12
 
 
 def test_sweep_agrees_with_an_independent_scipy_reference():
