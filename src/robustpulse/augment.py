@@ -9,7 +9,10 @@ nilpotent routing matrices), the block-level generator actions, and the
 augmented generator: assembled as one dense matrix for reference only,
 and otherwise held in its block algebra, where it is exponentiated per
 step and the step propagator is applied to states with one d^2 x d^2
-product per pair of multi-indices instead of per pair of blocks.
+product per pair of multi-indices instead of per pair of blocks.  Every
+block of the generator preserves Hermiticity, so the step builds it real,
+in the Hermitian basis of ``linalg.HermitianBasis``, from the model's
+real ``generator_terms``, and exponentiates and applies it in float64.
 
 Block layout: an augmented state is a (N, d, d) complex array whose k-th
 slice is the coefficient block of the k-th multi-index.  A batch of
@@ -28,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .linalg import kron, mat_commutator, mat_lindblad, pade13, scaling_exponent
+from .linalg import hermitian_basis, kron, mat_commutator, mat_lindblad, pade13, scaling_exponent
 from .model import OpenSystemModel
 
 __all__ = [
@@ -331,15 +334,29 @@ class BlockAlgebra:
         return r
 
     def apply(self, p: np.ndarray, blocks: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """p, whose blocks act on column-vectorised d x d blocks (D = d^2),
-        on an augmented state (N, d, d) or a batch (S, N, d, d): block k
-        receives P_b x_r for each pair (b, r, k).  With ``adjoint``, p's
-        Hermitian adjoint: block r receives P_b^dag y_k."""
+        """p on an augmented state (N, d, d) or a batch (S, N, d, d): block
+        k receives P_b x_r for each pair (b, r, k).  With ``adjoint``, p's
+        Hermitian adjoint: block r receives P_b^dag y_k.
+
+        A complex p acts on column-vectorised blocks (D = d^2).  A real p
+        acts on their coordinates in the Hermitian basis, T^dag vec(x) with
+        T of ``linalg.hermitian_basis(d)``, as the ``expm`` step's
+        propagator does: the blocks move into the basis and back with one
+        product by T each, and the pairs run as real products on the real
+        and imaginary parts of the coordinates, stacked as rows, so the
+        blocks need not be Hermitian."""
         n_blocks, d, z = self.size, blocks.shape[-1], self.zero
         # block axis first, each block as the row vec(x)^T: (N, S, D), so
         # that P x is the row x^T P^T and P^dag y the row y^T conj(P)
         vecs = blocks.reshape(-1, n_blocks, d, d).transpose(1, 0, 3, 2)
         vecs = vecs.reshape(n_blocks, -1, d * d)
+        real = p.dtype == np.float64
+        if real:
+            basis = hermitian_basis(d)
+            n_rows = vecs.shape[1]
+            # coordinate rows (T^dag x)^T = x^T conj(T)
+            coords = (vecs.reshape(-1, d * d) @ basis.t_dag.T).reshape(vecs.shape)
+            vecs = np.concatenate((coords.real, coords.imag), axis=1)
         mats = p.conj() if adjoint else p.swapaxes(-1, -2)
         out = vecs @ mats[z]
         if adjoint:
@@ -349,6 +366,9 @@ class BlockAlgebra:
         for left, right, k in self._mixed:
             src, dst = (k, right) if adjoint else (right, k)
             out[dst] += vecs[src] @ mats[left]
+        if real:
+            # back from coordinate rows c^T to rows (T c)^T = c^T T^T
+            out = (out[:, :n_rows] + 1j * out[:, n_rows:]).reshape(-1, d * d) @ basis.t.T
         out = out.reshape(n_blocks, -1, d, d).transpose(1, 0, 3, 2)
         return np.ascontiguousarray(out).reshape(blocks.shape)
 
@@ -358,15 +378,18 @@ def generator_blocks(
     mset: MultiIndexSet,
     amplitudes: np.ndarray,
 ) -> np.ndarray:
-    """The augmented generator as a :class:`BlockAlgebra` element: the
-    step's Lindblad matrix at the zero order, -i[E_j, .] at e_j."""
-    d2 = model.dim * model.dim
-    gen = np.zeros((mset.size, d2, d2), dtype=complex)
-    gen[mset.zero_index] = mat_commutator(model.hamiltonian(amplitudes)) + model.dissipator_super
+    """The augmented generator as a real :class:`BlockAlgebra` element in
+    the Hermitian basis: the step's Lindblad matrix at the zero order,
+    -i[E_j, .] at e_j, summed from the model's ``generator_terms``.  Block
+    b maps back to the column-stacking form as T G_b T^dag
+    (``linalg.HermitianBasis.complex_map``)."""
+    fixed, controls, uncertainties = model.generator_terms
+    gen = np.zeros((mset.size,) + fixed.shape)
+    gen[mset.zero_index] = fixed + np.tensordot(np.asarray(amplitudes, dtype=float), controls, 1)
     for j in range(mset.m):
         unit = tuple(int(i == j) for i in range(mset.m))
         if unit in mset.index:
-            gen[mset.index[unit]] = model.uncertainty_supers[j]
+            gen[mset.index[unit]] = uncertainties[j]
     return gen
 
 
@@ -376,13 +399,14 @@ def step_propagator_expm(
     amplitudes: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """One-step propagator exp(dt * augmented generator) as a
-    :class:`BlockAlgebra` element, an (N, d^2, d^2) array; apply it with
-    ``mset.algebra.apply``.
+    """One-step propagator exp(dt * augmented generator) as a real
+    :class:`BlockAlgebra` element in the Hermitian basis, an (N, d^2, d^2)
+    float64 array; apply it with ``mset.algebra.apply``.
 
-    Laid out densely it is linalg.expm(dt * assemble_supermatrix(...)) up
-    to roundoff, but neither matrix is formed.  Raises as
-    :func:`assemble_supermatrix` does.
+    Mapped back by T block by block and laid out densely, it is
+    linalg.expm(dt * assemble_supermatrix(...)) up to roundoff, but
+    neither matrix is formed.  Raises as :func:`assemble_supermatrix`
+    does.
     """
     _check_dense_size(model, mset)
     return mset.algebra.expm(dt * generator_blocks(model, mset, amplitudes))

@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy.ndarray`` with dtype complex128,
 except where a map is real: :class:`HermitianBasis` writes a
-Hermiticity-preserving superoperator as a real matrix, by a product with
-its dense unitary on each side, and :func:`expm` keeps real input real.
+Hermiticity-preserving superoperator as a real matrix, the form in which
+the oracle and the ``expm`` step exponentiate, and :func:`expm` keeps
+real input real.
 The matrix exponential is a fixed Pade(13) scaling-and-squaring
 implementation; it is the accuracy reference for the propagation
 backends, so it deliberately avoids shortcuts.  Its scaling rule and its
@@ -16,6 +17,8 @@ column-stacking convention of :func:`vec`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "mat_dissipator",
     "mat_lindblad",
     "HermitianBasis",
+    "hermitian_basis",
     "one_and_inf_norms",
     "expm",
     "scaling_exponent",
@@ -96,21 +100,29 @@ class HermitianBasis:
     ``t`` is the dense D x D unitary (D = d^2) with vec(B_k) as column k,
     and ``t_dag`` its adjoint.  A map that preserves Hermiticity, such as
     rho -> -i[H, rho] or a dissipator, is the real matrix T^dag M T in this
-    basis (the Pauli-transfer form); a change of basis is one matrix
-    product on each side.
+    basis (the Pauli-transfer form).  A change of basis of a state or a
+    channel is one matrix product on each side; that of a superoperator
+    (:meth:`real_map`) gathers the at most two nonzeros of each column of
+    T, O(D^2) where the products cost O(D^3).
     """
 
     def __init__(self, d: int):
         iu, ju = np.triu_indices(d, 1)
         upper, lower = iu + ju * d, ju + iu * d  # vec positions of (i, j) and (j, i)
+        diag = np.arange(d) * (d + 1)
         sym = d + np.arange(iu.size)
         s = np.sqrt(0.5)
         t = np.zeros((d * d, d * d), dtype=complex)
-        t[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        t[diag, np.arange(d)] = 1.0
         t[upper, sym] = t[lower, sym] = s
         t[upper, sym + iu.size] = 1.0j * s
         t[lower, sym + iu.size] = -1.0j * s
         self.t, self.t_dag = t, t.conj().T
+        # column k of t is rows[0, k] -> vals[0, k] plus rows[1, k] -> vals[1, k];
+        # a diagonal unit's second entry is a zero
+        self._rows = np.concatenate(([diag, diag], [upper, lower], [upper, lower]), axis=1)
+        self._vals = t[self._rows, np.arange(d * d)]
+        self._vals[1, :d] = 0.0
 
     def real_map(self, m: np.ndarray, name: str, scale: float) -> np.ndarray:
         """T^dag M T of a superoperator (or a stack of them) as a real
@@ -118,7 +130,9 @@ class HermitianBasis:
         relative to ``scale`` (the size of the operators that built M, as
         M itself can cancel to roundoff), which means ``name`` does not
         preserve Hermiticity."""
-        out = self.t_dag @ m @ self.t
+        (r0, r1), (v0, v1) = self._rows, self._vals
+        mt = m[..., r0] * v0 + m[..., r1] * v1  # M T, column by column
+        out = v0.conj()[:, None] * mt[..., r0, :] + v1.conj()[:, None] * mt[..., r1, :]
         if np.max(np.abs(out.imag), initial=0.0) > 1e-12 * scale:
             raise ValueError(f"{name} does not preserve Hermiticity: it is not real "
                              "in the Hermitian basis")
@@ -128,6 +142,13 @@ class HermitianBasis:
         """T R T^dag: a basis-form superoperator (or a stack of them) back
         in the column-stacking convention."""
         return self.t @ r @ self.t_dag
+
+
+@lru_cache(maxsize=8)
+def hermitian_basis(d: int) -> HermitianBasis:
+    """The shared :class:`HermitianBasis` of d x d matrices, built once per
+    d (the last few d are kept); callers must not write to it."""
+    return HermitianBasis(d)
 
 
 def one_and_inf_norms(ops: np.ndarray) -> tuple:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import (
+    hermitian_basis,
     is_hermitian,
     kron_all,
     mat_commutator,
@@ -205,9 +206,29 @@ class OpenSystemModel:
         return 0.5 * np.tensordot(self.rates, self.collapse_cdc_stack, axes=1)
 
     @cached_property
-    def dissipator_super(self) -> np.ndarray:
-        """Collapse part of the Lindblad generator as a d^2 x d^2 matrix."""
-        return mat_dissipator(self.lindblads, self.dim)
+    def generator_terms(self) -> tuple:
+        """The real d^2 x d^2 terms of the Lindblad generator in the
+        Hermitian basis (``linalg.hermitian_basis(d)``): drift plus
+        dissipator as one matrix, then a (n_controls, d^2, d^2) and a
+        (n_uncertainties, d^2, d^2) stack of the -i[H, .] terms.  They
+        depend on neither the time step, the amplitudes nor the
+        uncertainty strengths, so the oracle's generator and the ``expm``
+        step's sum them from this one construction."""
+        d, basis = self.dim, hermitian_basis(self.dim)
+
+        def stack(ops, kind):  # one term at a time, so d^4 temporaries stay few
+            out = np.empty((len(ops), d * d, d * d))
+            for i, h in enumerate(ops):
+                out[i] = basis.real_map(mat_commutator(h), f"{kind} {i}", np.max(np.abs(h)))
+            return out
+
+        # realness is judged against the operators that build a term, which can
+        # cancel to roundoff; max |cdc| bounds every entry of a collapse term
+        cdc = self.rates * np.max(np.abs(self.collapse_cdc_stack), axis=(1, 2), initial=0.0)
+        scale = max([np.max(np.abs(self.drift)), *cdc])
+        fixed = mat_commutator(self.drift) + mat_dissipator(self.lindblads, d)
+        fixed = basis.real_map(fixed, "drift plus dissipator", scale)
+        return fixed, stack(self.controls, "control"), stack(self.uncertainties, "uncertainty")
 
     @cached_property
     def uncertainty_supers(self) -> np.ndarray:

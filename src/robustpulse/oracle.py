@@ -4,15 +4,17 @@ Everything in this module deliberately bypasses the augmented-block
 machinery and the splitting factors: the uncertain system is propagated
 as a plain density matrix under the full generator with the uncertainty
 strengths inserted numerically, one supermatrix exponential per step.
-The generator is rebuilt here from first principles, with ``np.kron`` on
-the model's operators, so a bug in the production assembly of
-``augment`` cannot hide in its own verification.
+The generator sums the model's ``generator_terms``, the one construction
+that the ``expm`` step's augmented generator sums too; the tests check
+the channel against one rebuilt with ``np.kron`` and scipy's ``expm``
+from the model's operators, so a fault in that construction cannot hide
+in its own verification.
 
 The propagation runs in real arithmetic.  A Lindblad generator, and each
 of its -i[H, .] terms, preserves Hermiticity, so in an orthonormal basis
 of Hermitian matrices (``linalg.HermitianBasis``, the Pauli-transfer
 form) it is a real matrix.  Each term is moved into that basis once per
-channel, and the channel is moved back once at the end; the steps
+model, and the channel is moved back once at the end; the steps
 multiply float64 exponentials, a quarter of the complex flops.  A state
 is propagated by applying its channel.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import linalg
 # expm is not called here: perfbench/tracer.py wraps it at oracle.expm
-from .linalg import HermitianBasis, expm
+from .linalg import expm, hermitian_basis
 from .model import ControlGrid, NoiseDistribution, OpenSystemModel
 from .objective import avg_gate_fidelity
 
@@ -40,36 +42,8 @@ __all__ = [
 ]
 
 
-def _generator_terms(model: OpenSystemModel, basis: HermitianBasis) -> tuple:
-    """The real d^2 x d^2 terms of the generator in the Hermitian basis:
-    drift plus dissipator as one matrix, then a (n_controls, d^2, d^2) and
-    a (n_uncertainties, d^2, d^2) stack of the -i[H, .] terms.  They depend
-    on neither the time step nor the uncertainty strengths."""
-    d = model.dim
-    ident = np.eye(d, dtype=complex)
-    ops = np.array([model.drift, *model.controls, *model.uncertainties])
-    # column-stacking: rho A B -> (B^T kron A) vec(rho); all -i[H, .] at once
-    comm = -1.0j * (np.kron(ident[None], ops) - np.kron(ops.swapaxes(-1, -2), ident[None]))
-    # realness is judged against the operators that build a term, which can
-    # cancel to roundoff; max |cdc| bounds every entry of a collapse term
-    scales = np.max(np.abs(ops), axis=(1, 2))
-    fixed, fixed_scale = comm[0], scales[0]
-    for c, gamma in model.lindblads:
-        cdc = c.conj().T @ c
-        fixed = fixed + gamma * (
-            np.kron(np.conj(c), c) - 0.5 * np.kron(ident, cdc) - 0.5 * np.kron(cdc.T, ident)
-        )
-        fixed_scale = max(fixed_scale, gamma * np.max(np.abs(cdc)))
-    n_c = len(model.controls)
-    names = [f"control {i}" for i in range(n_c)]
-    names += [f"uncertainty {j}" for j in range(model.n_uncertainties)]
-    real = [basis.real_map(t, name, s) for t, name, s in zip(comm[1:], names, scales[1:])]
-    real = np.array(real).reshape(-1, d * d, d * d)
-    return basis.real_map(fixed, "drift plus dissipator", fixed_scale), real[:n_c], real[n_c:]
-
-
 def noisy_liouvillian(
-    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray, *, _terms=None
+    model: OpenSystemModel, amplitudes: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
     """Real d^2 x d^2 generator of the plain master equation at strengths
     eps, in the Hermitian basis ``linalg.HermitianBasis(d)``.
@@ -77,18 +51,15 @@ def noisy_liouvillian(
     ``eps`` is one sample of shape (m,) or a batch of shape (count, m);
     a batch gives a (count, d^2, d^2) stack.  The generator is the fixed
     term plus sum_c u_c R_c plus sum_j eps_j R_j, each sum taken
-    elementwise, so a batch member equals its lone run bit for bit.  A
-    propagation loop passes ``_generator_terms(model, basis)`` as
-    ``_terms``, so that it builds the terms once.
+    elementwise, so a batch member equals its lone run bit for bit.  The
+    terms are the model's ``generator_terms``, built once per model.
     """
     eps = np.asarray(eps, dtype=float)
     single = eps.ndim <= 1
     batch = eps.reshape(1, -1) if single else eps
     if batch.ndim != 2 or batch.shape[1] != model.n_uncertainties:
         raise ValueError("need one strength per uncertainty operator")
-    if _terms is None:
-        _terms = _generator_terms(model, HermitianBasis(model.dim))
-    fixed, controls, uncertainties = _terms
+    fixed, controls, uncertainties = model.generator_terms
     gen = fixed
     for u, r in zip(np.asarray(amplitudes, dtype=float), controls):
         gen = gen + u * r
@@ -109,14 +80,12 @@ def noisy_channel_super(
     stacked real generator and one stacked real exponential.  The product
     leaves the Hermitian basis once, at the end.
     """
-    basis = HermitianBasis(model.dim)
-    terms = _generator_terms(model, basis)
     chan = np.eye(model.dim**2)
     for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps, _terms=terms)
+        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps)
         # linalg.expm: perfbench's tracer wraps oracle.expm with a 2-D-only hook
         chan = linalg.expm(grid.dt * gen) @ chan
-    return basis.complex_map(chan)
+    return hermitian_basis(model.dim).complex_map(chan)
 
 
 def propagate_noisy_exact(

@@ -4,9 +4,13 @@ Three interchangeable backends advance an augmented block state over one
 piecewise-constant control step:
 
 * ``expm``   - the step propagator exp(dt * G), exponentiated in the
-  block algebra of the generator (``augment.step_propagator_expm``) and
-  applied to the blocks pair by pair in that algebra; the forward sweep
-  keeps each step's propagator as it builds it, for the adjoint sweep.
+  block algebra of the generator (``augment.step_propagator_expm``), in
+  float64: every block of G preserves Hermiticity, so in the Hermitian
+  basis (``linalg.HermitianBasis``) the generator and its exponential are
+  real.  The step moves the blocks into that basis and back, one product
+  by T each way, and applies the propagator pair by pair in the algebra;
+  the forward sweep keeps each step's propagator as it builds it, for
+  the adjoint sweep.
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -92,23 +96,25 @@ _TAYLOR_THETA = {
 }
 _UNIT_ROUNDOFF = 2.0**-53
 
-# Per-step cost (ms) of the exact backends on d+1 input states, 2 CPUs and
-# one BLAS thread, median of 5 rounds interleaved in one process; "grad" is
-# a forward and an adjoint sweep:
+# Per-step cost (ms) of the exact backends on d+1 input states, 10 steps (4
+# at 4 qubits), controls of +-0.6 rad/ns, 2 CPUs and one BLAS thread,
+# median of 5 rounds (3 for 4q o2) interleaved in one process; "grad" is a
+# forward and an adjoint sweep:
 #   size    N d^2   expm fwd   ode fwd   expm grad   ode grad
-#   1q o1       8       0.31      1.00        0.35       2.01
-#   2q o1      48       0.50      1.91        0.61       4.09
-#   2q o2      96       0.91      2.70        1.08       5.47
-#   3q o1     192       4.31      4.62        4.84       8.76
-#   3q o2     384       11.6      7.97        11.5       15.6
-#   4q o1     768        191      36.5         186       72.3
-# At 3 qubits the forward pass is near parity: 3q o1 reads 4.9 / 4.7 in a
-# second run and 6.5-7.0 / 3.5-5.2 in fresh processes, where 3q o2 is at
-# parity both ways (15-16 / 11-17 forward, 11-16 / 14-19 grad): ode pays
-# there for glibc malloc's unraised mmap threshold.  expm pays its
-# exponential (~ N d^6) once per step however many sweeps apply it.
+#   1q o1       8      0.165     0.626       0.174       1.25
+#   2q o1      48      0.195      1.24       0.238       2.67
+#   2q o2      96      0.337      1.57       0.383       3.20
+#   3q o1     192      0.987      2.85        1.11       5.75
+#   3q o2     384       2.10      5.66        2.40       10.2
+#   4q o1     768       40.3      27.8        44.0       54.0
+#   4q o2   1,536        111      63.3         128        137
+# In fresh processes (warm-up, median of 3, two rounds) ode pays for glibc
+# malloc's unraised mmap threshold: 4q o1 reads 46-60 / 52-82 / 41-66 /
+# 105-164 and 4q o2 103-172 / 119-181 / 119-190 / 254-364, so 4q o1 is at
+# parity forward and 4q o2 on the gradient.  expm pays its exponential
+# (~ N d^6) once per step however many sweeps apply it.
 # Largest N d^2 that runs expm, by sweeps per step:
-_EXPM_UP_TO = {1: 128, 2: 512}
+_EXPM_UP_TO = {1: 512, 2: 1024}
 
 # Per-step cost (ms) of a whole Trotter step with its outer halves fused
 # into two block-algebra elements or run factor by factor, on one state

@@ -46,6 +46,25 @@ def hermitian_basis_matrix(d):
     return np.stack([m.reshape(d * d, order="F") for m in mats], axis=1)
 
 
+def scipy_steps(model, grid, eps):
+    """Each step's channel, built from the model operators with np.kron and
+    scipy's expm, column-stacking convention: shares no code with the
+    package's generator terms, Hermitian basis or exponential."""
+    import scipy.linalg
+
+    d = model.dim
+    ident = np.eye(d)
+    for amps in grid.amplitudes.T:
+        h = model.drift + sum(u * hc for u, hc in zip(amps, model.controls))
+        h = h + sum(e * op for e, op in zip(eps, model.uncertainties))
+        gen = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+        for c, gamma in model.lindblads:
+            cdc = c.conj().T @ c
+            gen = gen + gamma * (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
+                                 - 0.5 * np.kron(cdc.T, ident))
+        yield scipy.linalg.expm(grid.dt * gen)
+
+
 def random_density(d, rng):
     """Random full-rank density matrix."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

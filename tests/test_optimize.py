@@ -358,9 +358,9 @@ def test_eval_grad_runs_one_forward_and_one_backward_sweep(method, monkeypatch):
 
 
 def test_monitor_runs_the_rule_backend(monkeypatch):
-    """At 3 qubits, order 1 (N d^2 = 192) the monitor's forward pass runs
+    """At 4 qubits, order 1 (N d^2 = 768) the monitor's forward pass runs
     ``ode``, and its true J agrees with the ``expm`` propagation's."""
-    model = attach_uncertainties(build_spin_chain(3), "edges")
+    model = attach_uncertainties(build_spin_chain(4), "edges")
     mset = MultiIndexSet(len(model.uncertainties), 1)
     grid = small_grid(model, n_steps=4)
     obj = as_gate_objective(RobustStateObjective.make(

@@ -8,9 +8,8 @@ certify.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from robustpulse import oracle
+from robustpulse import model as model_module, oracle
 from robustpulse.augment import MultiIndexSet, initial_state, mat_lindblad
 from robustpulse.linalg import HermitianBasis, kron, vec
 from robustpulse.gates import preset_unitary
@@ -31,9 +30,9 @@ from robustpulse.oracle import (
     noisy_liouvillian,
     propagate_noisy_exact,
 )
-from robustpulse.propagate import propagate_final
+from robustpulse.propagate import propagate_backward, propagate_final, propagate_forward
 
-from conftest import hermitian_basis_matrix, random_density, small_grid
+from conftest import hermitian_basis_matrix, random_density, scipy_steps, small_grid
 
 
 def _in_basis(m, d):
@@ -264,34 +263,39 @@ def test_wrong_strength_width_is_rejected(two_qubit, eps):
 
 
 def test_collapse_terms_are_built_once_per_propagation(two_qubit, monkeypatch):
-    """The generator terms depend on neither the step nor the sample: an
-    n-step channel or state propagation builds them once (two np.kron for
-    all the -i[H, .] terms, three per collapse operator), and no step calls
-    np.kron, so the count stays within the 2n + 3k of a per-step rebuild."""
+    """The generator terms depend on neither the step, the sample nor the
+    amplitudes: the model builds them on first use (one mat_commutator
+    per -i[H, .] term and one mat_dissipator for all collapse operators)
+    and keeps them, so no later step builds one: not an oracle channel or
+    state propagation, nor an expm sweep, forward or adjoint."""
     grid = small_grid(two_qubit, n_steps=5)
     eps = np.array([[0.07, -0.02], [0.3, 0.11]])
-    n, k = grid.n_steps, len(two_qubit.lindblads)
-    calls, builds = [], []
-    real_kron, real_terms = np.kron, oracle._generator_terms
+    terms = 1 + len(two_qubit.controls) + two_qubit.n_uncertainties
+    calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return real_kron(*args)
+    def counted(name):
+        real = getattr(model_module, name)
 
-    def built(*args):
-        builds.append(1)
-        return real_terms(*args)
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(np, "kron", counted)
-    monkeypatch.setattr(oracle, "_generator_terms", built)
+    for name in ("mat_commutator", "mat_dissipator"):
+        monkeypatch.setattr(model_module, name, counted(name))
     noisy_channel_super(two_qubit, grid, eps)
-    assert len(builds) == 1
-    assert len(calls) == 2 + 3 * k <= 2 * n + 3 * k
+    assert sorted(calls) == ["mat_commutator"] * terms + ["mat_dissipator"]
+    built = two_qubit.generator_terms
     calls.clear()
-    builds.clear()
+    noisy_channel_super(two_qubit, grid, eps)
     propagate_noisy_exact(two_qubit, grid, np.eye(4, dtype=complex) / 4, eps[0])
-    assert len(builds) == 1
-    assert len(calls) == 2 + 3 * k
+    mset = MultiIndexSet(2, 1)
+    s0 = initial_state(mset, np.eye(4, dtype=complex) / 4)
+    propagate_final("expm", two_qubit, mset, grid, s0)
+    fwd = propagate_forward("expm", two_qubit, mset, grid, s0)
+    propagate_backward(two_qubit, mset, grid, fwd.final, fwd)
+    assert calls == []
+    assert two_qubit.generator_terms is built
 
 
 def test_channel_steps_equal_the_direct_generator(two_qubit):
@@ -321,27 +325,11 @@ def test_a_generator_that_cancels_to_roundoff_is_real():
     assert np.array_equal(noisy_channel_super(model, grid, np.zeros(0)), np.eye(1))
 
 
-def _steps_scipy(model, grid, eps):
-    """Each step's channel, built from the model operators with np.kron and
-    scipy's expm, column-stacking convention."""
-    d = model.dim
-    ident = np.eye(d)
-    for amps in grid.amplitudes.T:
-        h = model.drift + sum(u * hc for u, hc in zip(amps, model.controls))
-        h = h + sum(e * op for e, op in zip(eps, model.uncertainties))
-        gen = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
-        for c, gamma in model.lindblads:
-            cdc = c.conj().T @ c
-            gen = gen + gamma * (np.kron(c.conj(), c) - 0.5 * np.kron(ident, cdc)
-                                 - 0.5 * np.kron(cdc.T, ident))
-        yield scipy.linalg.expm(grid.dt * gen)
-
-
 def _agf_scipy(model, grid, eps, u_target):
-    """Average gate fidelity of the noisy channel of :func:`_steps_scipy`."""
+    """Average gate fidelity of the noisy channel of :func:`scipy_steps`."""
     d = model.dim
     s = np.eye(d * d, dtype=complex)
-    for step in _steps_scipy(model, grid, eps):
+    for step in scipy_steps(model, grid, eps):
         s = step @ s
     s_u = np.kron(u_target.conj(), u_target)
     f_pro = float(np.real(np.vdot(s_u, s))) / d**2
@@ -359,7 +347,7 @@ def test_state_propagation_agrees_with_an_independent_scipy_reference(name, eps,
     grid = small_grid(model, n_steps=5, dt=0.5, seed=12)
     rho0 = random_density(d, np.random.default_rng(30))
     want = rho0.reshape(d * d, order="F")
-    for step in _steps_scipy(model, grid, eps):
+    for step in scipy_steps(model, grid, eps):
         want = step @ want
     got = propagate_noisy_exact(model, grid, rho0, np.array(eps))
     assert np.max(np.abs(got - want.reshape(d, d, order="F"))) < 1e-12

@@ -583,7 +583,8 @@ def test_exact_backend_picks_the_measured_winner():
     backend of a forward pass and of a gradient at each size."""
     rows = [  # qubits, order, N d^2, forward winner, gradient winner
         (1, 1, 8, "expm", "expm"), (2, 1, 48, "expm", "expm"), (2, 2, 96, "expm", "expm"),
-        (3, 1, 192, "ode", "expm"), (3, 2, 384, "ode", "expm"), (4, 1, 768, "ode", "ode"),
+        (3, 1, 192, "expm", "expm"), (3, 2, 384, "expm", "expm"), (4, 1, 768, "ode", "expm"),
+        (4, 2, 1536, "ode", "ode"),
     ]
     for n_qubits, order, size, fwd, grad in rows:
         model = attach_uncertainties(build_spin_chain(n_qubits), "edges")
@@ -642,6 +643,36 @@ def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 6 * 64**2 - 1)
     with pytest.raises(CapExceeded, match="N\\*d\\^4 = 24576 exceeds cap 24575"):
         propagate.step_propagator_expm(model, mset, amps, 0.5)
+
+
+def test_expm_route_runs_in_real_arithmetic(two_qubit, monkeypatch):
+    """The expm step exponentiates in the Hermitian basis: along
+    propagate_final, and along propagate_forward and then
+    propagate_backward, every operand of the block algebra's product and
+    solve is float64, and each forward record is a float64 element of
+    N d^4 numbers, 8 bytes each; the states stay complex d x d blocks."""
+    mset = MultiIndexSet(2, 2)
+    grid = small_grid(two_qubit, n_steps=3, seed=21)
+    rng = np.random.default_rng(22)
+    s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(2)]))
+    dtypes = []
+
+    def spy(real):
+        def wrapped(self, *args):
+            dtypes.extend(np.asarray(a).dtype for a in args)
+            return real(self, *args)
+        return wrapped
+
+    for name in ("product", "solve"):
+        monkeypatch.setattr(augment.BlockAlgebra, name, spy(getattr(augment.BlockAlgebra, name)))
+    final = propagate_final("expm", two_qubit, mset, grid, s0)
+    fwd = propagate_forward("expm", two_qubit, mset, grid, s0)
+    bwd = propagate_backward(two_qubit, mset, grid, final, fwd)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    record = (np.dtype(np.float64), mset.size * two_qubit.dim**4 * 8)
+    assert [(r.dtype, r.nbytes) for r in fwd.records] == [record] * grid.n_steps
+    for states in (final, fwd.states, bwd.states):
+        assert states.dtype == np.complex128 and states.shape[-3:] == (mset.size, 4, 4)
 
 
 def test_unknown_backend_rejected(one_qubit):

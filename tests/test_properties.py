@@ -26,11 +26,10 @@ from robustpulse.augment import (
     step_propagator_expm,
     vec_to_state,
 )
-from robustpulse import oracle
-from robustpulse.linalg import HermitianBasis, expm, mat_lindblad, scaling_exponent
+from robustpulse.linalg import expm, mat_lindblad, scaling_exponent
 from robustpulse.model import ControlGrid, NoiseDistribution, OpenSystemModel
 from robustpulse.objective import avg_gate_fidelity
-from robustpulse.oracle import noise_sweep, noisy_liouvillian, propagate_noisy_exact
+from robustpulse.oracle import noise_sweep, noisy_liouvillian
 from robustpulse import propagate
 from robustpulse.propagate import (
     BACKENDS,
@@ -44,7 +43,13 @@ from robustpulse.propagate import (
     step_trotter_adjoint,
 )
 
-from conftest import dense_step_reference, hermitian_basis_matrix, random_density, random_hermitian
+from conftest import (
+    dense_step_reference,
+    hermitian_basis_matrix,
+    random_density,
+    random_hermitian,
+    scipy_steps,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -300,24 +305,33 @@ def _dense_layout(mset, a):
 @PROPERTY_SETTINGS
 @given(problems(), st.sampled_from([0.4, 40.0]))
 def test_block_exponential_equals_dense_reference(problem, dt):
-    """The step propagator, exponentiated in the block algebra, is an
-    (N, d^2, d^2) element whose dense layout equals linalg.expm of the
-    assembled generator to 1e-12 relative.  The generator's blocks lay
-    out to that generator exactly, and their column sums give its 1-norm,
-    hence its scaling exponent; dt = 40 forces squarings."""
+    """The step propagator, exponentiated in the block algebra, is a real
+    (N, d^2, d^2) element in the Hermitian basis; mapped back by T block
+    by block, its dense layout equals linalg.expm of the assembled
+    generator to 1e-12 relative.  The real generator's blocks map back
+    and lay out to that generator to roundoff, and their column sums give
+    the 1-norm of their own dense layout, hence its scaling exponent;
+    dt = 40 forces squarings."""
     model, mset, grid, _ = problem
     d2 = model.dim**2
+    t = hermitian_basis_matrix(model.dim)
+
+    def back(a):
+        return _dense_layout(mset, t @ a @ t.conj().T)
+
     for amps in grid.amplitudes.T:
         big = dt * assemble_supermatrix(model, mset, amps)
         gen = dt * generator_blocks(model, mset, amps)
-        assert np.array_equal(_dense_layout(mset, gen), big)
+        assert gen.dtype == np.float64
+        assert np.max(np.abs(back(gen) - big)) <= 1e-14 * np.max(np.abs(big))
         norm = mset.algebra.one_norm(gen)
-        assert abs(norm - np.linalg.norm(big, 1)) <= 1e-14 * norm
-        assert scaling_exponent(norm) == scaling_exponent(np.linalg.norm(big, 1))
+        dense = np.linalg.norm(_dense_layout(mset, gen), 1)
+        assert abs(norm - dense) <= 1e-14 * norm
+        assert scaling_exponent(norm) == scaling_exponent(dense)
         want = expm(big)
         got = step_propagator_expm(model, mset, amps, dt)
-        assert got.shape == (mset.size, d2, d2)
-        assert np.max(np.abs(_dense_layout(mset, got) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.dtype == np.float64 and got.shape == (mset.size, d2, d2)
+        assert np.max(np.abs(back(got) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @PROPERTY_SETTINGS
@@ -383,31 +397,32 @@ def test_exact_backends_keep_block_traces(problem):
 @given(problems(), st.sampled_from(["normal", "uniform"]))
 def test_noise_sweep_matches_per_sample_state_propagation(problem, kind):
     """The batched sweep's fidelities equal those of each sample's channel
-    built column by column from the one-sample state propagation."""
+    built independently: the d^2 unit states carried through scipy's
+    exponential of the np.kron Liouvillian, step by step
+    (conftest.scipy_steps), which shares no code with the oracle."""
     model, _mset, grid, rng = problem
     d, m = model.dim, model.n_uncertainties
     u_target = expm(-1j * random_hermitian(d, rng))
     dist = NoiseDistribution(kind, rng.uniform(0.0, 0.3, m), seed=int(rng.integers(2**31)))
     result = noise_sweep(model, grid, u_target, dist, 4)
     assert result.fidelities.shape == (4,)
-    units = np.eye(d * d, dtype=complex)
     for eps, fid in zip(result.eps, result.fidelities):
-        chan = np.stack([
-            propagate_noisy_exact(model, grid, e.reshape(d, d, order="F"), eps).reshape(-1, order="F")
-            for e in units
-        ], axis=1)
+        chan = np.eye(d * d, dtype=complex)  # column j: the unit state vec(E_j)
+        for step in scipy_steps(model, grid, eps):
+            chan = step @ chan
         assert abs(fid - avg_gate_fidelity(chan, u_target)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(problems())
 def test_oracle_generator_terms_are_real(problem):
-    """Every term of the oracle's generator passes the Hermitian basis's
+    """Every term of the model's generator_terms, which the oracle's
+    generator and the expm step's sum, passes the Hermitian basis's
     realness check, and the generator they sum to is the Lindblad matrix
     in that basis."""
     model, _mset, grid, rng = problem
     d, m = model.dim, model.n_uncertainties
-    fixed, controls, uncertainties = oracle._generator_terms(model, HermitianBasis(d))
+    fixed, controls, uncertainties = model.generator_terms
     for terms, count in ((fixed[None], 1), (controls, len(model.controls)), (uncertainties, m)):
         assert terms.dtype == np.float64
         assert terms.shape == (count, d * d, d * d)
