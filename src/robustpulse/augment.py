@@ -333,10 +333,18 @@ class BlockAlgebra:
             r = self.product(r, r)
         return r
 
-    def apply(self, p: np.ndarray, blocks: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def apply(
+        self,
+        p: np.ndarray,
+        blocks: np.ndarray,
+        adjoint: bool = False,
+        p_conj: np.ndarray | None = None,
+    ) -> np.ndarray:
         """p on an augmented state (N, d, d) or a batch (S, N, d, d): block
         k receives P_b x_r for each pair (b, r, k).  With ``adjoint``, p's
-        Hermitian adjoint: block r receives P_b^dag y_k.
+        Hermitian adjoint: block r receives P_b^dag y_k, by conj(p), which
+        a caller that applies the same complex p's adjoint at every step
+        passes once built as ``p_conj``.
 
         A complex p acts on column-vectorised blocks (D = d^2).  A real p
         acts on their coordinates in the Hermitian basis, T^dag vec(x) with
@@ -344,7 +352,14 @@ class BlockAlgebra:
         propagator does: the blocks move into the basis and back with one
         product by T each, and the pairs run as real products on the real
         and imaginary parts of the coordinates, stacked as rows, so the
-        blocks need not be Hermitian."""
+        blocks need not be Hermitian.
+
+        The pairs run on the rows layout R[k, s] = vec(x_{s,k})^T, an
+        (N, S, D) array.  The result is returned as a view of its rows
+        array, so an input that is a result of ``apply`` is read without a
+        copy; any other layout is copied into rows once.  Like the
+        ``kernels``' wide arrays, the view is a fresh array that the
+        caller may keep."""
         n_blocks, d, z = self.size, blocks.shape[-1], self.zero
         # block axis first, each block as the row vec(x)^T: (N, S, D), so
         # that P x is the row x^T P^T and P^dag y the row y^T conj(P)
@@ -357,7 +372,10 @@ class BlockAlgebra:
             # coordinate rows (T^dag x)^T = x^T conj(T)
             coords = (vecs.reshape(-1, d * d) @ basis.t_dag.T).reshape(vecs.shape)
             vecs = np.concatenate((coords.real, coords.imag), axis=1)
-        mats = p.conj() if adjoint else p.swapaxes(-1, -2)
+        if not adjoint:
+            mats = p.swapaxes(-1, -2)
+        else:
+            mats = p.conj() if p_conj is None else p_conj
         out = vecs @ mats[z]
         if adjoint:
             out[z] += (vecs[:z] @ mats[:z]).sum(axis=0)
@@ -369,8 +387,7 @@ class BlockAlgebra:
         if real:
             # back from coordinate rows c^T to rows (T c)^T = c^T T^T
             out = (out[:, :n_rows] + 1j * out[:, n_rows:]).reshape(-1, d * d) @ basis.t.T
-        out = out.reshape(n_blocks, -1, d, d).transpose(1, 0, 3, 2)
-        return np.ascontiguousarray(out).reshape(blocks.shape)
+        return out.reshape(n_blocks, -1, d, d).transpose(1, 0, 3, 2).reshape(blocks.shape)
 
 
 def generator_blocks(

@@ -293,6 +293,7 @@ def optimize(config_path, out, seed, verbose):
         "stop_reason": report_opt.stop_reason,
         "n_iterations": len(report_opt.iterations) - 1,
         "grad_inf_norm": report_opt.grad_norm,
+        "evaluations": report_opt.evaluations,
         "iterations": report_opt.iterations,
         "checkpoints": [{"iteration": i, "true_J": j, "splitting_J": report_opt.iterations[i]}
                         for i, j in report_opt.checkpoints],

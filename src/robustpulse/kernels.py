@@ -21,6 +21,11 @@ chain of kernel calls converts its input once and never copies to change
 layout again.  Only the memory order differs: the values, and the shapes
 the callers see, are those of the (..., N, d, d) stacks.  Elementwise
 arithmetic between states is fastest on the contiguous W itself.
+``augment.BlockAlgebra.apply`` keeps the same convention for its own
+rows layout, (N, S, d^2) with one row vec(x)^T per block, so a fused
+Trotter step changes layout once each way: the sandwich's
+:func:`to_wide` copies the algebra's rows into W, and the next ``apply``
+copies W back into rows.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .objective import (
     robust_J,  # not called here: perfbench/tracer.py wraps it at optimize.robust_J
 )
 from .propagate import (
+    StepCache,
     TrotterPlan,
     apply_supermatrix,  # not called here: perfbench/tracer.py wraps it here
     exact_backend,
@@ -100,6 +101,7 @@ class OptimizationReport:
     stop_reason: str  # converged | monitor_decrease | max_iters
     grad_norm: float
     wall_time: dict = field(default_factory=dict)
+    evaluations: dict = field(default_factory=dict)  # counts, see _GateTask
 
 
 class LbfgsHistory:
@@ -231,15 +233,19 @@ def _gradient(
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
     timers: _Timers | None = None,
+    fwd: StepCache | None = None,
 ):
     """(J, gradient) of ``obj`` under ``backend``: ``state0``, the
     augmented batch of ``obj``'s input states, forward, then one adjoint
     sweep from the weighted terminal co-states, whose gradient pairing
     the backend picks (see :func:`propagate.propagate_backward`).
-    ``timers`` books the forward and backward sweeps."""
+    ``fwd``, the forward sweep of ``state0`` on ``grid`` if one was
+    recorded already, replaces the forward sweep.  ``timers`` books the
+    forward and backward sweeps."""
     clock = timers or _Timers()
     with clock.phase("forward"):
-        fwd = propagate_forward(backend, model, mset, grid, state0, plan=plan)
+        if fwd is None:
+            fwd = propagate_forward(backend, model, mset, grid, state0, plan=plan)
         j_val = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd.final, obj)
@@ -298,10 +304,20 @@ class _GateTask:
     the splitting backend under a true-objective monitor; ``grape`` runs
     the exact backend that :func:`exact_backend` picks for a gradient, the
     monitor the one it picks for a forward pass.
+
+    :meth:`evaluate` records its forward sweep, and :meth:`eval_grad` at
+    the same point, the one the line search has just accepted, takes that
+    record instead of sweeping again, so no forward sweep runs twice.  The
+    task holds at most one record: every sweep releases the last one
+    first, and :meth:`eval_grad` releases it whether or not it matched.
+    ``evaluations`` counts the objective evaluations, the gradient
+    evaluations, the reused forward sweeps among those, and the monitor
+    evaluations.
     """
 
     def __init__(self, model, mset, grid0, obj, method):
         self.timers = _Timers()
+        self.evaluations = dict.fromkeys(("objective", "gradient", "reused_forward", "monitor"), 0)
         self.model, self.mset, self.grid0 = model, mset, grid0
         self.obj = as_gate_objective(obj)
         self.method = method
@@ -309,30 +325,41 @@ class _GateTask:
         self.backend = "trotter" if self.use_monitor else exact_backend(model, mset, 2)
         self.plan = make_trotter_plan(model, grid0.dt) if self.use_monitor else None
         self.state0 = initial_state(mset, np.stack(self.obj.state0s))
+        self._swept = None  # (x, forward cache) of the last evaluate
 
     def _grid(self, x):
         return self.grid0.with_amplitudes(x.reshape(self.grid0.amplitudes.shape))
 
-    def _final(self, grid, backend):
-        return propagate_final(
-            backend, self.model, self.mset, grid, self.state0, plan=self.plan
-        )
-
     def evaluate(self, x) -> float:
+        self.evaluations["objective"] += 1
         with self.timers.phase("forward"):
-            return gate_objective(self._final(self._grid(x), self.backend), self.obj)
+            self._swept = None
+            fwd = propagate_forward(
+                self.backend, self.model, self.mset, self._grid(x), self.state0, plan=self.plan
+            )
+            self._swept = (np.array(x, dtype=float), fwd)
+            return gate_objective(fwd.final, self.obj)
 
     def eval_grad(self, x):
+        self.evaluations["gradient"] += 1
+        swept, self._swept = self._swept, None
+        fwd = swept[1] if swept is not None and np.array_equal(swept[0], x) else None
+        del swept  # an unmatched record goes before the new sweep runs
+        self.evaluations["reused_forward"] += fwd is not None
         j_val, grad = _gradient(
             self.backend, self.model, self.mset, self._grid(x), self.obj, self.state0,
-            self.plan, self.timers,
+            self.plan, self.timers, fwd,
         )
         return j_val, grad.ravel()
 
     def true_objective(self, x) -> float:
         """Exact-backend evaluation (monitor and final reporting)."""
+        self.evaluations["monitor"] += 1
         with self.timers.phase("monitor"):
-            final = self._final(self._grid(x), exact_backend(self.model, self.mset, 1))
+            final = propagate_final(
+                exact_backend(self.model, self.mset, 1), self.model, self.mset, self._grid(x),
+                self.state0,
+            )
             return gate_objective(final, self.obj)
 
 
@@ -416,6 +443,7 @@ def _optimize_loop(task, cfg: OptimizerConfig) -> OptimizationReport:
         stop_reason=stop_reason,
         grad_norm=grad_norm,
         wall_time=task.timers.stop(),
+        evaluations=dict(task.evaluations),
     )
 
 

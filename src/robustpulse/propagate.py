@@ -24,6 +24,8 @@ piecewise-constant control step:
   up to N d^4 = ``_FUSED_UP_TO`` the plan composes each side once per
   index set and model into one block-algebra element, applied like an
   ``expm`` step propagator; above it each factor runs as its own kernel.
+  A fused step changes layout once each way around its sandwich, and
+  hands the next step its result as a view of the algebra's rows.
 
 ``expm`` and ``ode`` agree to roundoff; :func:`exact_backend` picks the
 faster from the problem size and the sweeps per step exponential.
@@ -32,7 +34,8 @@ All backends expose exact Hilbert-Schmidt adjoints.  The one adjoint
 sweep, :func:`propagate_backward`, runs on a forward sweep's cache and
 pairs each step for the control gradient as it pulls the co-state back:
 by the product rule over the Trotter step's two control factors, or to
-first order after an exact step.
+first order after an exact step.  Each step stores its d x d pairing
+matrices, and the sweep turns them into the gradient once, at its end.
 
 Every step and propagation loop takes one augmented state (N, d, d) or a
 batch of independent states (S, N, d, d) with the same controls; the
@@ -97,47 +100,52 @@ _TAYLOR_THETA = {
 _UNIT_ROUNDOFF = 2.0**-53
 
 # Per-step cost (ms) of the exact backends on d+1 input states, 10 steps (4
-# at 4 qubits), controls of +-0.6 rad/ns, 2 CPUs and one BLAS thread,
-# median of 5 rounds (3 for 4q o2) interleaved in one process; "grad" is a
-# forward and an adjoint sweep:
+# at 4 qubits), controls uniform in +-0.6 rad/ns, 2 CPUs and one BLAS
+# thread; each figure is the mean of two processes' medians of 5 rounds,
+# the backends interleaved within a round; "grad" is a forward and an
+# adjoint sweep:
 #   size    N d^2   expm fwd   ode fwd   expm grad   ode grad
-#   1q o1       8      0.165     0.626       0.174       1.25
-#   2q o1      48      0.195      1.24       0.238       2.67
-#   2q o2      96      0.337      1.57       0.383       3.20
-#   3q o1     192      0.987      2.85        1.11       5.75
-#   3q o2     384       2.10      5.66        2.40       10.2
-#   4q o1     768       40.3      27.8        44.0       54.0
-#   4q o2   1,536        111      63.3         128        137
-# In fresh processes (warm-up, median of 3, two rounds) ode pays for glibc
-# malloc's unraised mmap threshold: 4q o1 reads 46-60 / 52-82 / 41-66 /
-# 105-164 and 4q o2 103-172 / 119-181 / 119-190 / 254-364, so 4q o1 is at
-# parity forward and 4q o2 on the gradient.  expm pays its exponential
-# (~ N d^6) once per step however many sweeps apply it.
+#   1q o1       8      0.122     0.435       0.140      0.896
+#   2q o1      48      0.186     0.921       0.199       1.96
+#   2q o2      96      0.313      1.32       0.399       2.61
+#   3q o1     192       1.26      2.40        1.28       4.75
+#   3q o2     384       2.83      4.49        2.50       8.84
+#   4q o1     768       42.9      40.8        42.9       79.7
+#   4q o2   1,536        106      50.7         105       99.0
+# 4q o1 is near parity forward (ode ahead in both processes); in fresh
+# processes ode also pays for glibc malloc's unraised mmap threshold
+# (measured earlier: 4q o1 46-60 ms forward against expm's 52-82).  expm
+# pays its exponential (~ N d^6) once per step however many sweeps apply
+# it.
 # Largest N d^2 that runs expm, by sweeps per step:
 _EXPM_UP_TO = {1: 512, 2: 1024}
 
-# Per-step cost (ms) of a whole Trotter step with its outer halves fused
-# into two block-algebra elements or run factor by factor, on one state
-# and on d+1 states, 2 CPUs and one BLAS thread, median of 5 rounds
-# interleaved in one process; "build" is the one-off cost of the two
-# elements (d+1 states' run):
+# Per-step cost (ms) of a whole forward Trotter step with its outer halves
+# fused into two block-algebra elements or run factor by factor, on one
+# state and on d+1 states, from sweeps of 10 steps (4 at 4-5 qubits), 2
+# CPUs and one BLAS thread; the mean of two processes' medians of 5 rounds
+# (one process of 3 rounds at 5q o1), fused and factored interleaved
+# within a round; "build" is the one-off cost of the two elements
+# (measured earlier, d+1 states' run):
 #   size     N d^4    fused / factored, S=1    S=d+1              build
-#   1q o1        32       0.051 / 0.153        0.059 / 0.158        0.2
-#   2q o1       768       0.055 / 0.230        0.094 / 0.270        0.3
-#   2q o2     1,536       0.108 / 0.411        0.181 / 0.507        0.4
-#   2q o4     3,840       0.521 / 0.793        0.786 / 1.289        0.7
-#   3q o1    12,288       0.084 / 0.246        0.264 / 0.600        1.9
-#   3q o2    24,576       0.185 / 0.488        0.770 / 2.838        3.2
-#   3q o3    40,960       0.468 / 0.827        1.620 / 2.936        6.2
-#   3q o4    61,440       1.021 / 1.177        3.077 / 5.300        8.6
-#   4q o1   196,608       0.654 / 0.591        4.404 / 6.369         53
-#   4q o2   393,216       2.260 / 1.265        12.53 / 16.16        102
-#   5q o0 1,048,576       2.841 / 0.966        19.14 / 29.70        613
-#   5q o1 3,145,728       12.89 / 2.340        86.92 / 93.15      1,387
+#   1q o1        32       0.031 / 0.076        0.032 / 0.077        0.2
+#   2q o1       768       0.033 / 0.100        0.042 / 0.125        0.3
+#   2q o2     1,536       0.056 / 0.186        0.079 / 0.250        0.4
+#   2q o4     3,840       0.200 / 0.340        0.330 / 0.660        0.7
+#   3q o1    12,288       0.053 / 0.131        0.133 / 0.331        1.9
+#   3q o2    24,576       0.102 / 0.246        0.334 / 1.420        3.2
+#   3q o3    40,960       0.225 / 0.387        0.770 / 2.766        6.2
+#   3q o4    61,440       0.446 / 0.576        1.650 / 3.715        8.6
+#   4q o1   196,608       0.499 / 0.328        2.594 / 3.621         53
+#   4q o2   393,216       1.336 / 0.688        6.897 / 8.363        102
+#   5q o0 1,048,576       2.251 / 0.719        13.08 / 17.41        613
+#   5q o1 3,145,728       9.840 / 1.926        66.33 / 56.94      1,387
 # A fused block is a d^2 x d^2 product where the factors make d x d
 # ones, so from 4 qubits on the fused step wins only on many states and
-# loses on one.  Up to 3 qubits it wins on both.  No rule on S N d^4 is
-# drawn until workloads at 4 qubits run both one and d+1 states.
+# loses on one (at 5q o1 on both).  Up to 3 qubits it wins on both.  The
+# plan also holds the halves' conjugates for the adjoint, so fused halves
+# take 4 N d^4 complex numbers, 4 MiB at the constant.  No rule on S N d^4
+# is drawn until workloads at 4 qubits run both one and d+1 states.
 # Largest N d^4 whose Trotter step applies its outer halves fused:
 _FUSED_UP_TO = 2**16
 
@@ -186,10 +194,10 @@ class TrotterPlan:
     ``readout`` (n_channels, G d) puts each channel's diagonal in its
     group's d columns, so that readout @ diag(r_q^dag M r_q), stacked
     over the groups q, is tr(H_c M) for every channel c.  ``halves``
-    holds, per index set (m, n), the model they were built from and the
+    holds, per index set (m, n), the model they were built from, the
     step's two outer halves as :func:`_build_halves` builds them on first
-    use; a step with another model (say, other uncertainty operators)
-    builds them again.
+    use, and their conjugates for the adjoint step; a step with another
+    model (say, other uncertainty operators) builds them again.
     """
 
     dt: float
@@ -349,15 +357,17 @@ def _build_halves(plan: TrotterPlan, model: OpenSystemModel, mset: MultiIndexSet
 
 
 def _halves(plan: TrotterPlan, model: OpenSystemModel, mset: MultiIndexSet) -> tuple | None:
-    """``mset``'s (P, Q) of :func:`_build_halves`, built once per plan,
-    index set and model; None when the step applies its halves factor by
-    factor."""
+    """``mset``'s (P, Q) of :func:`_build_halves` and their conjugates,
+    which the adjoint step multiplies by, (P, Q, conj(P), conj(Q)), built
+    once per plan, index set and model; None when the step applies its
+    halves factor by factor."""
     if not _fuses(model, mset):
         return None
     key = (mset.m, mset.n)
     built = plan.halves.get(key)
     if built is None or built[0] is not model:
-        built = plan.halves[key] = (model, *_build_halves(plan, model, mset))
+        halves = _build_halves(plan, model, mset)
+        built = plan.halves[key] = (model, *halves, *(np.conj(h) for h in halves))
     return built[1:]
 
 
@@ -376,7 +386,10 @@ def _outer_half(
     ``_FUSED_UP_TO`` the factors' own kernels."""
     halves = _halves(plan, model, mset)
     if halves is not None:
-        return mset.algebra.apply(halves[second != adjoint], blocks, adjoint=adjoint)
+        which = int(second != adjoint)
+        return mset.algebra.apply(
+            halves[which], blocks, adjoint=adjoint, p_conj=halves[2 + which]
+        )
     half = 0.5 * plan.dt
     blocks = kernels.wide(blocks)
     if second:
@@ -483,11 +496,19 @@ def step_trotter(
     factor.  ``factors`` is the step's :func:`control_factors` (``.at(k)``).
 
     With ``record`` a list, the state just before the control sandwich,
-    for :func:`step_trotter_adjoint`'s gradient, is appended to it; it
-    may share memory with ``blocks``, which the caller then keeps unwritten.
+    for :func:`step_trotter_adjoint`'s gradient, is appended to it, as
+    the wide array that the sandwich reads; it may share memory with
+    ``blocks``, which the caller then keeps unwritten.
+
+    A fused step changes layout once each way: P's result is a view of
+    the algebra's rows, which the sandwich copies into the kernels' wide
+    layout, and Q copies the sandwich's wide result back into rows.  The
+    result is a view of Q's rows, which the next step's P reads as they
+    are (``BlockAlgebra.apply``).
     """
     blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=False)
     if record is not None:
+        blocks = kernels.wide(blocks)
         record.append(blocks)
     blocks = kernels.conjugate_blocks(factors.whole, factors.whole_dag, blocks)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=False)
@@ -500,11 +521,13 @@ def step_trotter_adjoint(
     blocks: np.ndarray,
     factors: SandwichFactors,
     pre: np.ndarray,
-    grad_col: np.ndarray,
+    pairing: np.ndarray,
 ) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same ``factors``,
-    built with their readers), which adds the step's exact control
-    gradient into ``grad_col``.
+    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same ``factors``),
+    which writes the step's two control pairing matrices into
+    ``pairing`` (2, d, d), one per control factor in application order;
+    :func:`_trotter_gradient` turns a sweep's pairings into the exact
+    control gradient.
 
     ``pre`` is the state that :func:`step_trotter` recorded before its
     control sandwich; the state before the second control factor is pre
@@ -514,21 +537,35 @@ def step_trotter_adjoint(
     Conjugating both by the groups before q leaves this as tr(H_c V M
     V^dag), where M = :func:`kernels.control_pairing` pairs the factor's
     starting state with the co-state pulled back through the whole
-    factor: one d x d matrix per factor, which the ``factors.readers``
-    carry to every group.
+    factor: one d x d matrix per factor.
+
+    Like the forward step, a fused adjoint step changes layout once each
+    way around its sandwich, whose conjugations and pairings all read
+    the wide arrays.
     """
-    half = 0.5 * plan.dt
     blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=True)
     blocks = kernels.conjugate_blocks(factors.mid_post_dag, factors.mid_post, blocks)
     mid = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, pre)
-    at_mid = kernels.control_pairing(blocks, mid)
+    pairing[1] = kernels.control_pairing(blocks, mid)
     blocks = kernels.conjugate_blocks(factors.pre_mid_dag, factors.pre_mid, blocks)
-    at_pre = kernels.control_pairing(blocks, pre)
-    # diagonal of readers_f M_f readers_f^dag, summed over both factors
-    carried = factors.readers @ np.stack((at_pre, at_mid))
-    diag = np.sum(carried * factors.readers.conj(), axis=(0, 2))
-    grad_col += half * (plan.readout @ diag.imag)
+    pairing[0] = kernels.control_pairing(blocks, pre)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=True)
+
+
+def _trotter_gradient(
+    plan: TrotterPlan, factors: SandwichFactors, pairings: np.ndarray
+) -> np.ndarray:
+    """The exact control gradient (n_channels, n_steps) of a Trotter
+    sweep from the (n_steps, 2, d, d) pairing matrices that its
+    :func:`step_trotter_adjoint` steps wrote, and the sweep's ``factors``
+    built with their readers: (dt/2) Im tr(H_c V M V^dag), summed over
+    both control factors, for every group's channels at once."""
+    # diagonal of readers_f M_f readers_f^dag, summed over both factors
+    carried = factors.readers @ pairings
+    diag = np.sum(carried * factors.readers.conj(), axis=(1, 3))
+    # one matrix-vector product per step: a single GEMM would sum in
+    # another order and move the gradient at roundoff
+    return 0.5 * plan.dt * (plan.readout @ diag.imag[..., None])[..., 0].T
 
 
 # ------------------------------------------------------------- expm backend
@@ -656,15 +693,15 @@ def _stepper(
         if plan is None:
             plan = make_trotter_plan(model, dt)
         factors = control_factors(plan, amps, readers=fwd is not None)
-        grad = np.zeros((grid.n_channels, n_t))
+        pairings = None if fwd is None else np.empty((n_t, 2, model.dim, model.dim), complex)
 
         def step(k, blocks, adjoint=False, record=None):
             if adjoint:
                 return step_trotter_adjoint(
-                    plan, model, mset, blocks, factors.at(k), fwd.records[k], grad[:, k]
+                    plan, model, mset, blocks, factors.at(k), fwd.records[k], pairings[k]
                 )
             return step_trotter(plan, model, mset, blocks, factors.at(k), record=record)
-        return step, lambda: grad
+        return step, lambda: _trotter_gradient(plan, factors, pairings)
 
     pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
 

@@ -521,6 +521,45 @@ def test_optimize_gate_task_reports_nominal_fidelity(tmp_path, runner):
     assert header == "t_ns,u_1,u_2"
 
 
+def test_optimize_reports_its_evaluation_counts(tmp_path, runner, monkeypatch):
+    """report.yaml counts the line search's objective evaluations, the
+    gradient evaluations, the gradients that reused the accepted point's
+    forward sweep (those that made no forward sweep of their own), and
+    the monitor's evaluations, as a spy on the task counts them, on a
+    3-iteration run of the shipped state_1q config."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "state_1q.yaml").read_text()
+    cfg = _write(tmp_path, "c.yaml", text.replace("max_iters: 150", "max_iters: 3"))
+    seen = dict.fromkeys(("objective", "gradient", "reused_forward", "monitor"), 0)
+    sweeps = []
+    real_forward = optimize.propagate_forward
+    monkeypatch.setattr(
+        optimize, "propagate_forward", lambda *a, **k: sweeps.append(1) or real_forward(*a, **k)
+    )
+
+    def spy(name, key):
+        real = getattr(optimize._GateTask, name)
+
+        def wrapped(task, x):
+            seen[key] += 1
+            before = len(sweeps)
+            out = real(task, x)
+            if name == "eval_grad":
+                seen["reused_forward"] += len(sweeps) == before
+            return out
+        monkeypatch.setattr(optimize._GateTask, name, wrapped)
+
+    for name, key in (("evaluate", "objective"), ("eval_grad", "gradient"),
+                      ("true_objective", "monitor")):
+        spy(name, key)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["n_iterations"] == 3 and report["stop_reason"] == "max_iters"
+    assert report["evaluations"] == seen
+    assert seen["gradient"] == 4 and seen["reused_forward"] == 3 and seen["monitor"] == 2
+
+
 def test_optimize_state_task_makes_one_gate_driver_call(tmp_path, runner, monkeypatch):
     """A state task runs through the gate driver, for either method."""
     calls = []

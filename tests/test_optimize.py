@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,46 @@ def test_eval_grad_runs_one_forward_and_one_backward_sweep(method, monkeypatch):
     assert grad.shape == (grid.amplitudes.size,)
 
 
+@pytest.mark.parametrize("method", ["grape", "stgrape"])
+def test_eval_grad_reuses_the_forward_sweep_just_evaluated(method, monkeypatch):
+    """At the point that evaluate has just swept, the one the line search
+    accepts, eval_grad makes no forward sweep, and its J and gradient
+    equal a fresh task's bit for bit; at any other point it sweeps once.
+    The task holds at most one forward sweep: every sweep starts after
+    the last one is released, and eval_grad releases it, matched or not,
+    so a rejected line-search point leaves none behind."""
+    model, mset, grid, obj = _state_problem()
+    gobj = as_gate_objective(obj)
+    x = grid.amplitudes.ravel().copy()
+    y = 0.5 * x
+    fresh = _GateTask(model, mset, grid, gobj, method).eval_grad(x)
+    task = _GateTask(model, mset, grid, gobj, method)
+    sweeps = []
+    real = optimize.propagate_forward
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in sweeps), "a forward sweep is still held"
+        out = real(*args, **kwargs)
+        sweeps.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(optimize, "propagate_forward", spy)
+
+    def grad_at_x(n_sweeps):
+        j_val, grad = task.eval_grad(x)
+        assert len(sweeps) == n_sweeps
+        assert j_val == fresh[0] and np.array_equal(grad, fresh[1])
+        assert all(ref() is None for ref in sweeps)
+
+    assert task.evaluate(x) == fresh[0]
+    grad_at_x(1)
+    task.evaluate(y)  # rejected
+    task.evaluate(x)  # accepted
+    grad_at_x(3)
+    task.evaluate(y)  # rejected, and the search gives up
+    grad_at_x(5)
+    assert task.evaluations == {"objective": 4, "gradient": 3, "reused_forward": 2, "monitor": 0}
+
+
 def test_monitor_runs_the_rule_backend(monkeypatch):
     """At 4 qubits, order 1 (N d^2 = 768) the monitor's forward pass runs
     ``ode``, and its true J agrees with the ``expm`` propagation's."""
@@ -498,6 +539,7 @@ class _ScriptedTask:
         self.use_monitor = use_monitor
         self.grid0 = ControlGrid(0.5, np.zeros((1, self.anchor.size)), -2.0, 2.0)
         self.timers = _Timers()
+        self.evaluations = {}
 
     def _j(self, x):
         return -float(np.sum((x - self.anchor) ** 2))

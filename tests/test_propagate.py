@@ -69,11 +69,12 @@ def _factors(plan, amps, readers=False):
 def _steps(plan, model, mset, blocks, amps):
     """One Trotter step of ``blocks``, and one adjoint step of ``blocks``
     as the gradient sweep runs it, with ``blocks`` as the recorded
-    state, together with the gradient column that it fills."""
-    factors = _factors(plan, amps, readers=True)
-    grad = np.zeros(len(amps))
-    back = step_trotter_adjoint(plan, model, mset, blocks, factors, blocks, grad)
-    return step_trotter(plan, model, mset, blocks, factors), back, grad
+    state, together with the two pairing matrices that it writes."""
+    factors = _factors(plan, amps)
+    d = model.dim
+    pairing = np.zeros((2, d, d), dtype=complex)
+    back = step_trotter_adjoint(plan, model, mset, blocks, factors, blocks, pairing)
+    return step_trotter(plan, model, mset, blocks, factors), back, pairing
 
 
 # ----------------------------------------------------------------- analytics
@@ -175,6 +176,72 @@ def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
     assert calls == Counter(_build_halves=1)
 
 
+def _count_layout_changes(monkeypatch) -> Counter:
+    """Count the copies that change a state's memory layout: into the
+    block algebra's rows (N, S, d^2) on entering ``BlockAlgebra.apply``,
+    out of them on leaving it, and into the kernels' wide array in
+    ``kernels.to_wide``.  A layout already in place is read as a view."""
+    changes = Counter()
+
+    def rows(blocks, n_blocks):
+        d = blocks.shape[-1]
+        return blocks.reshape(-1, n_blocks, d, d).transpose(1, 0, 3, 2).reshape(n_blocks, -1, d * d)
+
+    real_apply = augment.BlockAlgebra.apply
+
+    def apply(algebra, p, blocks, *args, **kwargs):
+        changes["into rows"] += not np.shares_memory(rows(blocks, algebra.size), blocks)
+        out = real_apply(algebra, p, blocks, *args, **kwargs)
+        changes["out of rows"] += not np.shares_memory(rows(out, algebra.size), out)
+        return out
+
+    real_to_wide = propagate.kernels.to_wide
+
+    def to_wide(blocks):
+        out = real_to_wide(blocks)
+        changes["into wide"] += not np.shares_memory(out, blocks)
+        return out
+
+    monkeypatch.setattr(augment.BlockAlgebra, "apply", apply)
+    monkeypatch.setattr(propagate, "apply_supermatrix", apply)
+    monkeypatch.setattr(propagate.kernels, "to_wide", to_wide)
+    return changes
+
+
+def test_fused_steps_change_layout_once_each_way(monkeypatch):
+    """At the cnot_2q size (2 qubits, first order, d+1 = 5 states) a fused
+    Trotter step copies its state into the kernels' wide layout once, for
+    its control sandwich, and back into the algebra's rows once, for Q;
+    P reads the rows that the step before left, and no result is copied
+    out of rows.  That holds for the forward sweep, recorded or not, and
+    for the adjoint sweep, whose sandwich conjugations and pairings all
+    read wide arrays; only each sweep's first step copies its input into
+    rows.  The ``expm`` steps of a forward sweep hand each other their
+    rows without a copy."""
+    model = attach_uncertainties(build_spin_chain(2), "edges")
+    mset = MultiIndexSet(2, 1)
+    grid = small_grid(model, n_steps=40, dt=0.5, seed=36)
+    n = grid.n_steps
+    plan = make_trotter_plan(model, grid.dt)
+    rng = np.random.default_rng(37)
+    s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
+    propagate_final("trotter", model, mset, grid, s0, plan=plan)  # builds the halves
+    changes = _count_layout_changes(monkeypatch)
+    once_each_way = Counter({"into rows": n + 1, "into wide": n})
+    propagate_final("trotter", model, mset, grid, s0, plan=plan)
+    assert +changes == once_each_way
+    changes.clear()
+    fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
+    assert +changes == once_each_way
+    changes.clear()
+    propagate_backward(model, mset, grid, fwd.final, fwd, plan=plan)
+    assert +changes == once_each_way
+    changes.clear()
+    propagate_final("expm", model, mset, grid, s0)
+    propagate_forward("expm", model, mset, grid, s0)
+    assert +changes == Counter({"into rows": 2})
+
+
 def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qubit):
     """With N d^4 above _FUSED_UP_TO (lowered here to one below 2 qubits
     at order 2) a step applies every factor by its kernels, forward and
@@ -193,7 +260,9 @@ def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qu
         calls = _count_calls(monkeypatch, _HALF_SITES)
         record = []
         step_trotter(plan, two_qubit, mset, s0, factors, record=record)
-        step_trotter_adjoint(plan, two_qubit, mset, s0, factors, record[0], np.zeros(4))
+        step_trotter_adjoint(
+            plan, two_qubit, mset, s0, factors, record[0], np.zeros((2, 4, 4), dtype=complex)
+        )
         want = Counter({k: 2 * v for k, v in per_step.items()})
         want["_build_halves"] = built
         assert +calls == +want, limit
@@ -219,20 +288,21 @@ def test_fused_halves_rule_picks_the_measured_winner():
 
 def test_one_plan_keeps_each_index_sets_halves(two_qubit):
     """One plan stepping two index sets in turn hands each set its own
-    halves: every step, its adjoint and its gradient column equal those
-    with a fresh plan for that set."""
+    halves, and their conjugates for the adjoint: every step, its adjoint
+    and its pairing matrices equal those with a fresh plan for that set."""
     plan = make_trotter_plan(two_qubit, 0.5)
     rng = np.random.default_rng(39)
     amps = rng.standard_normal(4) * 0.3
     sets = [MultiIndexSet(2, 1), MultiIndexSet(2, 2)]
     for mset in sets + sets[::-1]:
         s0 = _random_blocks(rng, mset.size, 4)
-        p, q = propagate._halves(plan, two_qubit, mset)
+        p, q, p_conj, q_conj = propagate._halves(plan, two_qubit, mset)
         assert p.shape == q.shape == (mset.size, 16, 16)
+        assert np.array_equal(p_conj, np.conj(p)) and np.array_equal(q_conj, np.conj(q))
         fresh = make_trotter_plan(two_qubit, 0.5)
         got = _steps(plan, two_qubit, mset, s0, amps)
         want = _steps(fresh, two_qubit, mset, s0, amps)
-        for name, g, w in zip(("step", "adjoint", "grad"), got, want):
+        for name, g, w in zip(("step", "adjoint", "pairing"), got, want):
             assert np.array_equal(g, w), (mset.n, name)
 
 
@@ -241,7 +311,7 @@ def test_one_plan_rebuilds_halves_for_another_model():
     uncertainty operators come with the model each step is called with.
     One plan stepped with models that differ only in those (two preset
     kinds, and the edge set doubled, whose index set is the same) gives
-    every step, adjoint step and gradient column the fresh plan's result."""
+    every step, adjoint step and pairing the fresh plan's result."""
     chain = build_spin_chain(3)
     edges = attach_uncertainties(chain, "edges")
     models = [
@@ -259,7 +329,7 @@ def test_one_plan_rebuilds_halves_for_another_model():
         fresh = make_trotter_plan(model, 0.5)
         got = _steps(plan, model, mset, s0, amps)
         want = _steps(fresh, model, mset, s0, amps)
-        for name, g, w in zip(("step", "adjoint", "grad"), got, want):
+        for name, g, w in zip(("step", "adjoint", "pairing"), got, want):
             assert np.array_equal(g, w), (model.n_uncertainties, name)
 
 

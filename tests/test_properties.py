@@ -147,7 +147,8 @@ def test_trotter_step_equals_dense_factors(problem, batch):
     for adjoint in (False, True):
         want = dense_step_reference(model, mset, plan, amps, b, adjoint=adjoint)
         if adjoint:
-            got = [step_trotter_adjoint(plan, model, mset, b, factors, b, np.zeros(amps.size))]
+            pairing = np.zeros((2, d, d), dtype=complex)
+            got = [step_trotter_adjoint(plan, model, mset, b, factors, b, pairing)]
         else:
             got = [step_trotter(plan, model, mset, b, factors),
                    step_trotter(plan, model, mset, b, factors, record=[])]
@@ -172,8 +173,8 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
     (exp_nilpotent and the truncated collapse half) to 1e-12 relative,
     forward and adjoint, at orders 0-2, with and without collapse
     operators and uncertainties.  A whole step equals the factored step
-    in its result, its recorded state, its adjoint and its gradient
-    column."""
+    in its result, its recorded state, its adjoint and its pairing
+    matrices."""
     model, _, grid, rng = problem
     model = dataclasses.replace(model, **{field: [] for field in dropped})
     mset = MultiIndexSet(model.n_uncertainties, order)
@@ -185,7 +186,7 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
             x = exp_nilpotent(model, mset, j, x, 0.5 * grid.dt, adjoint=adjoint)
         return x
 
-    p, q = propagate._halves(plan, model, mset)
+    p, q, *_ = propagate._halves(plan, model, mset)
     for adjoint in (False, True):
         collapse = lambda x: propagate._collapse_half(plan, model, x, adjoint)  # noqa: E731
         first = collapse(drives(b, range(mset.m), adjoint))  # P, or Q^dag
@@ -201,16 +202,55 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
     def whole_step():
         record = []
         out = step_trotter(plan, model, mset, b, factors, record=record)
-        grad = np.zeros(amps.size)
-        back = step_trotter_adjoint(plan, model, mset, costate, factors, record[0], grad)
-        return out, record[0], back, grad
+        pairing = np.zeros((2, model.dim, model.dim), dtype=complex)
+        back = step_trotter_adjoint(plan, model, mset, costate, factors, record[0], pairing)
+        return out, record[0], back, pairing
 
     fused = whole_step()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_FUSED_UP_TO", -1)
         factored = whole_step()
-    for name, got, want in zip(("step", "pre", "adjoint", "grad"), fused, factored):
+    for name, got, want in zip(("step", "pre", "adjoint", "pairing"), fused, factored):
         assert _relative_gap(got, want) <= 1e-12, name
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 2]))
+def test_fused_sweeps_equal_factored_sweeps(problem, batch):
+    """Whole Trotter sweeps with the outer halves fused equal the sweeps
+    run factor by factor to 1e-12 relative, for one state or a batch:
+    the final state of the forward-only sweep, every state of the
+    recorded forward sweep, and every co-state and the gradient of the
+    adjoint sweep on it.  The fused steps hand each other their results
+    as views, and the recorded states are the sandwich's own arrays, so a
+    state that a later write aliased would show here."""
+    model, mset, grid, rng = problem
+    d = model.dim
+    rho0 = random_density(d, rng) if batch is None else np.stack(
+        [random_density(d, rng) for _ in range(batch)]
+    )
+    s0 = initial_state(mset, rho0)
+    costate = _random_blocks(rng, s0.shape)
+
+    def sweeps():
+        plan = make_trotter_plan(model, grid.dt)
+        final = propagate_final("trotter", model, mset, grid, s0, plan=plan)
+        fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
+        bwd = propagate_backward(model, mset, grid, costate, fwd, plan=plan)
+        return final, fwd.states, bwd.states, bwd.grad
+
+    assert propagate._fuses(model, mset)
+    fused = sweeps()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_FUSED_UP_TO", -1)
+        factored = sweeps()
+    for name, got, want in zip(("final", "forward", "backward", "grad"), fused, factored):
+        assert got.shape == want.shape, name
+        if name in ("forward", "backward"):
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert _relative_gap(g, w) <= 1e-12, (name, k)
+        else:
+            assert _relative_gap(got, want) <= 1e-12, name
 
 
 @PROPERTY_SETTINGS
