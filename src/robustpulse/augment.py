@@ -36,7 +36,6 @@ from .model import OpenSystemModel
 
 __all__ = [
     "DEFAULT_SUPERMATRIX_CAP",
-    "CapExceeded",
     "enumerate_orders",
     "MultiIndexSet",
     "initial_state",
@@ -57,11 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_SUPERMATRIX_CAP = 2**22  # on N*d^4, the numbers in one block-algebra element
-
-
-class CapExceeded(ValueError):
-    """A block-algebra element of the generator, N*d^4 numbers (64 MiB at
-    the cap, with about a dozen alive in the Pade-13), exceeds the cap."""
 
 
 def enumerate_orders(m: int, n: int) -> list:
@@ -217,16 +211,16 @@ def apply_Ej_adjoint(
 
 
 def _check_dense_size(model: OpenSystemModel, mset: MultiIndexSet) -> None:
-    """Reject a set whose uncertainty count differs from the model's, and,
-    with :class:`CapExceeded`, a generator whose block-algebra element is
-    over the cap."""
+    """Reject a set whose uncertainty count differs from the model's, and
+    a generator whose block-algebra element, N*d^4 numbers (64 MiB at the
+    cap, with about a dozen alive in the Pade-13), is over the cap."""
     if mset.m not in (0, model.n_uncertainties):
         raise ValueError(
             f"index set has {mset.m} uncertainties, model has {model.n_uncertainties}"
         )
     size = mset.size * model.dim**4
     if size > DEFAULT_SUPERMATRIX_CAP:
-        raise CapExceeded(
+        raise ValueError(
             f"block exponential size N*d^4 = {size} exceeds cap {DEFAULT_SUPERMATRIX_CAP}"
         )
 
@@ -238,7 +232,7 @@ def assemble_supermatrix(
 ) -> np.ndarray:
     """Full augmented generator as a dense (N d^2) x (N d^2) matrix.
 
-    Raises :class:`CapExceeded` when N*d^4 > DEFAULT_SUPERMATRIX_CAP;
+    Raises ValueError when N*d^4 > DEFAULT_SUPERMATRIX_CAP;
     the dense matrix holds N times as many numbers (reference use only).
     """
     _check_dense_size(model, mset)

@@ -145,7 +145,8 @@ def make_gate_objective(
     lam: float = 1.0,
 ) -> GateObjective:
     """Build the d+1 (or three) state-transport objectives for a target
-    unitary, uniformly weighted."""
+    unitary, term i of n weighted by 1/(n tr(rho_i^2)) so that a perfect
+    gate scores 1 (uniform weights for the pure d+1 states)."""
     u_target = np.asarray(u_target, dtype=complex)
     d = u_target.shape[0]
     if np.max(np.abs(u_target.conj().T @ u_target - np.eye(d))) > 1e-10:
@@ -155,7 +156,8 @@ def make_gate_objective(
         RobustStateObjective.make(mset, u_target @ rho @ u_target.conj().T, lam=lam)
         for rho in states
     ]
-    weights = np.full(len(states), 1.0 / len(states))
+    purities = np.array([np.vdot(rho, rho).real for rho in states])
+    weights = 1.0 / (len(states) * purities)
     return GateObjective(weights=weights, state0s=states, per_state=per_state)
 
 

@@ -249,7 +249,7 @@ def _gradient(
         j_val = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd.final, obj)
-        bwd = propagate_backward(model, mset, grid, costate_T, fwd, plan=plan)
+        bwd = propagate_backward(model, mset, grid, costate_T, fwd)
     return j_val, bwd.grad
 
 
@@ -258,15 +258,18 @@ def grape_gradient(
     mset: MultiIndexSet,
     grid: ControlGrid,
     obj: RobustStateObjective | GateObjective,
-    backend: str = "expm",
+    backend: str | None = None,
 ):
-    """First-order objective gradient under the exact ``backend``.
+    """First-order objective gradient under the exact ``backend``, by
+    default the one :func:`propagate.exact_backend` picks for a gradient.
 
     ``obj``'s input states are propagated as one batch; a state objective
     is taken as its one-state gate objective.  Returns (J, gradient) with
     gradient shaped (n_channels, n_steps).  The gradient's error relative
     to finite differences of J shrinks linearly with dt.
     """
+    if backend is None:
+        backend = exact_backend(model, mset, 2)
     if backend not in ("expm", "ode"):
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
     gobj = as_gate_objective(obj)

@@ -163,12 +163,15 @@ class StepCache:
     that swept it.  ``records[k]`` is what forward step k leaves its
     adjoint, built as the step runs: the ``expm`` step's block
     propagator, or the Trotter state just before its control sandwich;
-    ``ode`` leaves none.  ``grad`` is the control gradient of an adjoint
-    sweep."""
+    ``ode`` leaves none.  A Trotter sweep also keeps its ``plan`` and its
+    steps' control ``factors`` for its adjoint.  ``grad`` is the control
+    gradient of an adjoint sweep."""
 
     states: np.ndarray
     backend: str
     records: list = field(default_factory=list)
+    plan: TrotterPlan | None = None
+    factors: SandwichFactors | None = None
     grad: np.ndarray | None = None
 
     @property
@@ -403,7 +406,7 @@ def _outer_half(
 
 class SandwichFactors(NamedTuple):
     """The control sandwich of a grid's steps as d x d conjugations, every
-    field stacked over the steps; :meth:`at` gives one step's.
+    field stacked over the steps; step k reads row k of each.
 
     With U_q the half-step unitary of group q, F1 = U_G ... U_1 the first
     control factor (group 1 acts first), F2 = U_1 ... U_G the second and
@@ -411,11 +414,11 @@ class SandwichFactors(NamedTuple):
     from before the first control factor to before the second,
     ``mid_post`` = F2 carries it on past the second, and ``whole`` = F2
     u_eff F1 is the sandwich; each comes with its adjoint.  ``readers``
-    (2, G d, d), which only the gradient sweep asks for (None otherwise),
-    holds for each control factor f and group q the rows r_q^dag V_fq,
-    with V_fq the groups that factor f applies before q: a pairing matrix
-    M taken at the factor's start reaches q's insertion point as
-    V_fq M V_fq^dag, and q's channels read its diagonal in q's basis.
+    (2, G d, d), for the gradient sweep, holds for each control factor f
+    and group q the rows r_q^dag V_fq, with V_fq the groups that factor f
+    applies before q: a pairing matrix M taken at the factor's start
+    reaches q's insertion point as V_fq M V_fq^dag, and q's channels read
+    its diagonal in q's basis.
     """
 
     whole: np.ndarray
@@ -424,10 +427,7 @@ class SandwichFactors(NamedTuple):
     pre_mid_dag: np.ndarray
     mid_post: np.ndarray
     mid_post_dag: np.ndarray
-    readers: np.ndarray | None
-
-    def at(self, k: int) -> SandwichFactors:
-        return SandwichFactors._make(None if f is None else f[k] for f in self)
+    readers: np.ndarray
 
 
 def _lmul(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -436,12 +436,10 @@ def _lmul(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (a @ stack.transpose(1, 0, 2).reshape(d, n * d)).reshape(d, n, d).transpose(1, 0, 2)
 
 
-def control_factors(
-    plan: TrotterPlan, amplitudes: np.ndarray, readers: bool = False
-) -> SandwichFactors:
-    """The control sandwich of every step, one per column of
-    ``amplitudes`` (n_channels, n_steps), built by products batched over
-    the steps; the gradient readers only with ``readers``."""
+def control_factors(plan: TrotterPlan, amplitudes: np.ndarray) -> SandwichFactors:
+    """The control sandwich of every step and its gradient readers, one
+    per column of ``amplitudes`` (n_channels, n_steps), built by products
+    batched over the steps."""
     half = 0.5 * plan.dt
     amplitudes = np.asarray(amplitudes, dtype=float)
     n_t, d = amplitudes.shape[1], plan.u_eff.shape[0]
@@ -457,21 +455,17 @@ def control_factors(
         before.append(u if before[-1] is eye else u @ before[-1])
     for u in reversed(us):
         after.insert(0, u if after[0] is eye else u @ after[0])
-    reader_rows = None
-    if readers:
-        reader_rows = np.empty((n_t, 2, len(plan.groups) * d, d), dtype=complex)
-        for q, g in enumerate(plan.groups):
-            span = slice(q * d, (q + 1) * d)
-            reader_rows[:, 0, span] = g.r_dag if before[q] is eye else _lmul(g.r_dag, before[q])
-            reader_rows[:, 1, span] = (
-                g.r_dag if after[q + 1] is eye else _lmul(g.r_dag, after[q + 1])
-            )
+    readers = np.empty((n_t, 2, len(plan.groups) * d, d), dtype=complex)
+    for q, g in enumerate(plan.groups):
+        span = slice(q * d, (q + 1) * d)
+        readers[:, 0, span] = g.r_dag if before[q] is eye else _lmul(g.r_dag, before[q])
+        readers[:, 1, span] = g.r_dag if after[q + 1] is eye else _lmul(g.r_dag, after[q + 1])
     pre_mid = _lmul(plan.u_eff, before[-1])
     mid_post = after[0]
     whole = mid_post @ pre_mid
     return SandwichFactors(
         *(x for a in (whole, pre_mid, mid_post) for x in (a, np.conj(a).swapaxes(-1, -2))),
-        reader_rows,
+        readers,
     )
 
 
@@ -481,9 +475,10 @@ def step_trotter(
     mset: MultiIndexSet,
     blocks: np.ndarray,
     factors: SandwichFactors,
+    k: int,
     record: list | None = None,
 ) -> np.ndarray:
-    """One symmetric-splitting step.
+    """Step k of a symmetric-splitting sweep.
 
     Application order: uncertainty drives (ascending), collapse half,
     control groups (ascending), effective-Hamiltonian flow, control
@@ -493,7 +488,7 @@ def step_trotter(
     drives and collapse half before it are one block-algebra element P,
     those after it its mirror Q, which the plan builds once per index set
     (:func:`_build_halves`); above ``_FUSED_UP_TO`` they run factor by
-    factor.  ``factors`` is the step's :func:`control_factors` (``.at(k)``).
+    factor.  ``factors`` is the sweep's :func:`control_factors`, read at row k.
 
     With ``record`` a list, the state just before the control sandwich,
     for :func:`step_trotter_adjoint`'s gradient, is appended to it, as
@@ -510,7 +505,7 @@ def step_trotter(
     if record is not None:
         blocks = kernels.wide(blocks)
         record.append(blocks)
-    blocks = kernels.conjugate_blocks(factors.whole, factors.whole_dag, blocks)
+    blocks = kernels.conjugate_blocks(factors.whole[k], factors.whole_dag[k], blocks)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=False)
 
 
@@ -520,11 +515,12 @@ def step_trotter_adjoint(
     mset: MultiIndexSet,
     blocks: np.ndarray,
     factors: SandwichFactors,
+    k: int,
     pre: np.ndarray,
     pairing: np.ndarray,
 ) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same ``factors``),
-    which writes the step's two control pairing matrices into
+    """Hilbert-Schmidt adjoint of :func:`step_trotter` (same ``factors``
+    and ``k``), which writes the step's two control pairing matrices into
     ``pairing`` (2, d, d), one per control factor in application order;
     :func:`_trotter_gradient` turns a sweep's pairings into the exact
     control gradient.
@@ -544,10 +540,10 @@ def step_trotter_adjoint(
     the wide arrays.
     """
     blocks = _outer_half(plan, model, mset, blocks, second=False, adjoint=True)
-    blocks = kernels.conjugate_blocks(factors.mid_post_dag, factors.mid_post, blocks)
-    mid = kernels.conjugate_blocks(factors.pre_mid, factors.pre_mid_dag, pre)
+    blocks = kernels.conjugate_blocks(factors.mid_post_dag[k], factors.mid_post[k], blocks)
+    mid = kernels.conjugate_blocks(factors.pre_mid[k], factors.pre_mid_dag[k], pre)
     pairing[1] = kernels.control_pairing(blocks, mid)
-    blocks = kernels.conjugate_blocks(factors.pre_mid_dag, factors.pre_mid, blocks)
+    blocks = kernels.conjugate_blocks(factors.pre_mid_dag[k], factors.pre_mid[k], blocks)
     pairing[0] = kernels.control_pairing(blocks, pre)
     return _outer_half(plan, model, mset, blocks, second=True, adjoint=True)
 
@@ -557,8 +553,8 @@ def _trotter_gradient(
 ) -> np.ndarray:
     """The exact control gradient (n_channels, n_steps) of a Trotter
     sweep from the (n_steps, 2, d, d) pairing matrices that its
-    :func:`step_trotter_adjoint` steps wrote, and the sweep's ``factors``
-    built with their readers: (dt/2) Im tr(H_c V M V^dag), summed over
+    :func:`step_trotter_adjoint` steps wrote, and the readers of the
+    sweep's ``factors``: (dt/2) Im tr(H_c V M V^dag), summed over
     both control factors, for every group's channels at once."""
     # diagonal of readers_f M_f readers_f^dag, summed over both factors
     carried = factors.readers @ pairings
@@ -674,8 +670,9 @@ def _stepper(
     fwd: StepCache | None = None,
 ):
     """The backend's map ``step(k, blocks, adjoint=False, record=None)``
-    over step k of ``grid``, and ``gradient()``, the control gradient
-    (n_channels, n_steps) that its adjoint steps gather.
+    over step k of ``grid``, ``gradient()``, the control gradient
+    (n_channels, n_steps) that its adjoint steps gather, and, for
+    ``trotter``, the sweep's plan and control factors (else None, None).
 
     A forward step appends to the list ``record`` what its adjoint
     reuses.  The adjoint steps run on ``fwd``, the same backend's forward
@@ -683,25 +680,28 @@ def _stepper(
     gradient, by the product rule over the Trotter step's two control
     factors, or for ``expm`` and ``ode`` to first order, dt Im
     tr(O_{k+1}^dag [H_c, rho_{k+1}]) summed over all blocks, which is
-    tr(H_c M_k) with M_k the step's one d x d pairing matrix.  A Trotter
-    plan is built when none is given, and the control factors of every
-    step once, here."""
+    tr(H_c M_k) with M_k the step's one d x d pairing matrix.  A forward
+    Trotter sweep builds a plan when none is given, and the control
+    factors of every step once, here; its adjoint takes both from
+    ``fwd``."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     amps, dt, n_t = grid.amplitudes, grid.dt, grid.n_steps
     if backend == "trotter":
-        if plan is None:
-            plan = make_trotter_plan(model, dt)
-        factors = control_factors(plan, amps, readers=fwd is not None)
+        if fwd is None:
+            plan = plan if plan is not None else make_trotter_plan(model, dt)
+            factors = control_factors(plan, amps)
+        else:
+            plan, factors = fwd.plan, fwd.factors
         pairings = None if fwd is None else np.empty((n_t, 2, model.dim, model.dim), complex)
 
         def step(k, blocks, adjoint=False, record=None):
             if adjoint:
                 return step_trotter_adjoint(
-                    plan, model, mset, blocks, factors.at(k), fwd.records[k], pairings[k]
+                    plan, model, mset, blocks, factors, k, fwd.records[k], pairings[k]
                 )
-            return step_trotter(plan, model, mset, blocks, factors.at(k), record=record)
-        return step, lambda: _trotter_gradient(plan, factors, pairings)
+            return step_trotter(plan, model, mset, blocks, factors, k, record=record)
+        return step, lambda: _trotter_gradient(plan, factors, pairings), plan, factors
 
     pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
 
@@ -718,7 +718,7 @@ def _stepper(
     def gradient():
         # tr(H M) = sum_ij H[i, j] M[j, i]
         return dt * np.einsum("cij,kji->ck", np.stack(model.controls), pairings).imag
-    return step, gradient
+    return step, gradient, None, None
 
 
 def propagate_forward(
@@ -734,10 +734,12 @@ def propagate_forward(
     build it (:class:`StepCache`): by the end, for ``expm``, n_t block
     elements of N d^4 numbers each; a forward-only caller that needs just
     the final state uses :func:`propagate_final`, which holds one at a time.
+    A Trotter sweep's cache also holds its plan and control factors.
     The sweep starts from the cache's own copy of ``state0``, so no record
     shares memory with the caller's array."""
-    step, _ = _stepper(backend, model, mset, grid, plan)
-    cache = StepCache(np.empty((grid.n_steps + 1,) + state0.shape, dtype=complex), backend)
+    step, _, plan, factors = _stepper(backend, model, mset, grid, plan)
+    shape = (grid.n_steps + 1,) + state0.shape
+    cache = StepCache(np.empty(shape, dtype=complex), backend, plan=plan, factors=factors)
     cache.states[0] = state0
     blocks = cache.states[0]
     for k in range(grid.n_steps):
@@ -755,7 +757,7 @@ def propagate_final(
     plan: TrotterPlan | None = None,
 ) -> np.ndarray:
     """Final augmented state only; no caching (line-search fast path)."""
-    step, _ = _stepper(backend, model, mset, grid, plan)
+    step, *_ = _stepper(backend, model, mset, grid, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):
         blocks = step(k, blocks)
@@ -768,20 +770,20 @@ def propagate_backward(
     grid: ControlGrid,
     costate_T: np.ndarray,
     fwd: StepCache,
-    plan: TrotterPlan | None = None,
 ) -> StepCache:
     """Pull a terminal co-state back through the adjoint steps of ``fwd``,
     a forward cache on the same grid, and pair each step for the gradient.
 
-    Runs ``fwd.backend`` and returns a cache whose ``states[k]`` is the
-    co-state at t_k; the pairing <costate(t_k), state(t_k)> is
-    step-invariant for the exact backends and exactly matches the Trotter
-    map's true adjoint for the trotter backend.  ``grad`` is the control
-    gradient of the objective whose terminal derivative is ``costate_T``:
-    exact for the Trotter map, first order in dt for the exact backends.
-    The pairings sum over a batch, so weights folded into the co-states
-    give the weighted gradient in one sweep.  A cache of another step
-    count, or a co-state shaped unlike its states, raises ValueError.
+    Runs ``fwd.backend`` (with a Trotter cache's plan and control factors)
+    and returns a cache whose ``states[k]`` is the co-state at t_k; the
+    pairing <costate(t_k), state(t_k)> is step-invariant for the exact
+    backends and exactly matches the Trotter map's true adjoint for the
+    trotter backend.  ``grad`` is the control gradient of the objective
+    whose terminal derivative is ``costate_T``: exact for the Trotter map,
+    first order in dt for the exact backends.  The pairings sum over a
+    batch, so weights folded into the co-states give the weighted gradient
+    in one sweep.  A cache of another step count, or a co-state shaped
+    unlike its states, raises ValueError.
     """
     n_t = grid.n_steps
     if len(fwd.states) != n_t + 1:
@@ -793,7 +795,7 @@ def propagate_backward(
             f"terminal co-state has shape {np.shape(costate_T)} where the forward "
             f"states have {fwd.states.shape[1:]}"
         )
-    step, gradient = _stepper(fwd.backend, model, mset, grid, plan, fwd)
+    step, gradient, *_ = _stepper(fwd.backend, model, mset, grid, None, fwd)
     cache = StepCache(np.empty(fwd.states.shape, dtype=complex), fwd.backend)
     cache.states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
@@ -805,7 +807,6 @@ def propagate_backward(
 
 
 def trotter_backward_with_gradient(
-    plan: TrotterPlan,
     model: OpenSystemModel,
     mset: MultiIndexSet,
     grid: ControlGrid,
@@ -814,7 +815,7 @@ def trotter_backward_with_gradient(
 ) -> np.ndarray:
     """The Trotter :func:`propagate_backward` sweep's gradient; only the
     benchmark's tracer still looks this name up."""
-    return propagate_backward(model, mset, grid, costate_T, fwd, plan=plan).grad
+    return propagate_backward(model, mset, grid, costate_T, fwd).grad
 
 
 def delta_st(
@@ -825,8 +826,9 @@ def delta_st(
     plan: TrotterPlan | None = None,
 ) -> float:
     """Relative terminal deviation of the Trotter backend from the exact
-    supermatrix propagation (see ``splitting_deviation``)."""
-    exact = propagate_final("expm", model, mset, grid, state0)
+    propagation, by the backend :func:`exact_backend` picks for one
+    forward pass (see ``splitting_deviation``)."""
+    exact = propagate_final(exact_backend(model, mset, 1), model, mset, grid, state0)
     approx = propagate_final("trotter", model, mset, grid, state0, plan=plan)
     return splitting_deviation(exact, approx)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from robustpulse.augment import (
-    CapExceeded,
     MultiIndexSet,
     apply_Ej,
     apply_Ej_adjoint,
@@ -231,7 +230,7 @@ def test_state_vec_roundtrip():
 
 def test_supermatrix_cap(over_cap_chain):
     mset = MultiIndexSet(2, 2)
-    with pytest.raises(CapExceeded, match="N\\*d\\^4 = 100663296 exceeds cap 4194304"):
+    with pytest.raises(ValueError, match="N\\*d\\^4 = 100663296 exceeds cap 4194304"):
         assemble_supermatrix(over_cap_chain, mset, np.zeros(12))
 
 

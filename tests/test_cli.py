@@ -17,9 +17,9 @@ from robustpulse.config import (
     ConfigError, build_gate_objective, build_grid, build_model, build_mset,
     build_state_objective, load_config,
 )
-from robustpulse.model import ControlGrid
+from robustpulse.model import ControlGrid, OpenSystemModel
 from robustpulse.objective import GateObjective, RobustStateObjective, gate_objective, uniform_state
-from robustpulse.propagate import delta_st, propagate_final
+from robustpulse.propagate import delta_st, propagate_final, splitting_deviation
 
 
 STATE_CFG = """
@@ -338,6 +338,12 @@ def test_simulate_propagates_the_exact_chain_once(tmp_path, runner, monkeypatch)
     assert len(calls) == 6
 
 
+def _chain_cfg(tmp_path, n_qubits, order, n_steps):
+    """STATE_CFG on an ``n_qubits`` chain at ``order``, ``n_steps`` steps."""
+    return _write(tmp_path, "c.yaml", STATE_CFG.replace("n_qubits: 1", f"n_qubits: {n_qubits}")
+                  .replace("order: 1", f"order: {order}").replace("n_steps: 6", f"n_steps: {n_steps}"))
+
+
 def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
     """At 3 qubits, order 2, no array with a side of N d^2 = 384 passes
     through the expm step propagator, its application, the block algebra
@@ -362,8 +368,7 @@ def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
         *[(augment.BlockAlgebra, m) for m in ("product", "solve", "expm", "apply")],
     ]:
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
-    cfg_path = _write(tmp_path, "c.yaml", STATE_CFG.replace("n_qubits: 1", "n_qubits: 3").replace(
-        "n_steps: 6", "n_steps: 2").replace("order: 1", "order: 2"))
+    cfg_path = _chain_cfg(tmp_path, 3, 2, 2)
     cfg = load_config(cfg_path)
     model = build_model(cfg)
     mset = build_mset(cfg, model)
@@ -382,18 +387,59 @@ def test_no_expm_path_lays_out_the_dense_step(tmp_path, runner, monkeypatch):
     assert [s for s in shapes if 384 in s] == []
 
 
-def test_simulate_over_the_cap_reports_null_for_expm(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 2)
-    cfg = _write(tmp_path, "c.yaml", STATE_CFG)
+def _forbid_expm(monkeypatch):
+    """Make the expm step propagator and the model's generator terms, which
+    only the expm step and the oracle build, raise when reached."""
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(propagate, "step_propagator_expm", forbidden("step_propagator_expm"))
+    monkeypatch.setattr(OpenSystemModel, "generator_terms", property(forbidden("generator_terms")))
+
+
+def test_simulate_above_the_rule_reports_null_for_expm(tmp_path, runner, monkeypatch):
+    """At 3 qubits, order 3 (N d^2 = 640, above the 512 up to which the
+    rule picks expm for one forward pass) simulate runs ode and trotter
+    only: no expm step propagator and no generator terms.  expm's
+    objective and trace defect are null, and the deviation is that of
+    the trotter finals from the ode finals."""
+    cfg_path = _chain_cfg(tmp_path, 3, 3, 2)
+    cfg = load_config(cfg_path)
+    model = build_model(cfg)
+    mset = build_mset(cfg, model)
+    grid = build_grid(cfg, model)
+    assert mset.size * model.dim**2 == 640
+    batch = initial_state(mset, np.stack(build_state_objective(cfg, mset, model.dim).state0s))
+    finals = {b: propagate_final(b, model, mset, grid, batch) for b in ("ode", "trotter")}
+    _forbid_expm(monkeypatch)
     out = tmp_path / "out"
-    res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["simulate", "--config", cfg_path, "--out", str(out)])
+    assert res.exit_code == 0, repr(res.exception)
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["objective"]["expm"] is None
     assert report["trace_defect"]["expm"] is None
-    assert report["splitting_deviation"] is None
+    assert report["splitting_deviation"] == splitting_deviation(finals["ode"], finals["trotter"])
     for backend in ("ode", "trotter"):
         assert np.isfinite([report["objective"][backend], report["trace_defect"][backend]]).all()
+    assert set(yaml.safe_load((out / "timings.yaml").read_text())["simulate_s"]) == {
+        "ode", "trotter"
+    }
+
+
+def test_simulate_at_five_qubits_runs_no_expm_step(tmp_path, runner, monkeypatch):
+    """A 5-qubit, order-1 simulate (N d^2 = 5,120) builds no expm step
+    propagator and no generator terms; its deviation is finite."""
+    _forbid_expm(monkeypatch)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["simulate", "--config", _chain_cfg(tmp_path, 5, 1, 2),
+                               "--out", str(out)])
+    assert res.exit_code == 0, repr(res.exception)
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["objective"]["expm"] is None
+    assert np.isfinite(report["splitting_deviation"])
 
 
 def test_simulate_rejects_non_finite_result(tmp_path, runner, monkeypatch):

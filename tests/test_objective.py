@@ -118,7 +118,7 @@ def test_make_gate_objective_structure():
     u = preset_unitary("cnot", 4)
     gobj = make_gate_objective(mset, u, lam=0.5)
     assert gobj.n_states == 5
-    assert np.allclose(gobj.weights, 0.2)
+    assert np.array_equal(gobj.weights, np.full(5, 1 / 5))
     for rho0, obj in zip(gobj.state0s, gobj.per_state):
         assert np.max(np.abs(obj.target - u @ rho0 @ u.conj().T)) < 1e-13
     with pytest.raises(ValueError, match="unitary"):
@@ -197,3 +197,20 @@ def test_avg_gate_fidelity_matches_haar_average():
     f_closed = avg_gate_fidelity(s_chan, u)
     f_mc, stderr = haar_mc_agf(s_chan, u, samples=20000, seed=11)
     assert abs(f_closed - f_mc) < 3.0 * stderr
+
+
+@pytest.mark.parametrize("kind", ["d_plus_one", "three"])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_gate_objective_scores_one_at_the_targets(kind, d):
+    """Each term is weighted by 1/(n tr(rho_i^2)), so that at order 0 the
+    target's terminal states score J = 1 for every basis kind, although
+    two of the three-state set are mixed; the pure d + 1 states keep the
+    uniform weights exactly."""
+    rng = np.random.default_rng(d)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    mset = MultiIndexSet(1, 0)
+    gobj = make_gate_objective(mset, u, kind)
+    finals = [o.target[None] for o in gobj.per_state]
+    assert gate_objective(finals, gobj) == pytest.approx(1.0, abs=1e-12)
+    if kind == "d_plus_one":
+        assert np.array_equal(gobj.weights, np.full(d + 1, 1 / (d + 1)))

@@ -237,6 +237,32 @@ class TestGradients:
         grape_gradient(model, mset, grid, obj, backend="expm")
         assert len(calls) == grid.n_steps
 
+    def test_grape_gradient_defaults_to_the_rules_pick(self, monkeypatch):
+        """Without ``backend=`` the gradient runs the backend that
+        exact_backend picks for a gradient: expm with the rule's gradient
+        limit at this N d^2 = 8, ode with it one below; an explicit
+        ``backend=`` wins over the rule."""
+        model, mset, grid, obj = _state_problem(n_steps=3)
+        assert mset.size * model.dim**2 == 8
+        real = optimize.propagate_forward
+        used = []
+
+        def spy(backend, *args, **kwargs):
+            used.append(backend)
+            return real(backend, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "propagate_forward", spy)
+        for limit, pick in ((8, "expm"), (7, "ode")):
+            monkeypatch.setitem(propagate._EXPM_UP_TO, 2, limit)
+            used.clear()
+            _, grad = grape_gradient(model, mset, grid, obj)
+            assert used == [pick], limit
+            _, want = grape_gradient(model, mset, grid, obj, backend=pick)
+            assert np.array_equal(grad, want), limit
+        used.clear()
+        grape_gradient(model, mset, grid, obj, backend="expm")
+        assert used == ["expm"]
+
     def test_grape_gradient_rejects_splitting_backend(self):
         model, mset, grid, obj = _state_problem()
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 from scipy.sparse.linalg._expm_multiply import _theta
 
 from robustpulse.augment import (
-    CapExceeded,
     MultiIndexSet,
     assemble_supermatrix,
     initial_state,
@@ -61,9 +60,9 @@ def _expm_step(model, mset, blocks, amps, dt, adjoint=False):
     return propagate.apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
 
 
-def _factors(plan, amps, readers=False):
-    """The control factors of one step at amplitudes ``amps``."""
-    return propagate.control_factors(plan, np.asarray(amps)[:, None], readers=readers).at(0)
+def _factors(plan, amps):
+    """The control factors of a one-step grid at amplitudes ``amps``."""
+    return propagate.control_factors(plan, np.asarray(amps)[:, None])
 
 
 def _steps(plan, model, mset, blocks, amps):
@@ -73,8 +72,8 @@ def _steps(plan, model, mset, blocks, amps):
     factors = _factors(plan, amps)
     d = model.dim
     pairing = np.zeros((2, d, d), dtype=complex)
-    back = step_trotter_adjoint(plan, model, mset, blocks, factors, blocks, pairing)
-    return step_trotter(plan, model, mset, blocks, factors), back, pairing
+    back = step_trotter_adjoint(plan, model, mset, blocks, factors, 0, blocks, pairing)
+    return step_trotter(plan, model, mset, blocks, factors, 0), back, pairing
 
 
 # ----------------------------------------------------------------- analytics
@@ -119,7 +118,7 @@ def test_trotter_step_matches_dense_factors(two_qubit):
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(4) * 0.3
     blocks = _random_blocks(rng, mset.size, 4)
-    got = step_trotter(plan, two_qubit, mset, blocks.copy(), _factors(plan, amps))
+    got = step_trotter(plan, two_qubit, mset, blocks.copy(), _factors(plan, amps), 0)
     want = dense_step_reference(two_qubit, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -131,7 +130,7 @@ def test_trotter_step_matches_dense_factors_no_decay():
     rng = np.random.default_rng(22)
     amps = rng.standard_normal(4) * 0.3
     blocks = _random_blocks(rng, mset.size, 4)
-    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps))
+    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps), 0)
     want = dense_step_reference(model, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -172,7 +171,7 @@ def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
     s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
     calls = _count_calls(monkeypatch, _HALF_SITES)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    propagate_backward(model, mset, grid, fwd.final, fwd, plan=plan)
+    propagate_backward(model, mset, grid, fwd.final, fwd)
     assert calls == Counter(_build_halves=1)
 
 
@@ -234,7 +233,7 @@ def test_fused_steps_change_layout_once_each_way(monkeypatch):
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
     assert +changes == once_each_way
     changes.clear()
-    propagate_backward(model, mset, grid, fwd.final, fwd, plan=plan)
+    propagate_backward(model, mset, grid, fwd.final, fwd)
     assert +changes == once_each_way
     changes.clear()
     propagate_final("expm", model, mset, grid, s0)
@@ -251,7 +250,7 @@ def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qu
     mset = MultiIndexSet(2, 2)
     plan = make_trotter_plan(two_qubit, 0.5)
     rng = np.random.default_rng(38)
-    factors = _factors(plan, rng.standard_normal(4) * 0.3, readers=True)
+    factors = _factors(plan, rng.standard_normal(4) * 0.3)
     s0 = _random_blocks(rng, mset.size, 4)
     size = mset.size * 4**4
     factored = Counter(routed_commutator=8, exp_nilpotent=4, collapse_blocks=4)
@@ -259,9 +258,9 @@ def test_trotter_step_above_the_rule_runs_the_factor_kernels(monkeypatch, two_qu
         monkeypatch.setattr(propagate, "_FUSED_UP_TO", limit)
         calls = _count_calls(monkeypatch, _HALF_SITES)
         record = []
-        step_trotter(plan, two_qubit, mset, s0, factors, record=record)
+        step_trotter(plan, two_qubit, mset, s0, factors, 0, record=record)
         step_trotter_adjoint(
-            plan, two_qubit, mset, s0, factors, record[0], np.zeros((2, 4, 4), dtype=complex)
+            plan, two_qubit, mset, s0, factors, 0, record[0], np.zeros((2, 4, 4), dtype=complex)
         )
         want = Counter({k: 2 * v for k, v in per_step.items()})
         want["_build_halves"] = built
@@ -338,8 +337,9 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     forward step, recorded or not.  The gradient sweep's adjoint step
     makes three: the co-state through each control factor, and the
     recorded state on to the second factor; it pairs through one d x d
-    matrix per control factor.  A propagation builds the control factors
-    of all its steps once."""
+    matrix per control factor.  A forward propagation builds the control
+    factors of all its steps once, readers included, and the gradient
+    sweep reuses them from the forward cache."""
     mset = MultiIndexSet(2, 1)
     grid = small_grid(two_qubit, n_steps=3, dt=0.5, seed=34)
     n = grid.n_steps
@@ -354,7 +354,7 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
 
     factors = _factors(plan, grid.amplitudes[:, 0])
     calls.clear()
-    step_trotter(plan, two_qubit, mset, s0, factors)
+    step_trotter(plan, two_qubit, mset, s0, factors, 0)
     assert calls == Counter(conjugate_blocks=1)
     calls.clear()
     propagate_final("trotter", two_qubit, mset, grid, s0, plan=plan)
@@ -363,8 +363,8 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     fwd = propagate_forward("trotter", two_qubit, mset, grid, s0, plan=plan)
     assert calls == Counter(control_factors=1, conjugate_blocks=n)
     calls.clear()
-    propagate_backward(two_qubit, mset, grid, fwd.final, fwd, plan=plan)
-    assert calls == Counter(control_factors=1, conjugate_blocks=3 * n, control_pairing=2 * n)
+    propagate_backward(two_qubit, mset, grid, fwd.final, fwd)
+    assert calls == Counter(conjugate_blocks=3 * n, control_pairing=2 * n)
 
 
 def test_exp_nilpotent_matches_dense_expm(two_qubit):
@@ -413,7 +413,7 @@ def test_greedy_grouping_without_hints():
     rng = np.random.default_rng(25)
     amps = rng.standard_normal(3) * 0.2
     blocks = _random_blocks(rng, 1, 4)
-    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps))
+    got = step_trotter(plan, model, mset, blocks.copy(), _factors(plan, amps), 0)
     want = dense_step_reference(model, mset, plan, amps, blocks)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -432,7 +432,7 @@ def test_step_adjoint_pairing_all_backends(one_qubit):
     plan = make_trotter_plan(one_qubit, 0.5)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, one_qubit, mset, grid, b, plan=plan)
-        bwd = propagate_backward(one_qubit, mset, grid, a, fwd, plan=plan)
+        bwd = propagate_backward(one_qubit, mset, grid, a, fwd)
         lhs, rhs = np.vdot(a, fwd.final), np.vdot(bwd.states[0], b)
         assert abs(lhs - rhs) < 1e-12 * abs(lhs), backend
 
@@ -448,7 +448,7 @@ def test_pairing_invariant_along_trajectory(one_qubit):
     plan = make_trotter_plan(one_qubit, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, one_qubit, mset, grid, s0, plan=plan)
-        bwd = propagate_backward(one_qubit, mset, grid, costate_T, fwd, plan=plan)
+        bwd = propagate_backward(one_qubit, mset, grid, costate_T, fwd)
         pairings = [
             np.vdot(bwd.states[k], fwd.states[k]) for k in range(grid.n_steps + 1)
         ]
@@ -587,6 +587,33 @@ def test_delta_st_shrinks_with_dt(one_qubit):
     assert d_fine < d_coarse / 2.0
 
 
+def test_delta_st_measures_against_the_rules_pick(monkeypatch, one_qubit):
+    """delta_st propagates its exact side by the backend that
+    exact_backend picks for one forward pass: expm with the rule's
+    one-pass limit at this N d^2 = 8, ode with it one below."""
+    mset = MultiIndexSet(1, 1)
+    grid = small_grid(one_qubit, n_steps=3, dt=0.5, seed=44)
+    s0 = initial_state(mset, random_density(2, np.random.default_rng(45)))
+    assert mset.size * one_qubit.dim**2 == 8
+    real = propagate.propagate_final
+    used = []
+
+    def spy(backend, *args, **kwargs):
+        used.append(backend)
+        return real(backend, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "propagate_final", spy)
+    for limit, pick in ((8, "expm"), (7, "ode")):
+        monkeypatch.setitem(propagate._EXPM_UP_TO, 1, limit)
+        used.clear()
+        dev = delta_st(one_qubit, mset, grid, s0)
+        assert used == [pick, "trotter"], limit
+        want = propagate.splitting_deviation(
+            real(pick, one_qubit, mset, grid, s0), real("trotter", one_qubit, mset, grid, s0)
+        )
+        assert dev == want, limit
+
+
 def test_forward_cache_layout(one_qubit):
     mset = MultiIndexSet(1, 1)
     grid = small_grid(one_qubit, n_steps=5, dt=0.5, seed=9)
@@ -596,6 +623,8 @@ def test_forward_cache_layout(one_qubit):
     assert np.array_equal(fwd.states[0], s0)
     assert fwd.backend == "trotter" and fwd.grad is None
     assert [pre.shape for pre in fwd.records] == [(2, 2, 2)] * 5
+    assert fwd.factors.whole.shape == (5, 2, 2) and fwd.factors.readers.shape[:2] == (5, 2)
+    assert fwd.plan.dt == grid.dt
     expm_fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
     assert [p.shape for p in expm_fwd.records] == [(2, 4, 4)] * 5
     assert propagate_forward("ode", one_qubit, mset, grid, s0).records == []
@@ -674,7 +703,7 @@ def test_cap_counts_the_numbers_of_one_block_element():
         if ok:
             augment._check_dense_size(model, mset)
         else:
-            with pytest.raises(CapExceeded, match="N\\*d\\^4 = 50331648 exceeds"):
+            with pytest.raises(ValueError, match="N\\*d\\^4 = 50331648 exceeds"):
                 propagate.step_propagator_expm(model, mset, np.zeros(len(model.controls)), 0.5)
 
 
@@ -682,7 +711,7 @@ def test_expm_backend_respects_cap(over_cap_chain):
     mset = MultiIndexSet(2, 2)
     grid = small_grid(over_cap_chain, n_steps=2, dt=0.5, seed=10)
     s0 = initial_state(mset, np.eye(64, dtype=complex) / 64.0)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError, match="N\\*d\\^4 = 100663296 exceeds cap 4194304"):
         propagate_final("expm", over_cap_chain, mset, grid, s0)
 
 
@@ -690,7 +719,7 @@ def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     """At 3 qubits, order 2, the expm step propagator neither assembles
     the 384 x 384 generator nor exponentiates anything larger than one
     64 x 64 block, and it is returned as its six 64 x 64 blocks; over a
-    lowered cap it raises CapExceeded."""
+    lowered cap it raises ValueError."""
     model = attach_uncertainties(build_spin_chain(3), "edges")
     mset = MultiIndexSet(2, 2)
     amps = np.random.default_rng(32).uniform(-0.1, 0.1, len(model.controls))
@@ -711,7 +740,7 @@ def test_expm_step_stays_in_the_block_algebra(monkeypatch):
     assert [c for c in calls if c[0] == "assemble"] == []
     assert all(shape[-1] <= 64 for _, shape in calls), calls
     monkeypatch.setattr(augment, "DEFAULT_SUPERMATRIX_CAP", 6 * 64**2 - 1)
-    with pytest.raises(CapExceeded, match="N\\*d\\^4 = 24576 exceeds cap 24575"):
+    with pytest.raises(ValueError, match="N\\*d\\^4 = 24576 exceeds cap 24575"):
         propagate.step_propagator_expm(model, mset, amps, 0.5)
 
 

@@ -121,7 +121,7 @@ def test_forward_backward_pairing(problem, batch):
     plan = make_trotter_plan(model, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, model, mset, grid, b, plan=plan)
-        bwd = propagate_backward(model, mset, grid, a, fwd, plan=plan)
+        bwd = propagate_backward(model, mset, grid, a, fwd)
         assert bwd.grad.shape == grid.amplitudes.shape, backend
         lhs = np.vdot(a, fwd.final)
         rhs = np.vdot(bwd.states[0], b)
@@ -141,17 +141,17 @@ def test_trotter_step_equals_dense_factors(problem, batch):
     d = model.dim
     plan = make_trotter_plan(model, grid.dt)
     amps = grid.amplitudes[:, 0]
-    factors = propagate.control_factors(plan, amps[:, None], readers=True).at(0)
+    factors = propagate.control_factors(plan, amps[:, None])
     shape = (mset.size, d, d) if batch is None else (batch, mset.size, d, d)
     b = _random_blocks(rng, shape)
     for adjoint in (False, True):
         want = dense_step_reference(model, mset, plan, amps, b, adjoint=adjoint)
         if adjoint:
             pairing = np.zeros((2, d, d), dtype=complex)
-            got = [step_trotter_adjoint(plan, model, mset, b, factors, b, pairing)]
+            got = [step_trotter_adjoint(plan, model, mset, b, factors, 0, b, pairing)]
         else:
-            got = [step_trotter(plan, model, mset, b, factors),
-                   step_trotter(plan, model, mset, b, factors, record=[])]
+            got = [step_trotter(plan, model, mset, b, factors, 0),
+                   step_trotter(plan, model, mset, b, factors, 0, record=[])]
         for g in got:
             assert g.shape == shape
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), adjoint
@@ -196,14 +196,14 @@ def test_fused_halves_equal_their_factors(problem, order, dropped):
             assert _relative_gap(got, want) <= 1e-12, adjoint
 
     amps = grid.amplitudes[:, 0]
-    factors = propagate.control_factors(plan, amps[:, None], readers=True).at(0)
+    factors = propagate.control_factors(plan, amps[:, None])
     costate = _random_blocks(rng, b.shape)
 
     def whole_step():
         record = []
-        out = step_trotter(plan, model, mset, b, factors, record=record)
+        out = step_trotter(plan, model, mset, b, factors, 0, record=record)
         pairing = np.zeros((2, model.dim, model.dim), dtype=complex)
-        back = step_trotter_adjoint(plan, model, mset, costate, factors, record[0], pairing)
+        back = step_trotter_adjoint(plan, model, mset, costate, factors, 0, record[0], pairing)
         return out, record[0], back, pairing
 
     fused = whole_step()
@@ -236,7 +236,7 @@ def test_fused_sweeps_equal_factored_sweeps(problem, batch):
         plan = make_trotter_plan(model, grid.dt)
         final = propagate_final("trotter", model, mset, grid, s0, plan=plan)
         fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-        bwd = propagate_backward(model, mset, grid, costate, fwd, plan=plan)
+        bwd = propagate_backward(model, mset, grid, costate, fwd)
         return final, fwd.states, bwd.states, bwd.grad
 
     assert propagate._fuses(model, mset)
@@ -263,7 +263,7 @@ def test_trotter_gradient_matches_central_differences(problem):
     s0 = initial_state(mset, random_density(model.dim, rng))
     costate = _random_blocks(rng, s0.shape)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    grad = propagate_backward(model, mset, grid, costate, fwd, plan=plan).grad
+    grad = propagate_backward(model, mset, grid, costate, fwd).grad
 
     def objective(amps):
         final = propagate_final("trotter", model, mset, grid.with_amplitudes(amps), s0, plan=plan)
