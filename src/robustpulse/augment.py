@@ -283,6 +283,8 @@ class BlockAlgebra:
         ]
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """ab, for two elements (N, D, D) or, member by member, two stacks
+        (N, K, D, D)."""
         z = self.zero
         out = a[z] @ b
         out[:z] += a[:z] @ b[z]
@@ -291,8 +293,9 @@ class BlockAlgebra:
         return out
 
     def solve(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """X with p X = q, by forward substitution over total degree: one
-        solve against p's zero-order block per degree."""
+        """X with p X = q for two stacks (N, K, D, D), member by member, by
+        forward substitution over total degree: one solve against p's
+        zero-order block per degree."""
         dim, z = p.shape[-1], self.zero
         p0 = p[z]
         x = np.empty_like(q)
@@ -301,31 +304,47 @@ class BlockAlgebra:
         for targets, mixed in self._stages:
             for left, right, k in mixed:
                 x[k] -= p[left] @ x[right]
-            sol = np.linalg.solve(p0, x[targets].transpose(1, 0, 2).reshape(dim, -1))
-            x[targets] = sol.reshape(dim, len(targets), dim).transpose(1, 0, 2)
+            # each member's targets side by side as one right-hand side
+            rhs = x[targets].transpose(1, 2, 0, 3).reshape(-1, dim, len(targets) * dim)
+            sol = np.linalg.solve(p0, rhs)
+            x[targets] = sol.reshape(-1, dim, len(targets), dim).transpose(2, 0, 1, 3)
         return x
 
-    def one_norm(self, a: np.ndarray) -> float:
-        """1-norm of the dense matrix, from the blocks' column sums."""
-        return float((self._support @ np.abs(a).sum(axis=-2)).max())
+    def one_norm(self, a: np.ndarray) -> np.ndarray:
+        """1-norm of the dense matrix of an element (N, D, D), or of each
+        member of a stack (N, K, D, D), from the blocks' column sums."""
+        sums = np.abs(a).sum(axis=-2)
+        dense = self._support @ sums.reshape(self.size, -1)
+        return dense.reshape(sums.shape).max(axis=(0, -1))
 
     def expm(self, a: np.ndarray) -> np.ndarray:
-        """exp(a) by the scaling and squaring of :func:`linalg.expm`: the
-        same scaling exponent, Pade(13) polynomials and solve, here in the
-        algebra."""
+        """exp(a) of an element (N, D, D), or of each member of a stack
+        (N, K, D, D), by the scaling and squaring of :func:`linalg.expm`:
+        the same scaling exponent, Pade(13) polynomials and solve, here in
+        the algebra.  An element is a stack of one.  Each member has its
+        own scaling exponent and only its own squarings, so it equals its
+        lone exponential bit for bit."""
+        lone = a.ndim == 3
+        if lone:
+            a = a[:, None]
         norm = self.one_norm(a)
-        if not np.isfinite(norm):
+        if not np.isfinite(norm).all():
             raise ValueError("expm input contains non-finite entries")
-        s = int(scaling_exponent(norm))
-        if s:
-            a = a / 2.0**s
+        s = scaling_exponent(norm)
+        if s.any():
+            a = a / (2.0**s)[:, None, None]
         ident = np.zeros_like(a)
         ident[self.zero] = np.eye(a.shape[-1])
         u, v = pade13(a, self.product, ident)
         r = self.solve(v - u, v + u)
-        for _ in range(s):
-            r = self.product(r, r)
-        return r
+        # round i squares only the members scaled down by more than i halvings
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            if sq.all():
+                r = self.product(r, r)
+            else:
+                r[:, sq] = self.product(r[:, sq], r[:, sq])
+        return r[:, 0] if lone else r
 
     def apply(
         self,
@@ -393,15 +412,23 @@ def generator_blocks(
     the Hermitian basis: the step's Lindblad matrix at the zero order,
     -i[E_j, .] at e_j, summed from the model's ``generator_terms``.  Block
     b maps back to the column-stacking form as T G_b T^dag
-    (``linalg.HermitianBasis.complex_map``)."""
+    (``linalg.HermitianBasis.complex_map``).
+
+    Amplitudes (C, K) of K steps give a stack (N, K, D, D), one member per
+    step, each member's zero-order block summed as a lone step's is."""
     fixed, controls, uncertainties = model.generator_terms
-    gen = np.zeros((mset.size,) + fixed.shape)
-    gen[mset.zero_index] = fixed + np.tensordot(np.asarray(amplitudes, dtype=float), controls, 1)
+    amps = np.asarray(amplitudes, dtype=float)
+    steps = amps.reshape(amps.shape[0], -1).T
+    gen = np.zeros((mset.size, len(steps)) + fixed.shape)
+    # one tensordot per step: one product over all steps may sum in
+    # another order and move the generator at roundoff
+    for k, u in enumerate(steps):
+        gen[mset.zero_index, k] = fixed + np.tensordot(u, controls, 1)
     for j in range(mset.m):
         unit = tuple(int(i == j) for i in range(mset.m))
         if unit in mset.index:
             gen[mset.index[unit]] = uncertainties[j]
-    return gen
+    return gen[:, 0] if amps.ndim == 1 else gen
 
 
 def step_propagator_expm(
@@ -412,7 +439,10 @@ def step_propagator_expm(
 ) -> np.ndarray:
     """One-step propagator exp(dt * augmented generator) as a real
     :class:`BlockAlgebra` element in the Hermitian basis, an (N, d^2, d^2)
-    float64 array; apply it with ``mset.algebra.apply``.
+    float64 array; apply it with ``mset.algebra.apply``.  Amplitudes
+    (C, K) of K steps give their K propagators as one stacked exponential,
+    a (K, N, d^2, d^2) array whose member k is contiguous and equals step
+    k's lone propagator bit for bit.
 
     Mapped back by T block by block and laid out densely, it is
     linalg.expm(dt * assemble_supermatrix(...)) up to roundoff, but
@@ -420,7 +450,8 @@ def step_propagator_expm(
     does.
     """
     _check_dense_size(model, mset)
-    return mset.algebra.expm(dt * generator_blocks(model, mset, amplitudes))
+    props = mset.algebra.expm(dt * generator_blocks(model, mset, amplitudes))
+    return props if props.ndim == 3 else np.ascontiguousarray(props.swapaxes(0, 1))
 
 
 def state_to_vec(blocks: np.ndarray) -> np.ndarray:

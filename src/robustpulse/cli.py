@@ -69,8 +69,13 @@ def _plain(obj):
     return obj
 
 
+# PyYAML's safe dumper, on libyaml's emitter where PyYAML is built with it
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def _write_yaml(path: Path, data: dict) -> None:
-    path.write_text(yaml.safe_dump(_plain(data), sort_keys=True, default_flow_style=False))
+    path.write_text(yaml.dump(_plain(data), Dumper=_Dumper, sort_keys=True,
+                              default_flow_style=False))
 
 
 def _write_pulse_csv(path: Path, grid: ControlGrid) -> None:

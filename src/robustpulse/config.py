@@ -176,10 +176,11 @@ def _coerce(path: str, value, target_type):
     raise ConfigError(path, f"unsupported config field type {target_type}")
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, reading as numbers what YAML 1.2 reads as
-    numbers: its YAML 1.1 resolver leaves an exponent without a dot or
-    without a sign, as in ``1e-8``, a string."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's parser where PyYAML is built with
+    it, reading as numbers what YAML 1.2 reads as numbers: its YAML 1.1
+    resolver leaves an exponent without a dot or without a sign, as in
+    ``1e-8``, a string."""
 
 
 _Loader.add_implicit_resolver(

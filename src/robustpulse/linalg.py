@@ -10,7 +10,10 @@ implementation; it is the accuracy reference for the propagation
 backends, so it deliberately avoids shortcuts.  Its scaling rule and its
 Pade polynomials take the algebra's product and identity, so the
 exponential of the augmented generator runs the same algorithm on its
-coefficient blocks (``augment.BlockAlgebra.expm``).  The d^2 x d^2
+coefficient blocks (``augment.BlockAlgebra.expm``).  Both exponentiate a
+stack of matrices in one call, each member with its own scaling, and
+their callers stack a run of steps up to ``EXPM_STACK_NUMBERS`` numbers
+(:func:`expm_run`).  The d^2 x d^2
 superoperator matrices of the Lindblad generator follow the
 column-stacking convention of :func:`vec`.
 """
@@ -32,6 +35,8 @@ __all__ = [
     "hermitian_basis",
     "one_and_inf_norms",
     "expm",
+    "EXPM_STACK_NUMBERS",
+    "expm_run",
     "scaling_exponent",
     "pade13",
     "is_hermitian",
@@ -224,6 +229,35 @@ def pade13(a, mul, ident):
         + b[0] * ident
     )
     return u, v
+
+
+# Numbers (float64: 64 KiB) in a stack that one exponential call takes,
+# for the callers that stack a run of steps.  The time (ms) of 40 expm
+# step propagators (``augment.step_propagator_expm``, generator included)
+# looped one per call, stacked in runs of 2, 10 or 40, and in the runs
+# this bound gives; best of 7, 2 CPUs, one BLAS thread:
+#   size   N d^4   looped   runs of 2   of 10   of 40   bound (run)
+#   1q o1     32     4.23        2.30    0.83    0.54    0.54 (256)
+#   1q o2     48     4.80        2.71    0.96    0.62    0.62 (170)
+#   2q o1    768     5.43        3.97    2.30    3.32    2.59  (10)
+#   2q o2  1,536     12.9        7.96    6.16    6.45    5.26   (5)
+#   2q o3  2,560     20.5        14.7    11.0    12.0    12.2   (3)
+#   3q o1 12,288     44.0        53.5    60.9    65.4    40.8   (1)
+#   3q o2 24,576     98.0        96.2     128     144    92.4   (1)
+# Up to 2 qubits a step costs numpy's per-call overhead more than flops;
+# from 3 qubits on a stack's temporaries leave the cache and it loses.
+# The noise sweep's 50-sample chunks at d = 4 hold 12,800 numbers per
+# step, so they stay at one step: stacked by two (a bound of 2^15) their
+# channel was at parity (30.9 against 32.0 ms), and a prototype's sweep
+# command read 9 % slower in 3 of 3 benchmark pairs.
+EXPM_STACK_NUMBERS = 2**13
+
+
+def expm_run(numbers: int) -> int:
+    """Steps per stacked exponential when one step's matrices hold
+    ``numbers`` numbers: as many as fit in ``EXPM_STACK_NUMBERS``, and at
+    least one."""
+    return max(1, EXPM_STACK_NUMBERS // numbers)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -76,15 +76,23 @@ def noisy_channel_super(
     product of per-step supermatrix exponentials at fixed strengths eps.
 
     ``eps`` of shape (count, m) gives the (count, d^2, d^2) channels of
-    all samples, advanced together one step at a time: per step one
-    stacked real generator and one stacked real exponential.  The product
+    all samples, advanced together one step at a time.  The real
+    generators of a run of steps, count d^4 numbers per step up to
+    ``linalg.EXPM_STACK_NUMBERS`` in all (``linalg.expm_run``), are
+    exponentiated as one stack, each member as it would be on its own;
+    the steps then multiply into the channel one by one.  The product
     leaves the Hermitian basis once, at the end.
     """
+    eps = np.asarray(eps, dtype=float)
+    count = 1 if eps.ndim <= 1 else eps.shape[0]
+    run = linalg.expm_run(count * model.dim**4)
     chan = np.eye(model.dim**2)
-    for k in range(grid.n_steps):
-        gen = noisy_liouvillian(model, grid.amplitudes[:, k], eps)
+    for first in range(0, grid.n_steps, run):
+        steps = range(first, min(first + run, grid.n_steps))
+        gens = np.stack([noisy_liouvillian(model, grid.amplitudes[:, k], eps) for k in steps])
         # linalg.expm: perfbench's tracer wraps oracle.expm with a 2-D-only hook
-        chan = linalg.expm(grid.dt * gen) @ chan
+        for step in linalg.expm(grid.dt * gens):
+            chan = step @ chan
     return hermitian_basis(model.dim).complex_map(chan)
 
 

@@ -8,9 +8,11 @@ piecewise-constant control step:
   float64: every block of G preserves Hermiticity, so in the Hermitian
   basis (``linalg.HermitianBasis``) the generator and its exponential are
   real.  The step moves the blocks into that basis and back, one product
-  by T each way, and applies the propagator pair by pair in the algebra;
-  the forward sweep keeps each step's propagator as it builds it, for
-  the adjoint sweep.
+  by T each way, and applies the propagator pair by pair in the algebra.
+  A forward sweep exponentiates a run of steps at a time as one stack,
+  as many as fit ``linalg.EXPM_STACK_NUMBERS`` (one step from 3 qubits
+  on), each member bit for bit its lone step's propagator, and keeps
+  each step's propagator for the adjoint sweep.
 * ``ode``    - the action of the step exponential on the blocks by a
   truncated Taylor series whose degree and stage count are sized for
   each step from a generator-norm bound; exact to roundoff without the
@@ -63,7 +65,7 @@ from .augment import (
     quadrature_norm,
     step_propagator_expm,
 )
-from .linalg import expm, kron, one_and_inf_norms
+from .linalg import expm, expm_run, kron, one_and_inf_norms
 from .model import ControlGrid, OpenSystemModel
 
 __all__ = [
@@ -105,9 +107,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # the backends interleaved within a round; "grad" is a forward and an
 # adjoint sweep:
 #   size    N d^2   expm fwd   ode fwd   expm grad   ode grad
-#   1q o1       8      0.122     0.435       0.140      0.896
-#   2q o1      48      0.186     0.921       0.199       1.96
-#   2q o2      96      0.313      1.32       0.399       2.61
+#   1q o1       8      0.049     0.605       0.077       1.25
+#   2q o1      48      0.117      1.32       0.158       2.57
+#   2q o2      96      0.212      1.74       0.266       3.35
 #   3q o1     192       1.26      2.40        1.28       4.75
 #   3q o2     384       2.83      4.49        2.50       8.84
 #   4q o1     768       42.9      40.8        42.9       79.7
@@ -116,7 +118,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 # processes ode also pays for glibc malloc's unraised mmap threshold
 # (measured earlier: 4q o1 46-60 ms forward against expm's 52-82).  expm
 # pays its exponential (~ N d^6) once per step however many sweeps apply
-# it.
+# it.  The 1q and 2q rows, both backends, were measured again with the
+# forward sweep's exponentials stacked (``linalg.EXPM_STACK_NUMBERS``;
+# medians of 5 rounds in each of two processes), where expm took
+# 0.118-0.139, 0.188-0.195 and 0.343-0.347 ms per forward step with one
+# exponential per call.
+# Stacking speeds up only sizes where expm already wins 5-10x; from 3
+# qubits on, where the limits below sit, a step is one exponential as
+# before, so the limits stay.
 # Largest N d^2 that runs expm, by sweeps per step:
 _EXPM_UP_TO = {1: 512, 2: 1024}
 
@@ -162,8 +171,9 @@ class StepCache:
     shaped (N, d, d) or, for a batch, (S, N, d, d), and the ``backend``
     that swept it.  ``records[k]`` is what forward step k leaves its
     adjoint, built as the step runs: the ``expm`` step's block
-    propagator, or the Trotter state just before its control sandwich;
-    ``ode`` leaves none.  A Trotter sweep also keeps its ``plan`` and its
+    propagator, a contiguous (N, d^2, d^2) member of the stack that its
+    run of steps was exponentiated in, or the Trotter state just before
+    its control sandwich; ``ode`` leaves none.  A Trotter sweep also keeps its ``plan`` and its
     steps' control ``factors`` for its adjoint.  ``grad`` is the control
     gradient of an adjoint sweep."""
 
@@ -675,7 +685,10 @@ def _stepper(
     ``trotter``, the sweep's plan and control factors (else None, None).
 
     A forward step appends to the list ``record`` what its adjoint
-    reuses.  The adjoint steps run on ``fwd``, the same backend's forward
+    reuses.  An ``expm`` forward step takes its propagator from the stack
+    held, or else exponentiates the run of ``linalg.expm_run(N d^4)``
+    steps from it as the new stack held, so a sweep in step order
+    exponentiates each step once.  The adjoint steps run on ``fwd``, the same backend's forward
     cache: adjoint step k reuses ``fwd.records[k]`` and pairs for the
     gradient, by the product rule over the Trotter step's two control
     factors, or for ``expm`` and ``ode`` to first order, dt Im
@@ -704,13 +717,23 @@ def _stepper(
         return step, lambda: _trotter_gradient(plan, factors, pairings), plan, factors
 
     pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
+    run = expm_run(mset.size * model.dim**4)
+    held = [0, ()]  # the first step of the stack held, and the stack
+
+    def propagator(k):
+        """Forward step k's expm propagator, from the stack of the run of
+        steps from k, built when k leaves the stack held."""
+        first, stack = held
+        if not first <= k < first + len(stack):
+            held[:] = k, step_propagator_expm(model, mset, amps[:, k:k + run], dt)
+        return held[1][k - held[0]]
 
     def step(k, blocks, adjoint=False, record=None):
         if adjoint:
             pairings[k] = kernels.control_pairing(blocks, fwd.states[k + 1])
         if backend == "ode":
             return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
-        prop = fwd.records[k] if adjoint else step_propagator_expm(model, mset, amps[:, k], dt)
+        prop = fwd.records[k] if adjoint else propagator(k)
         if record is not None:
             record.append(prop)
         return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
@@ -733,7 +756,8 @@ def propagate_forward(
     intermediate state and what each step's adjoint reuses, as the steps
     build it (:class:`StepCache`): by the end, for ``expm``, n_t block
     elements of N d^4 numbers each; a forward-only caller that needs just
-    the final state uses :func:`propagate_final`, which holds one at a time.
+    the final state uses :func:`propagate_final`, which holds one stack of
+    them at a time.
     A Trotter sweep's cache also holds its plan and control factors.
     The sweep starts from the cache's own copy of ``state0``, so no record
     shares memory with the caller's array."""
@@ -756,7 +780,9 @@ def propagate_final(
     state0: np.ndarray,
     plan: TrotterPlan | None = None,
 ) -> np.ndarray:
-    """Final augmented state only; no caching (line-search fast path)."""
+    """Final augmented state only, for a caller that needs no adjoint
+    sweep (the monitor, ``simulate``, ``delta_st``): nothing is cached,
+    and an ``expm`` sweep holds one stack of step propagators at a time."""
     step, *_ = _stepper(backend, model, mset, grid, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):

@@ -129,6 +129,13 @@ class TestConfigErrors:
         assert cfg.optimizer.grad_tol == 1e-8
         assert cfg.control.max_mhz == 40.0
 
+    def test_malformed_yaml_exits_2_naming_the_file(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.yaml", "control:\n  n_steps: [6, 7\n  dt_ns: 0.5\n")
+        res = runner.invoke(main, ["simulate", "--config", cfg])
+        assert res.exit_code == 2
+        assert "<file>" in res.stderr
+        assert "not valid YAML" in res.stderr
+
     def test_quoted_exponent_is_a_string(self, tmp_path, runner):
         cfg = _write(tmp_path, "c.yaml", STATE_CFG + '  grad_tol: "1e-8"\n')
         res = runner.invoke(main, ["optimize", "--config", cfg])
@@ -321,21 +328,38 @@ def test_simulate_gate_deviation_covers_every_input_state(tmp_path, runner):
     assert reported != delta_st(model, mset, grid, batch[0])
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML is built without libyaml")
+def test_report_is_the_same_through_either_dumper(tmp_path, runner, monkeypatch):
+    """libyaml's emitter, which the reports use where PyYAML has it, writes
+    a real optimize report byte for byte as PyYAML's own emitter does."""
+    cfg = _write(tmp_path, "c.yaml", GATE_CFG)
+    written = []
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        monkeypatch.setattr(cli, "_Dumper", dumper)
+        out = tmp_path / dumper.__name__
+        res = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        written.append((out / "report.yaml").read_bytes())
+    assert written[0] == written[1]
+    assert b"agf_nominal" in written[0]
+
+
 def test_simulate_propagates_the_exact_chain_once(tmp_path, runner, monkeypatch):
     """The splitting deviation reuses the expm finals: one step
-    propagator per control step, not one more chain for the deviation."""
-    calls = []
+    exponential per control step, not one more chain for the deviation.
+    A call may exponentiate a stack of steps, so the members count."""
+    members = []
     real = propagate.step_propagator_expm
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(model, mset, amplitudes, dt):
+        members.append(1 if np.ndim(amplitudes) == 1 else np.shape(amplitudes)[1])
+        return real(model, mset, amplitudes, dt)
 
     monkeypatch.setattr(propagate, "step_propagator_expm", counted)
     cfg = _write(tmp_path, "c.yaml", STATE_CFG)  # control.n_steps: 6
     res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
-    assert len(calls) == 6
+    assert sum(members) == 6
 
 
 def _chain_cfg(tmp_path, n_qubits, order, n_steps):

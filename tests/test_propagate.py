@@ -16,7 +16,7 @@ from robustpulse.augment import (
     vec_to_state,
 )
 from robustpulse.linalg import expm, kron
-from robustpulse import augment, linalg
+from robustpulse import augment, linalg, oracle
 from robustpulse.model import (
     ControlGrid,
     OpenSystemModel,
@@ -519,6 +519,49 @@ def test_ode_rhs_calls_per_step_stay_bounded(monkeypatch):
     final = propagate_final("ode", model, mset, grid, s0)
     assert len(calls) <= 25 * grid.n_steps, len(calls) / grid.n_steps
     assert abs(np.trace(final[-1]).real - 1.0) < 1e-12
+
+
+def test_expm_stacks_follow_the_run_length_rule(monkeypatch):
+    """A run of steps is one exponential call while N d^4 per step (count
+    d^4 for the oracle's samples) fits EXPM_STACK_NUMBERS = 2^13 numbers:
+    a 40-step 2q order-1 sweep (N d^4 = 768) makes ceil(40 / 10) calls; a
+    3q order-2 sweep (24,576) one per step; the oracle's single sample at
+    d = 4 stacks 32 steps, and a 50-sample sweep chunk (12,800) one step
+    per call."""
+    calls, exps = [], []
+    real_prop, real_expm = propagate.step_propagator_expm, linalg.expm
+
+    def prop_spy(model, mset, amplitudes, dt):
+        calls.append(np.shape(amplitudes)[1:])
+        return real_prop(model, mset, amplitudes, dt)
+
+    def expm_spy(a):
+        exps.append(np.shape(a))
+        return real_expm(a)
+
+    monkeypatch.setattr(propagate, "step_propagator_expm", prop_spy)
+    monkeypatch.setattr(linalg, "expm", expm_spy)
+    assert linalg.EXPM_STACK_NUMBERS == 2**13
+    for n_qubits, order, n_steps, want in ((2, 1, 40, [(10,)] * 4), (3, 2, 3, [(1,)] * 3)):
+        cfg = load_config({
+            "system": {"n_qubits": n_qubits, "uncertainty": "edges"},
+            "control": {"n_steps": n_steps, "dt_ns": 0.5, "max_mhz": 100.0, "seed": 1},
+            "robustness": {"order": order},
+            "task": {"kind": "state", "initial": "ground", "target": "uniform"},
+        })
+        model = build_model(cfg)
+        mset, grid = build_mset(cfg, model), build_grid(cfg, model)
+        calls.clear()
+        propagate_final("expm", model, mset, grid, initial_state(mset, np.eye(model.dim) / model.dim))
+        assert calls == want, (n_qubits, order)
+        if n_qubits == 2:
+            eps = np.zeros((50, model.n_uncertainties))
+            exps.clear()
+            oracle.noisy_channel_super(model, grid, eps[0])
+            assert exps == [(32, 16, 16), (8, 16, 16)]
+            exps.clear()
+            oracle.noisy_channel_super(model, grid, eps)
+            assert exps == [(1, 50, 16, 16)] * 40
 
 
 def test_ode_step_builds_its_hamiltonian_a_fixed_number_of_times(monkeypatch, two_qubit):

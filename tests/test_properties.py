@@ -29,8 +29,8 @@ from robustpulse.augment import (
 from robustpulse.linalg import expm, mat_lindblad, scaling_exponent
 from robustpulse.model import ControlGrid, NoiseDistribution, OpenSystemModel
 from robustpulse.objective import avg_gate_fidelity
-from robustpulse.oracle import noise_sweep, noisy_liouvillian
-from robustpulse import propagate
+from robustpulse.oracle import noise_sweep, noisy_channel_super, noisy_liouvillian
+from robustpulse import linalg, propagate
 from robustpulse.propagate import (
     BACKENDS,
     exp_nilpotent,
@@ -372,6 +372,87 @@ def test_block_exponential_equals_dense_reference(problem, dt):
         got = step_propagator_expm(model, mset, amps, dt)
         assert got.dtype == np.float64 and got.shape == (mset.size, d2, d2)
         assert np.max(np.abs(back(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_stacked_block_exponential_equals_each_lone_one(problem):
+    """A stack of generators exponentiated in one call, its members spread
+    over scaling exponents 0 to 7, equals each member's lone exponential
+    bit for bit, in the algebra and through step_propagator_expm."""
+    model, mset, grid, rng = problem
+    n_controls = len(model.controls)
+    amps = rng.uniform(-0.4, 0.4, (n_controls, 12))
+    gens = generator_blocks(model, mset, amps)
+    assert gens.shape == (mset.size, 12) + (model.dim**2,) * 2
+    # member k scaled to a 1-norm of theta_13 2^(s_k - 1/2), s_k = k mod 8
+    wanted = np.arange(12) % 8
+    gens *= (linalg._THETA13 * 2.0 ** (wanted - 0.5) / mset.algebra.one_norm(gens))[:, None, None]
+    assert np.array_equal(scaling_exponent(mset.algebra.one_norm(gens)), wanted)
+    stacked = mset.algebra.expm(gens)
+    props = step_propagator_expm(model, mset, amps, 0.4)
+    assert props.shape == (12,) + step_propagator_expm(model, mset, amps[:, 0], 0.4).shape
+    for k in range(12):
+        assert np.array_equal(stacked[:, k], mset.algebra.expm(gens[:, k])), k
+        assert props[k].flags.c_contiguous
+        assert np.array_equal(props[k], step_propagator_expm(model, mset, amps[:, k], 0.4)), k
+
+
+def _longer_grid(model, rng, n_steps):
+    n_controls = len(model.controls)
+    amps = rng.uniform(-0.4, 0.4, (n_controls, n_steps))
+    return ControlGrid(0.4, amps, np.full(n_controls, -1.0), np.full(n_controls, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 2]))
+def test_expm_sweeps_are_the_same_stacked_or_step_by_step(problem, batch):
+    """The expm sweeps with their steps exponentiated in runs of 3, over 7
+    steps, give the states, records and gradient of sweeps that
+    exponentiate one step per call, bit for bit."""
+    model, mset, _grid, rng = problem
+    grid = _longer_grid(model, rng, 7)
+    d = model.dim
+    rho0 = random_density(d, rng) if batch is None else np.stack(
+        [random_density(d, rng) for _ in range(batch)]
+    )
+    s0 = initial_state(mset, rho0)
+    costate = _random_blocks(rng, s0.shape)
+    runs = []
+    for numbers in (1, 3 * mset.size * d**4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "EXPM_STACK_NUMBERS", numbers)
+            final = propagate_final("expm", model, mset, grid, s0)
+            fwd = propagate_forward("expm", model, mset, grid, s0)
+            bwd = propagate_backward(model, mset, grid, costate, fwd)
+        runs.append((final, fwd, bwd))
+    (final1, fwd1, bwd1), (final3, fwd3, bwd3) = runs
+    assert np.array_equal(final1, final3)
+    assert np.array_equal(fwd1.states, fwd3.states)
+    assert len(fwd3.records) == 7
+    for a, b in zip(fwd1.records, fwd3.records):
+        assert b.flags.c_contiguous and b.shape == (mset.size, d**2, d**2)
+        assert np.array_equal(a, b)
+    assert np.array_equal(bwd1.states, bwd3.states)
+    assert np.array_equal(bwd1.grad, bwd3.grad)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([None, 3]))
+def test_oracle_channel_is_the_same_stacked_or_step_by_step(problem, count):
+    """noisy_channel_super with its steps exponentiated in runs of 3, over
+    7 steps, gives the channel of one step per call bit for bit, for one
+    sample or a batch."""
+    model, _mset, _grid, rng = problem
+    grid = _longer_grid(model, rng, 7)
+    m = model.n_uncertainties
+    eps = rng.uniform(-0.3, 0.3, m if count is None else (count, m))
+    chans = []
+    for numbers in (1, 3 * (count or 1) * model.dim**4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "EXPM_STACK_NUMBERS", numbers)
+            chans.append(noisy_channel_super(model, grid, eps))
+    assert np.array_equal(chans[0], chans[1])
 
 
 @PROPERTY_SETTINGS
