@@ -39,7 +39,7 @@ from .config import (
 from .gates import preset_unitary
 from .model import ControlGrid, mhz_to_radns, radns_to_mhz
 # robust_J is not called here: perfbench/tracer.py wraps it at cli.robust_J
-from .objective import avg_gate_fidelity, gate_basis_states, gate_objective, robust_J
+from .objective import avg_gate_fidelity, gate_objective, robust_J
 # run_grape and run_stgrape are not called here: perfbench/tracer.py wraps them at cli
 from .optimize import run_gate_synthesis, run_grape, run_stgrape
 from .oracle import noise_sweep, noisy_channel_super
@@ -265,14 +265,13 @@ def optimize(config_path, out, seed, verbose):
     cfg = load_config(config_path)
     model = build_model(cfg)
     mset = build_mset(cfg, model)
-    states = len(gate_basis_states(model.dim, cfg.task.basis)) if cfg.task.kind == "gate" else 1
-    cache = (cfg.control.n_steps + 1) * states * mset.size * model.dim**2
+    obj = _objective(cfg, mset, model)
+    cache = (cfg.control.n_steps + 1) * obj.n_states * mset.size * model.dim**2
     if cache > _FORWARD_CACHE_CAP:
         raise ConfigError("robustness.order", f"the forward cache holds {cache} numbers, "
                           f"over the cap {_FORWARD_CACHE_CAP}")
     grid0 = build_grid(cfg, model, seed=seed)
     ocfg = optimizer_config(cfg)
-    obj = _objective(cfg, mset, model)
 
     # the optimizer's exclusive phase timers cover this interval
     t_start = time.perf_counter()

@@ -2,22 +2,23 @@
 
 One gradient sweep with two pairings: GRAPE runs the exact backend,
 ``expm`` or ``ode`` as :func:`propagate.exact_backend` picks it for a
-gradient, and ST-GRAPE the splitting backend; both take a forward sweep
-and then :func:`propagate.propagate_backward` on its cache.  The exact
-backends pair co-state and state after each step, a gradient first
-order in dt; the splitting backend differentiates the Trotter step's
-two control factors by the product rule, making the gradient of the
-splitting objective exact to machine precision.  Both optimise a gate
-objective (a state task is the gate objective with one input state):
-its input states, built once per task, are propagated as one batch,
-with the weights folded into the terminal co-states so that one
-backward sweep gives the weighted gradient.
+gradient, and ST-GRAPE the splitting backend; both take a forward sweep,
+whose cache keeps the sweep that ran, and then
+``propagate_backward(costate_T, fwd)``, which needs only the terminal
+co-states and that cache.  The exact backends pair co-state and state
+after each step, a gradient first order in dt; the splitting backend
+differentiates the Trotter step's two control factors by the product
+rule, making the gradient of the splitting objective exact to machine
+precision.  Both optimise a gate objective (a state task is the gate
+objective with one input state): its input states, built once per task,
+are propagated as one batch, with the weights folded into the terminal
+co-states so that one backward sweep gives the weighted gradient.
 
 The splitting route optimises a surrogate objective, so every
 ``monitor_interval`` iterations the true objective is evaluated with the
 exact backend that :func:`propagate.exact_backend` picks for one forward
-pass; if it decreased since the previous checkpoint the run
-stops and returns the best checkpointed control.
+pass; if it fell by more than ``_MONITOR_FALL`` since the previous
+checkpoint the run stops and returns the best checkpointed control.
 
 The update rule is a hand-rolled memory-limited quasi-Newton step with
 projection onto the amplitude box and Armijo backtracking along the
@@ -80,6 +81,7 @@ _MAX_BACKTRACKS = 25
 _FALLBACK_STEP = 0.05
 
 _CEILING_TOL = 1e-9  # converged once the objective is this close to 1
+_MONITOR_FALL = 1e-12  # a smaller fall of the true objective is roundoff
 
 
 @dataclass
@@ -224,32 +226,19 @@ def _terminal_costates(finals: np.ndarray, obj: GateObjective) -> np.ndarray:
     return np.stack([w * costate_J(f, o) for w, f, o in zip(obj.weights, finals, obj.per_state)])
 
 
-def _gradient(
-    backend: str,
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    grid: ControlGrid,
-    obj: GateObjective,
-    state0: np.ndarray,
-    plan: TrotterPlan | None = None,
-    timers: _Timers | None = None,
-    fwd: StepCache | None = None,
-):
-    """(J, gradient) of ``obj`` under ``backend``: ``state0``, the
-    augmented batch of ``obj``'s input states, forward, then one adjoint
-    sweep from the weighted terminal co-states, whose gradient pairing
-    the backend picks (see :func:`propagate.propagate_backward`).
-    ``fwd``, the forward sweep of ``state0`` on ``grid`` if one was
-    recorded already, replaces the forward sweep.  ``timers`` books the
-    forward and backward sweeps."""
+def _gradient(fwd: StepCache, obj: GateObjective, timers: _Timers | None = None):
+    """(J, gradient) of ``obj`` from ``fwd``, the forward sweep of the
+    augmented batch of ``obj``'s input states: J from its final states,
+    then one adjoint sweep on it from the weighted terminal co-states,
+    whose gradient pairing the backend picks (see
+    :func:`propagate.propagate_backward`).  ``timers`` books J to the
+    forward phase and the adjoint sweep to the backward one."""
     clock = timers or _Timers()
     with clock.phase("forward"):
-        if fwd is None:
-            fwd = propagate_forward(backend, model, mset, grid, state0, plan=plan)
         j_val = gate_objective(fwd.final, obj)
     with clock.phase("backward"):
         costate_T = _terminal_costates(fwd.final, obj)
-        bwd = propagate_backward(model, mset, grid, costate_T, fwd)
+        bwd = propagate_backward(costate_T, fwd)
     return j_val, bwd.grad
 
 
@@ -274,7 +263,7 @@ def grape_gradient(
         raise ValueError("first-order gradient route needs an exact backend (expm|ode)")
     gobj = as_gate_objective(obj)
     state0 = initial_state(mset, np.stack(gobj.state0s))
-    return _gradient(backend, model, mset, grid, gobj, state0)
+    return _gradient(propagate_forward(backend, model, mset, grid, state0), gobj)
 
 
 def stgrape_gradient(
@@ -293,7 +282,7 @@ def stgrape_gradient(
     """
     gobj = as_gate_objective(obj)
     state0 = initial_state(mset, np.stack(gobj.state0s))
-    return _gradient("trotter", model, mset, grid, gobj, state0, plan=plan)
+    return _gradient(propagate_forward("trotter", model, mset, grid, state0, plan=plan), gobj)
 
 
 # --------------------------------------------------------------- run drivers
@@ -333,13 +322,16 @@ class _GateTask:
     def _grid(self, x):
         return self.grid0.with_amplitudes(x.reshape(self.grid0.amplitudes.shape))
 
+    def _forward(self, x) -> StepCache:
+        return propagate_forward(
+            self.backend, self.model, self.mset, self._grid(x), self.state0, plan=self.plan
+        )
+
     def evaluate(self, x) -> float:
         self.evaluations["objective"] += 1
         with self.timers.phase("forward"):
             self._swept = None
-            fwd = propagate_forward(
-                self.backend, self.model, self.mset, self._grid(x), self.state0, plan=self.plan
-            )
+            fwd = self._forward(x)
             self._swept = (np.array(x, dtype=float), fwd)
             return gate_objective(fwd.final, self.obj)
 
@@ -349,10 +341,10 @@ class _GateTask:
         fwd = swept[1] if swept is not None and np.array_equal(swept[0], x) else None
         del swept  # an unmatched record goes before the new sweep runs
         self.evaluations["reused_forward"] += fwd is not None
-        j_val, grad = _gradient(
-            self.backend, self.model, self.mset, self._grid(x), self.obj, self.state0,
-            self.plan, self.timers, fwd,
-        )
+        if fwd is None:
+            with self.timers.phase("forward"):
+                fwd = self._forward(x)
+        j_val, grad = _gradient(fwd, self.obj, self.timers)
         return j_val, grad.ravel()
 
     def true_objective(self, x) -> float:
@@ -423,7 +415,7 @@ def _optimize_loop(task, cfg: OptimizerConfig) -> OptimizationReport:
         _log.info("iter %d: J=%.10f", it, j_val)
         if use_monitor and it % cfg.monitor_interval == 0 and it < cfg.max_iters:
             t_val = checkpoint(it, x)
-            if len(checkpoints) >= 2 and t_val < checkpoints[-2][1]:
+            if len(checkpoints) >= 2 and t_val < checkpoints[-2][1] - _MONITOR_FALL:
                 stop_reason = "monitor_decrease"
                 break
 

@@ -32,12 +32,15 @@ piecewise-constant control step:
 ``expm`` and ``ode`` agree to roundoff; :func:`exact_backend` picks the
 faster from the problem size and the sweeps per step exponential.
 
-All backends expose exact Hilbert-Schmidt adjoints.  The one adjoint
-sweep, :func:`propagate_backward`, runs on a forward sweep's cache and
-pairs each step for the control gradient as it pulls the co-state back:
-by the product rule over the Trotter step's two control factors, or to
-first order after an exact step.  Each step stores its d x d pairing
-matrices, and the sweep turns them into the gradient once, at its end.
+All backends expose exact Hilbert-Schmidt adjoints.  Each sweep builds
+one :class:`Sweep`, the backend's steps over the grid, and a forward
+sweep's cache keeps it, so the one adjoint sweep,
+``propagate_backward(costate_T, fwd)``, needs only the co-state and the
+cache: it runs the same sweep's adjoint steps, pairing each step for the
+control gradient as it pulls the co-state back, by the product rule over
+the Trotter step's two control factors, or to first order after an exact
+step.  Each step stores its d x d pairing matrices, and the sweep turns
+them into the gradient once, at its end.
 
 Every step and propagation loop takes one augmented state (N, d, d) or a
 batch of independent states (S, N, d, d) with the same controls; the
@@ -72,6 +75,7 @@ __all__ = [
     "BACKENDS",
     "exact_backend",
     "StepCache",
+    "Sweep",
     "GroupPlan",
     "TrotterPlan",
     "make_trotter_plan",
@@ -168,20 +172,17 @@ def exact_backend(model: OpenSystemModel, mset: MultiIndexSet, passes: int) -> s
 @dataclass
 class StepCache:
     """A sweep's block (or co-state) ``states[k]`` at t_k for k = 0..N_T,
-    shaped (N, d, d) or, for a batch, (S, N, d, d), and the ``backend``
-    that swept it.  ``records[k]`` is what forward step k leaves its
+    shaped (N, d, d) or, for a batch, (S, N, d, d), and the :class:`Sweep`
+    that ran it.  ``records[k]`` is what forward step k leaves its
     adjoint, built as the step runs: the ``expm`` step's block
     propagator, a contiguous (N, d^2, d^2) member of the stack that its
     run of steps was exponentiated in, or the Trotter state just before
-    its control sandwich; ``ode`` leaves none.  A Trotter sweep also keeps its ``plan`` and its
-    steps' control ``factors`` for its adjoint.  ``grad`` is the control
+    its control sandwich; ``ode`` leaves none.  ``grad`` is the control
     gradient of an adjoint sweep."""
 
     states: np.ndarray
-    backend: str
+    sweep: Sweep
     records: list = field(default_factory=list)
-    plan: TrotterPlan | None = None
-    factors: SandwichFactors | None = None
     grad: np.ndarray | None = None
 
     @property
@@ -671,77 +672,82 @@ def step_ode(
 # ------------------------------------------------------------- driver loops
 
 
-def _stepper(
-    backend: str,
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    grid: ControlGrid,
-    plan: TrotterPlan | None,
-    fwd: StepCache | None = None,
-):
-    """The backend's map ``step(k, blocks, adjoint=False, record=None)``
-    over step k of ``grid``, ``gradient()``, the control gradient
-    (n_channels, n_steps) that its adjoint steps gather, and, for
-    ``trotter``, the sweep's plan and control factors (else None, None).
+class Sweep:
+    """One sweep of ``backend`` over ``grid``, built once per forward
+    sweep: its :meth:`step` advances a state, and, on the cache of a
+    forward sweep it ran, its :meth:`adjoint` pulls a co-state back and
+    :meth:`gradient` turns the adjoint steps' pairings into the control
+    gradient (n_channels, n_steps).  A Trotter sweep holds its ``plan``,
+    built here when none is given, and the control ``factors`` of every
+    step; an ``expm`` sweep holds one stack of step propagators."""
 
-    A forward step appends to the list ``record`` what its adjoint
-    reuses.  An ``expm`` forward step takes its propagator from the stack
-    held, or else exponentiates the run of ``linalg.expm_run(N d^4)``
-    steps from it as the new stack held, so a sweep in step order
-    exponentiates each step once.  The adjoint steps run on ``fwd``, the same backend's forward
-    cache: adjoint step k reuses ``fwd.records[k]`` and pairs for the
-    gradient, by the product rule over the Trotter step's two control
-    factors, or for ``expm`` and ``ode`` to first order, dt Im
-    tr(O_{k+1}^dag [H_c, rho_{k+1}]) summed over all blocks, which is
-    tr(H_c M_k) with M_k the step's one d x d pairing matrix.  A forward
-    Trotter sweep builds a plan when none is given, and the control
-    factors of every step once, here; its adjoint takes both from
-    ``fwd``."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    amps, dt, n_t = grid.amplitudes, grid.dt, grid.n_steps
-    if backend == "trotter":
-        if fwd is None:
-            plan = plan if plan is not None else make_trotter_plan(model, dt)
-            factors = control_factors(plan, amps)
-        else:
-            plan, factors = fwd.plan, fwd.factors
-        pairings = None if fwd is None else np.empty((n_t, 2, model.dim, model.dim), complex)
+    def __init__(
+        self, backend: str, model: OpenSystemModel, mset: MultiIndexSet, grid: ControlGrid,
+        plan: TrotterPlan | None = None,
+    ):
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        self.backend, self.model, self.mset, self.grid = backend, model, mset, grid
+        self.plan = self.factors = None
+        d, n_t = model.dim, grid.n_steps
+        self.pairing_shape = (n_t, 2, d, d) if backend == "trotter" else (n_t, d, d)
+        if backend == "trotter":
+            self.plan = plan if plan is not None else make_trotter_plan(model, grid.dt)
+            self.factors = control_factors(self.plan, grid.amplitudes)
+        self._run = expm_run(mset.size * d**4)
+        self._held = (0, ())  # the first step of the stack held, and the stack
 
-        def step(k, blocks, adjoint=False, record=None):
-            if adjoint:
-                return step_trotter_adjoint(
-                    plan, model, mset, blocks, factors, k, fwd.records[k], pairings[k]
-                )
-            return step_trotter(plan, model, mset, blocks, factors, k, record=record)
-        return step, lambda: _trotter_gradient(plan, factors, pairings), plan, factors
-
-    pairings = None if fwd is None else np.empty((n_t, model.dim, model.dim), dtype=complex)
-    run = expm_run(mset.size * model.dim**4)
-    held = [0, ()]  # the first step of the stack held, and the stack
-
-    def propagator(k):
-        """Forward step k's expm propagator, from the stack of the run of
-        steps from k, built when k leaves the stack held."""
-        first, stack = held
+    def _propagator(self, k: int) -> np.ndarray:
+        """Step k's expm propagator, from the stack held, or else from the
+        stack of the run of ``linalg.expm_run(N d^4)`` steps from k, which
+        is then held, so a sweep in step order exponentiates each step once."""
+        first, stack = self._held
         if not first <= k < first + len(stack):
-            held[:] = k, step_propagator_expm(model, mset, amps[:, k:k + run], dt)
-        return held[1][k - held[0]]
+            amps = self.grid.amplitudes[:, k:k + self._run]
+            first, stack = self._held = k, step_propagator_expm(
+                self.model, self.mset, amps, self.grid.dt
+            )
+        return stack[k - first]
 
-    def step(k, blocks, adjoint=False, record=None):
-        if adjoint:
-            pairings[k] = kernels.control_pairing(blocks, fwd.states[k + 1])
-        if backend == "ode":
-            return step_ode(model, mset, blocks, amps[:, k], dt, adjoint=adjoint)
-        prop = fwd.records[k] if adjoint else propagator(k)
+    def step(self, k: int, blocks: np.ndarray, record: list | None = None) -> np.ndarray:
+        """Forward step k; appends to the list ``record`` what the step's
+        adjoint reuses (nothing for ``ode``)."""
+        model, mset, grid = self.model, self.mset, self.grid
+        if self.backend == "trotter":
+            return step_trotter(self.plan, model, mset, blocks, self.factors, k, record=record)
+        if self.backend == "ode":
+            return step_ode(model, mset, blocks, grid.amplitudes[:, k], grid.dt)
+        prop = self._propagator(k)
         if record is not None:
             record.append(prop)
-        return apply_supermatrix(mset.algebra, prop, blocks, adjoint=adjoint)
+        return apply_supermatrix(mset.algebra, prop, blocks, adjoint=False)
 
-    def gradient():
+    def adjoint(
+        self, k: int, blocks: np.ndarray, fwd: StepCache, pairings: np.ndarray
+    ) -> np.ndarray:
+        """Adjoint step k on ``fwd``, this sweep's forward cache, reusing
+        ``fwd.records[k]`` and writing the step's pairing to
+        ``pairings[k]``: by the product rule over the Trotter step's two
+        control factors, or for ``expm`` and ``ode`` to first order, dt Im
+        tr(O_{k+1}^dag [H_c, rho_{k+1}]) summed over all blocks, which is
+        tr(H_c M_k) with M_k the step's one d x d pairing matrix."""
+        model, mset, grid = self.model, self.mset, self.grid
+        if self.backend == "trotter":
+            return step_trotter_adjoint(
+                self.plan, model, mset, blocks, self.factors, k, fwd.records[k], pairings[k]
+            )
+        pairings[k] = kernels.control_pairing(blocks, fwd.states[k + 1])
+        if self.backend == "ode":
+            return step_ode(model, mset, blocks, grid.amplitudes[:, k], grid.dt, adjoint=True)
+        return apply_supermatrix(mset.algebra, fwd.records[k], blocks, adjoint=True)
+
+    def gradient(self, pairings: np.ndarray) -> np.ndarray:
+        """The control gradient from the ``pairings`` of a whole adjoint sweep."""
+        if self.backend == "trotter":
+            return _trotter_gradient(self.plan, self.factors, pairings)
         # tr(H M) = sum_ij H[i, j] M[j, i]
-        return dt * np.einsum("cij,kji->ck", np.stack(model.controls), pairings).imag
-    return step, gradient, None, None
+        controls = np.stack(self.model.controls)
+        return self.grid.dt * np.einsum("cij,kji->ck", controls, pairings).imag
 
 
 def propagate_forward(
@@ -753,21 +759,19 @@ def propagate_forward(
     plan: TrotterPlan | None = None,
 ) -> StepCache:
     """Propagate an augmented state over the whole grid, caching every
-    intermediate state and what each step's adjoint reuses, as the steps
-    build it (:class:`StepCache`): by the end, for ``expm``, n_t block
-    elements of N d^4 numbers each; a forward-only caller that needs just
-    the final state uses :func:`propagate_final`, which holds one stack of
-    them at a time.
-    A Trotter sweep's cache also holds its plan and control factors.
+    intermediate state, the :class:`Sweep` that ran, and what each step's
+    adjoint reuses, as the steps build it (:class:`StepCache`): by the
+    end, for ``expm``, n_t block elements of N d^4 numbers each; a
+    forward-only caller that needs just the final state uses
+    :func:`propagate_final`, which holds one stack of them at a time.
     The sweep starts from the cache's own copy of ``state0``, so no record
     shares memory with the caller's array."""
-    step, _, plan, factors = _stepper(backend, model, mset, grid, plan)
-    shape = (grid.n_steps + 1,) + state0.shape
-    cache = StepCache(np.empty(shape, dtype=complex), backend, plan=plan, factors=factors)
+    sweep = Sweep(backend, model, mset, grid, plan)
+    cache = StepCache(np.empty((grid.n_steps + 1,) + state0.shape, dtype=complex), sweep)
     cache.states[0] = state0
     blocks = cache.states[0]
     for k in range(grid.n_steps):
-        blocks = step(k, blocks, record=cache.records)
+        blocks = sweep.step(k, blocks, record=cache.records)
         cache.states[k + 1] = blocks
     return cache
 
@@ -783,79 +787,59 @@ def propagate_final(
     """Final augmented state only, for a caller that needs no adjoint
     sweep (the monitor, ``simulate``, ``delta_st``): nothing is cached,
     and an ``expm`` sweep holds one stack of step propagators at a time."""
-    step, *_ = _stepper(backend, model, mset, grid, plan)
+    sweep = Sweep(backend, model, mset, grid, plan)
     blocks = np.ascontiguousarray(state0, dtype=complex)
     for k in range(grid.n_steps):
-        blocks = step(k, blocks)
+        blocks = sweep.step(k, blocks)
     return np.ascontiguousarray(blocks)
 
 
-def propagate_backward(
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    grid: ControlGrid,
-    costate_T: np.ndarray,
-    fwd: StepCache,
-) -> StepCache:
-    """Pull a terminal co-state back through the adjoint steps of ``fwd``,
-    a forward cache on the same grid, and pair each step for the gradient.
+def propagate_backward(costate_T: np.ndarray, fwd: StepCache) -> StepCache:
+    """Pull a terminal co-state back through the adjoint steps of ``fwd``'s
+    sweep, on the forward cache ``fwd``, and pair each step for the gradient.
 
-    Runs ``fwd.backend`` (with a Trotter cache's plan and control factors)
-    and returns a cache whose ``states[k]`` is the co-state at t_k; the
+    Returns a cache whose ``states[k]`` is the co-state at t_k; the
     pairing <costate(t_k), state(t_k)> is step-invariant for the exact
     backends and exactly matches the Trotter map's true adjoint for the
     trotter backend.  ``grad`` is the control gradient of the objective
     whose terminal derivative is ``costate_T``: exact for the Trotter map,
     first order in dt for the exact backends.  The pairings sum over a
     batch, so weights folded into the co-states give the weighted gradient
-    in one sweep.  A cache of another step count, or a co-state shaped
-    unlike its states, raises ValueError.
+    in one sweep.  Each call pairs into its own array, so sweeps on one
+    cache are independent.  A co-state shaped unlike the forward states
+    raises ValueError.
     """
-    n_t = grid.n_steps
-    if len(fwd.states) != n_t + 1:
-        raise ValueError(
-            f"forward cache has {len(fwd.states) - 1} steps where the grid has {n_t}"
-        )
     if np.shape(costate_T) != fwd.states.shape[1:]:
         raise ValueError(
             f"terminal co-state has shape {np.shape(costate_T)} where the forward "
             f"states have {fwd.states.shape[1:]}"
         )
-    step, gradient, *_ = _stepper(fwd.backend, model, mset, grid, None, fwd)
-    cache = StepCache(np.empty(fwd.states.shape, dtype=complex), fwd.backend)
+    sweep, n_t = fwd.sweep, len(fwd.states) - 1
+    pairings = np.empty(sweep.pairing_shape, dtype=complex)
+    cache = StepCache(np.empty(fwd.states.shape, dtype=complex), sweep)
     cache.states[n_t] = costate_T
     blocks = np.ascontiguousarray(costate_T, dtype=complex)
     for k in range(n_t - 1, -1, -1):
-        blocks = step(k, blocks, adjoint=True)
+        blocks = sweep.adjoint(k, blocks, fwd, pairings)
         cache.states[k] = blocks
-    cache.grad = gradient()
+    cache.grad = sweep.gradient(pairings)
     return cache
 
 
-def trotter_backward_with_gradient(
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    grid: ControlGrid,
-    fwd: StepCache,
-    costate_T: np.ndarray,
-) -> np.ndarray:
+def trotter_backward_with_gradient(fwd: StepCache, costate_T: np.ndarray) -> np.ndarray:
     """The Trotter :func:`propagate_backward` sweep's gradient; only the
     benchmark's tracer still looks this name up."""
-    return propagate_backward(model, mset, grid, costate_T, fwd).grad
+    return propagate_backward(costate_T, fwd).grad
 
 
 def delta_st(
-    model: OpenSystemModel,
-    mset: MultiIndexSet,
-    grid: ControlGrid,
-    state0: np.ndarray,
-    plan: TrotterPlan | None = None,
+    model: OpenSystemModel, mset: MultiIndexSet, grid: ControlGrid, state0: np.ndarray
 ) -> float:
     """Relative terminal deviation of the Trotter backend from the exact
     propagation, by the backend :func:`exact_backend` picks for one
     forward pass (see ``splitting_deviation``)."""
     exact = propagate_final(exact_backend(model, mset, 1), model, mset, grid, state0)
-    approx = propagate_final("trotter", model, mset, grid, state0, plan=plan)
+    approx = propagate_final("trotter", model, mset, grid, state0)
     return splitting_deviation(exact, approx)
 
 

@@ -199,7 +199,8 @@ class TestConfigErrors:
 
     def test_order_is_bounded_by_the_forward_cache(self, tmp_path, runner, monkeypatch):
         """optimize's forward cache, (n_steps + 1) * states * N d^2 numbers,
-        is bounded before anything is built: a 3-qubit coupling-set Toffoli
+        with the objective's state count, is bounded before anything but
+        the objective is built: a 3-qubit coupling-set Toffoli
         at order 32 passes the one-state cap (N d^2 = 3,769,920) but would
         cache 1.4e9 numbers over 40 steps, and exits 2 at once.  A 6-step
         state task at order 1 caches 7 * 1 * 8 = 56, accepted up to a cap

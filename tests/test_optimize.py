@@ -592,6 +592,16 @@ class TestLoopGuards:
         assert np.array_equal(report.best_control, task.grid0.amplitudes)
         assert (report.method, report.backend) == ("scripted", "none")
 
+    def test_monitor_stops_only_on_a_fall_above_roundoff(self):
+        """A checkpoint below the one before it by roundoff (1e-15) does
+        not stop the run; a fall of 1e-6 does."""
+        for fall, stops in ((1e-15, False), (1e-6, True)):
+            true_values = [0.9, 0.95, 0.95 - fall, 0.95]
+            task = _ScriptedTask(1.5 * np.ones(4), true_values, use_monitor=True)
+            report = _optimize_loop(task, OptimizerConfig(max_iters=3, monitor_interval=1))
+            assert (report.stop_reason == "monitor_decrease") == stops, fall
+            assert report.checkpoints[:3] == [(0, 0.9), (1, 0.95), (2, 0.95 - fall)]
+
     def test_failed_line_search_keeps_the_last_checkpoint_label(self):
         """A run whose first line search finds no step stops after zero
         iterations: its one checkpoint is labelled 0, and the true

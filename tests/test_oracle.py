@@ -293,7 +293,7 @@ def test_collapse_terms_are_built_once_per_propagation(two_qubit, monkeypatch):
     s0 = initial_state(mset, np.eye(4, dtype=complex) / 4)
     propagate_final("expm", two_qubit, mset, grid, s0)
     fwd = propagate_forward("expm", two_qubit, mset, grid, s0)
-    propagate_backward(two_qubit, mset, grid, fwd.final, fwd)
+    propagate_backward(fwd.final, fwd)
     assert calls == []
     assert two_qubit.generator_terms is built
 

@@ -171,7 +171,7 @@ def test_trotter_sweeps_apply_halves_built_once(monkeypatch):
     s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(5)]))
     calls = _count_calls(monkeypatch, _HALF_SITES)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    propagate_backward(model, mset, grid, fwd.final, fwd)
+    propagate_backward(fwd.final, fwd)
     assert calls == Counter(_build_halves=1)
 
 
@@ -233,7 +233,7 @@ def test_fused_steps_change_layout_once_each_way(monkeypatch):
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
     assert +changes == once_each_way
     changes.clear()
-    propagate_backward(model, mset, grid, fwd.final, fwd)
+    propagate_backward(fwd.final, fwd)
     assert +changes == once_each_way
     changes.clear()
     propagate_final("expm", model, mset, grid, s0)
@@ -363,7 +363,7 @@ def test_trotter_step_fuses_its_control_sandwich(monkeypatch, two_qubit):
     fwd = propagate_forward("trotter", two_qubit, mset, grid, s0, plan=plan)
     assert calls == Counter(control_factors=1, conjugate_blocks=n)
     calls.clear()
-    propagate_backward(two_qubit, mset, grid, fwd.final, fwd)
+    propagate_backward(fwd.final, fwd)
     assert calls == Counter(conjugate_blocks=3 * n, control_pairing=2 * n)
 
 
@@ -432,7 +432,7 @@ def test_step_adjoint_pairing_all_backends(one_qubit):
     plan = make_trotter_plan(one_qubit, 0.5)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, one_qubit, mset, grid, b, plan=plan)
-        bwd = propagate_backward(one_qubit, mset, grid, a, fwd)
+        bwd = propagate_backward(a, fwd)
         lhs, rhs = np.vdot(a, fwd.final), np.vdot(bwd.states[0], b)
         assert abs(lhs - rhs) < 1e-12 * abs(lhs), backend
 
@@ -448,7 +448,7 @@ def test_pairing_invariant_along_trajectory(one_qubit):
     plan = make_trotter_plan(one_qubit, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, one_qubit, mset, grid, s0, plan=plan)
-        bwd = propagate_backward(one_qubit, mset, grid, costate_T, fwd)
+        bwd = propagate_backward(costate_T, fwd)
         pairings = [
             np.vdot(bwd.states[k], fwd.states[k]) for k in range(grid.n_steps + 1)
         ]
@@ -664,23 +664,14 @@ def test_forward_cache_layout(one_qubit):
     fwd = propagate_forward("trotter", one_qubit, mset, grid, s0)
     assert fwd.states.shape == (6, 2, 2, 2)
     assert np.array_equal(fwd.states[0], s0)
-    assert fwd.backend == "trotter" and fwd.grad is None
+    assert fwd.sweep.backend == "trotter" and fwd.grad is None
     assert [pre.shape for pre in fwd.records] == [(2, 2, 2)] * 5
-    assert fwd.factors.whole.shape == (5, 2, 2) and fwd.factors.readers.shape[:2] == (5, 2)
-    assert fwd.plan.dt == grid.dt
+    factors = fwd.sweep.factors
+    assert factors.whole.shape == (5, 2, 2) and factors.readers.shape[:2] == (5, 2)
+    assert fwd.sweep.plan.dt == grid.dt
     expm_fwd = propagate_forward("expm", one_qubit, mset, grid, s0)
     assert [p.shape for p in expm_fwd.records] == [(2, 4, 4)] * 5
     assert propagate_forward("ode", one_qubit, mset, grid, s0).records == []
-
-
-def test_backward_sweep_rejects_a_forward_cache_of_another_step_count(one_qubit):
-    mset = MultiIndexSet(1, 1)
-    grid = small_grid(one_qubit, n_steps=3, dt=0.5, seed=9)
-    s0 = initial_state(mset, np.diag([1.0, 0.0]).astype(complex))
-    fwd = propagate_forward("ode", one_qubit, mset, grid, s0)
-    longer = ControlGrid(grid.dt, np.tile(grid.amplitudes, 2), grid.lo, grid.hi)
-    with pytest.raises(ValueError, match="forward cache has 3 steps where the grid has 6"):
-        propagate_backward(one_qubit, mset, longer, fwd.final, fwd)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -696,7 +687,28 @@ def test_backward_sweep_rejects_a_costate_of_another_shape(backend, one_qubit):
     for shape in ((4, 3, 2, 2), (3, 2, 2), (5, 2, 2, 2)):
         want = f"co-state has shape {shape} where the forward states have (5, 3, 2, 2)"
         with pytest.raises(ValueError, match=re.escape(want)):
-            propagate_backward(one_qubit, mset, grid, np.zeros(shape, dtype=complex), fwd)
+            propagate_backward(np.zeros(shape, dtype=complex), fwd)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_adjoint_sweeps_on_one_forward_cache_are_independent(backend, two_qubit):
+    """Two adjoint sweeps on one forward cache, of a batch of two states,
+    give bit-identical co-states and gradients on every backend, with a
+    forward-only sweep and a forward step of the cache's own sweep (which
+    exponentiates a new ``expm`` stack for it to hold) run in between:
+    no sweep leaves state behind for the next."""
+    mset = MultiIndexSet(2, 1)
+    grid = small_grid(two_qubit, n_steps=12, dt=0.5, seed=44)
+    rng = np.random.default_rng(45)
+    s0 = initial_state(mset, np.stack([random_density(4, rng) for _ in range(2)]))
+    costate = np.stack([_random_blocks(rng, mset.size, 4) for _ in range(2)])
+    fwd = propagate_forward(backend, two_qubit, mset, grid, s0)
+    first = propagate_backward(costate, fwd)
+    propagate_final(backend, two_qubit, mset, grid, s0)
+    fwd.sweep.step(0, s0)
+    second = propagate_backward(costate, fwd)
+    assert np.array_equal(first.states, second.states)
+    assert np.array_equal(first.grad, second.grad)
 
 
 def test_trotter_record_shares_no_memory_with_later_writes(monkeypatch):
@@ -714,10 +726,10 @@ def test_trotter_record_shares_no_memory_with_later_writes(monkeypatch):
     s0 = initial_state(mset, random_density(2, rng))
     costate = _random_blocks(rng, mset.size, 2)
     fresh = propagate_forward("trotter", model, mset, grid, s0.copy())
-    want = propagate_backward(model, mset, grid, costate, fresh).grad
+    want = propagate_backward(costate, fresh).grad
     fwd = propagate_forward("trotter", model, mset, grid, s0)
     s0[...] = _random_blocks(rng, mset.size, 2)
-    assert np.array_equal(propagate_backward(model, mset, grid, costate, fwd).grad, want)
+    assert np.array_equal(propagate_backward(costate, fwd).grad, want)
 
 
 def test_exact_backend_picks_the_measured_winner():
@@ -809,7 +821,7 @@ def test_expm_route_runs_in_real_arithmetic(two_qubit, monkeypatch):
         monkeypatch.setattr(augment.BlockAlgebra, name, spy(getattr(augment.BlockAlgebra, name)))
     final = propagate_final("expm", two_qubit, mset, grid, s0)
     fwd = propagate_forward("expm", two_qubit, mset, grid, s0)
-    bwd = propagate_backward(two_qubit, mset, grid, final, fwd)
+    bwd = propagate_backward(final, fwd)
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
     record = (np.dtype(np.float64), mset.size * two_qubit.dim**4 * 8)
     assert [(r.dtype, r.nbytes) for r in fwd.records] == [record] * grid.n_steps

@@ -121,7 +121,7 @@ def test_forward_backward_pairing(problem, batch):
     plan = make_trotter_plan(model, grid.dt)
     for backend in BACKENDS:
         fwd = propagate_forward(backend, model, mset, grid, b, plan=plan)
-        bwd = propagate_backward(model, mset, grid, a, fwd)
+        bwd = propagate_backward(a, fwd)
         assert bwd.grad.shape == grid.amplitudes.shape, backend
         lhs = np.vdot(a, fwd.final)
         rhs = np.vdot(bwd.states[0], b)
@@ -236,7 +236,7 @@ def test_fused_sweeps_equal_factored_sweeps(problem, batch):
         plan = make_trotter_plan(model, grid.dt)
         final = propagate_final("trotter", model, mset, grid, s0, plan=plan)
         fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-        bwd = propagate_backward(model, mset, grid, costate, fwd)
+        bwd = propagate_backward(costate, fwd)
         return final, fwd.states, bwd.states, bwd.grad
 
     assert propagate._fuses(model, mset)
@@ -263,7 +263,7 @@ def test_trotter_gradient_matches_central_differences(problem):
     s0 = initial_state(mset, random_density(model.dim, rng))
     costate = _random_blocks(rng, s0.shape)
     fwd = propagate_forward("trotter", model, mset, grid, s0, plan=plan)
-    grad = propagate_backward(model, mset, grid, costate, fwd).grad
+    grad = propagate_backward(costate, fwd).grad
 
     def objective(amps):
         final = propagate_final("trotter", model, mset, grid.with_amplitudes(amps), s0, plan=plan)
@@ -307,7 +307,7 @@ def test_exact_backend_gradients_agree(problem, batch):
     grads = []
     for backend in ("expm", "ode"):
         fwd = propagate_forward(backend, model, mset, grid, s0)
-        bwd = propagate_backward(model, mset, grid, costate, fwd)
+        bwd = propagate_backward(costate, fwd)
         rho, o = fwd.states[1:], bwd.states[1:]
         want = grid.dt * np.array([
             [np.vdot(o[k], h @ rho[k] - rho[k] @ h).imag for k in range(grid.n_steps)]
@@ -424,7 +424,7 @@ def test_expm_sweeps_are_the_same_stacked_or_step_by_step(problem, batch):
             mp.setattr(linalg, "EXPM_STACK_NUMBERS", numbers)
             final = propagate_final("expm", model, mset, grid, s0)
             fwd = propagate_forward("expm", model, mset, grid, s0)
-            bwd = propagate_backward(model, mset, grid, costate, fwd)
+            bwd = propagate_backward(costate, fwd)
         runs.append((final, fwd, bwd))
     (final1, fwd1, bwd1), (final3, fwd3, bwd3) = runs
     assert np.array_equal(final1, final3)
